@@ -4,8 +4,8 @@ The engine finds every subgraph of a timestamped directed graph that
 matches an edge-ordered pattern, preserves the pattern's temporal edge
 order, and fits in a time window.  Candidate edges are generated either
 by a linear scan of the time-ordered edge list or by walking per-node
-next-in-time links; a two-phase static-then-temporal baseline and an
-exhaustive oracle are included for comparison and testing.
+time-sorted position lists; a two-phase static-then-temporal baseline
+and an exhaustive oracle are included for comparison and testing.
 """
 
 from .baseline import (
@@ -43,13 +43,10 @@ from .io_cli import (
 from .matcher import (
     InvalidPatternError,
     Match,
-    SearchState,
     SearchStats,
     Strategy,
     VerifyResult,
-    index_me,
     interaction_search,
-    simple_me,
     verify_match,
 )
 from .pattern import (
@@ -63,7 +60,6 @@ from .pattern import (
 )
 from .temporal_graph import (
     DurationUndefinedError,
-    EdgeRecord,
     EmptyGraphError,
     GraphBuildError,
     StaticGraph,
@@ -78,17 +74,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineStats", "BenchPlan", "BenchRow", "DurationUndefinedError",
-    "EdgeRecord", "EmptyGraphError", "GraphBuildError", "GraphSummary",
+    "EmptyGraphError", "GraphBuildError", "GraphSummary",
     "InvalidPatternError", "Match", "OracleSizeLimitError", "ParseError",
     "PatternEdge", "PatternGraph", "QueryGenerationError", "QuerySpec",
-    "Relation", "SearchState", "SearchStats", "StaticGraph", "StaticMatch",
+    "Relation", "SearchStats", "StaticGraph", "StaticMatch",
     "Strategy", "StrategyMismatchError", "TemporalEdge", "TemporalGraph",
     "ValidationReport", "VerifyResult", "brute_force", "build_graph",
     "duration", "generate_path_query", "generate_random_query",
-    "graph_summary", "index_me", "interaction_search", "load_graph",
+    "graph_summary", "interaction_search", "load_graph",
     "load_pattern", "match_from_dict", "match_json_line", "match_to_dict",
     "order_edges", "pattern_from_triples", "run_bench", "run_query",
-    "run_search", "save_graph", "save_pattern", "simple_me",
+    "run_search", "save_graph", "save_pattern",
     "static_projection", "two_phase_search", "validate_files",
     "validate_pattern", "verify_match",
 ]

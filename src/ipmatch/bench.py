@@ -7,8 +7,8 @@ wall-clock time, matches found and candidate counts; per-cell match
 counts must agree across strategies or the run aborts with the
 offending instance saved for replay.
 
-Cells are independent; the harness runs them sequentially by default so
-timings stay stable, with an opt-in thread pool for large sweeps.
+Cells run one after another, so each timing is taken with the process
+otherwise idle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import random
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +45,6 @@ class BenchPlan:
     delta_unit: str = "raw"
     seed: int = 0
     output: Optional[str] = None
-    parallel: int = 1
 
     def __post_init__(self):
         if self.family not in ("path", "random"):
@@ -176,16 +174,11 @@ def run_bench(plan: BenchPlan) -> list[BenchRow]:
         for strategy in plan.strategies
     ]
 
-    def work(cell):
-        size, qid, pattern, delta, strategy = cell
-        millis, matches, candidates = _run_cell(g, pattern, delta, strategy)
-        return BenchRow(plan.family, size, delta, strategy, qid, millis, matches, candidates)
-
-    if plan.parallel > 1:
-        with ThreadPoolExecutor(max_workers=plan.parallel) as pool:
-            rows = list(pool.map(work, cells))
-    else:
-        rows = [work(cell) for cell in cells]
+    rows = [
+        BenchRow(plan.family, size, delta, strategy, qid,
+                 *_run_cell(g, pattern, delta, strategy))
+        for size, qid, pattern, delta, strategy in cells
+    ]
 
     _check_agreement(plan, queries, rows)
 

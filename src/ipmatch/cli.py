@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random queries per size")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--output", required=True)
-    b.add_argument("--parallel", type=int, default=1)
     return parser
 
 
@@ -121,7 +120,6 @@ def _cmd_bench(args) -> int:
             delta_unit=args.delta_unit,
             seed=args.seed,
             output=args.output,
-            parallel=args.parallel,
         )
         rows = bench_mod.run_bench(plan)
     except OSError as exc:

@@ -4,7 +4,7 @@ Graph files use the SNAP temporal edge-list layout: one ``<source>
 <target> <timestamp>`` line per edge, whitespace separated, ``#`` lines
 skipped.  Pattern files are the same 3-column format preceded by a
 ``nodes <n>`` header.  Matches are emitted as JSON Lines, one object per
-match, so output streams and every line is independently parseable.
+match, so every line is independently parseable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
-from .matcher import Match, Strategy, interaction_search, verify_match
+from .matcher import Match, Strategy, interaction_search
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import TemporalGraph, build_graph
 
@@ -50,7 +50,6 @@ class QuerySpec:
     strategy: str = "index"
     limit: Optional[int] = None
     stats: bool = False
-    seed: Optional[int] = None
 
     def effective_delta(self) -> int:
         if self.delta_unit not in DELTA_UNITS:
@@ -117,7 +116,7 @@ def save_graph(g: TemporalGraph, path: str) -> None:
 def graph_summary(g: TemporalGraph) -> GraphSummary:
     start = g.times[0] if g.times else None
     end = g.times[-1] if g.times else None
-    return GraphSummary(g.node_count, len(g.records), len(g.multiplicity), start, end)
+    return GraphSummary(g.node_count, len(g), len(g.multiplicity), start, end)
 
 
 def load_pattern(path: str) -> PatternGraph:
@@ -200,8 +199,11 @@ def run_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
 
     The baseline and oracle strategies return matches sorted into the
     same order the search strategies emit (lexicographic by assigned
-    edge positions), so outputs are directly comparable.
+    edge positions), so outputs are directly comparable.  A negative
+    ``limit`` is rejected with ValueError for every strategy.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     if strategy in ("simple", "index"):
         strat = Strategy.SIMPLE if strategy == "simple" else Strategy.INDEX
         return interaction_search(g, p, delta, strat, limit=limit)
@@ -269,9 +271,3 @@ def validate_files(graph_path: str, pattern_path: str, delta: int,
     for violation in report.violations:
         print(f"violation: {violation}", file=out)
     return 1
-
-
-def verify_output_line(line: str, g: TemporalGraph, p: PatternGraph, delta: int) -> bool:
-    """Re-parse one emitted JSON line and verify it; used by tests."""
-    m = match_from_dict(json.loads(line), g, p)
-    return verify_match(g, p, delta, m).ok

@@ -1,18 +1,24 @@
 """Depth-first interaction-pattern search over the time-ordered edge list.
 
-Pattern edges are matched one by one in their time order.  At each depth
-the engine asks a matching-edge routine for the next admissible graph
-edge; two interchangeable routines are provided:
+Pattern edges are matched one by one in their time order: the
+chronological edge-driven search of the paper (also Mackey et al., "A
+Chronological Edge-Driven Approach to Temporal Subgraph Isomorphism",
+IEEE BigData 2018).  Each query first compiles the pattern into one step
+per depth, recording which endpoints earlier edges have bound and which
+structural test applies, so the search loop itself only compares ints.
 
-* :func:`simple_me` scans the flat edge list linearly from the depth's
-  resume cursor.
-* :func:`index_me` walks the per-node next-in-time links, so only edges
-  incident to an already-mapped node are touched once one endpoint of
-  the pattern edge is bound.
+Two strategies differ only in the candidate sequence of a depth:
 
-Both routines return identical candidates in identical order; they
-differ only in how many edges they examine.  A failed call triggers a
-backtrack, a successful one extends the partial match, and a complete
+* ``simple`` scans the flat edge list from the depth's start position.
+* ``index`` walks the sorted position list of a bound endpoint (the
+  out-edges of the bound source, or the in-edges of the bound target),
+  found by one binary search on entering the depth and then stepped one
+  entry at a time, so only edges incident to already-mapped nodes are
+  touched.  With no endpoint bound it scans like ``simple``.
+
+Both yield identical candidates in identical order; they differ only in
+how many edges they examine.  A depth with no admissible candidate left
+backtracks, an admitted one extends the partial match, and a complete
 assignment is recorded and then popped so enumeration continues.
 
 Candidate admissibility at depth d (pattern edge (u, v)):
@@ -28,10 +34,11 @@ Candidate admissibility at depth d (pattern edge (u, v)):
 For an EQUAL step the scan starts at the beginning of the previous
 edge's equal-time block, not after it: simultaneous graph edges sit at
 adjacent but ordered positions and a valid assignment may pick them in
-either position order.
+either position order.  Only an EQUAL step can meet an edge already on
+the stack, so only it tests for one.
 
-A single query run is sequential and owns its private SearchState; one
-graph may serve any number of concurrent searches.
+A search keeps all of its state in the locals of one call; one graph
+may serve any number of concurrent searches.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from .pattern import PatternGraph, Relation, ValidationReport, validate_pattern
 from .temporal_graph import TemporalGraph
@@ -97,236 +104,47 @@ class Match:
         return dict(enumerate(self.node_map))
 
 
-_MISSING = object()
+class _Step(NamedTuple):
+    """What the pattern fixes about one depth of the search.
 
-
-class SearchState:
-    """Backtracking state: stack, mapping tables, cursors, deadline.
-
-    Confined to a single query execution; never shared across threads.
+    ``last_source`` / ``last_target`` give the depth of the latest earlier
+    pattern edge incident to this edge's source / target, or -1 when this
+    edge binds that node first.  Which nodes are bound at a depth depends
+    only on the pattern's edge order, so this case analysis is done once
+    per query instead of once per candidate.
     """
 
-    __slots__ = (
-        "delta", "stack", "stack_positions", "F", "F_edge", "used_nodes",
-        "cursors", "deadline", "stats", "_snapshots",
-    )
-
-    def __init__(self, p: PatternGraph, delta: int, keep_snapshots: bool = False):
-        self.delta = delta
-        self.stack: list[tuple[int, tuple]] = []
-        self.stack_positions: set[int] = set()
-        self.F: dict[int, int] = {}
-        self.F_edge: dict[int, int] = {}
-        self.used_nodes: set[int] = set()
-        self.cursors: list[int] = [-1] * len(p.edges)
-        self.deadline: Optional[int] = None
-        self.stats = SearchStats()
-        self._snapshots: Optional[list] = [] if keep_snapshots else None
-
-    @property
-    def depth(self) -> int:
-        return len(self.stack)
-
-    def push(self, g: TemporalGraph, p: PatternGraph, depth: int, pos: int) -> None:
-        """Bind graph edge ``pos`` to pattern edge ``depth``, recording undo info."""
-        if self._snapshots is not None:
-            self._snapshots.append(
-                (dict(self.F), dict(self.F_edge), set(self.used_nodes))
-            )
-        edge = g.records[pos].edge
-        pe = p.edges[depth]
-        undo: list[tuple] = []
-        for pnode, gnode in ((pe.source, edge.source), (pe.target, edge.target)):
-            if pnode not in self.F:
-                self.F[pnode] = gnode
-                self.used_nodes.add(gnode)
-                undo.append(("F", pnode, gnode))
-        endpoints = (pe.source,) if pe.source == pe.target else (pe.source, pe.target)
-        for pnode in endpoints:
-            undo.append(("F_edge", pnode, self.F_edge.get(pnode, _MISSING)))
-            self.F_edge[pnode] = pos
-        if not self.stack:
-            self.deadline = edge.time + self.delta - 1
-        self.stack.append((pos, tuple(undo)))
-        self.stack_positions.add(pos)
-        self.stats.pushes += 1
-        if len(self.stack) > self.stats.max_depth_reached:
-            self.stats.max_depth_reached = len(self.stack)
-
-    def pop(self) -> None:
-        pos, undo = self.stack.pop()
-        self.stack_positions.discard(pos)
-        for entry in reversed(undo):
-            kind, pnode, old = entry
-            if kind == "F":
-                del self.F[pnode]
-                self.used_nodes.discard(old)
-            else:
-                if old is _MISSING:
-                    del self.F_edge[pnode]
-                else:
-                    self.F_edge[pnode] = old
-        if not self.stack:
-            self.deadline = None
-        self.stats.pops += 1
-        if self._snapshots is not None:
-            f_snap, fe_snap, used_snap = self._snapshots.pop()
-            assert self.F == f_snap and self.F_edge == fe_snap \
-                and self.used_nodes == used_snap, "backtrack failed to restore state"
+    source: int
+    target: int
+    last_source: int
+    last_target: int
+    equal: bool  # EQUAL step: same time as the previous matched edge
+    test: int  # structural test, one of the constants below
 
 
-def _admissible(state: SearchState, g: TemporalGraph, p: PatternGraph,
-                depth: int, pos: int) -> bool:
-    """Full candidate test except the scan stop bound (handled by callers)."""
-    edge = g.records[pos].edge
-    if depth > 0:
-        prev_time = g.times[state.stack[-1][0]]
-        if p.tags[depth] is Relation.STRICT:
-            if edge.time <= prev_time:
-                return False
-        elif edge.time != prev_time:
-            return False
-    if pos in state.stack_positions:
-        return False
-    pe = p.edges[depth]
-    a, b = edge.source, edge.target
-    if pe.source == pe.target:
-        if a != b:
-            return False
-        fu = state.F.get(pe.source)
-        return fu == a if fu is not None else a not in state.used_nodes
-    fu = state.F.get(pe.source)
-    fv = state.F.get(pe.target)
-    if fu is not None and fv is not None:
-        return a == fu and b == fv
-    if fu is not None:
-        return a == fu and b not in state.used_nodes
-    if fv is not None:
-        return b == fv and a not in state.used_nodes
-    return a != b and a not in state.used_nodes and b not in state.used_nodes
+# Structural tests, named by which endpoints are already bound.
+_SOURCE = 0  # source bound: candidate leaves F[source] for an unused node
+_FREE = 1  # neither bound: distinct unused endpoints
+_TARGET = 2  # target bound: candidate enters F[target] from an unused node
+_BOTH = 3  # both bound (a bound self-loop too): exactly F[source] -> F[target]
+_LOOP = 4  # unbound self-loop: a self-loop on an unused node
 
 
-def _stop_time(state: SearchState, g: TemporalGraph, p: PatternGraph,
-               depth: int) -> Optional[int]:
-    """Largest admissible candidate time at this depth, None when unbounded."""
-    if depth == 0:
-        return None
-    if p.tags[depth] is Relation.EQUAL:
-        return g.times[state.stack[-1][0]]
-    return state.deadline
-
-
-def _linear_scan(state: SearchState, g: TemporalGraph, p: PatternGraph,
-                 depth: int) -> Optional[int]:
-    times = g.times
-    n = len(times)
-    stop = _stop_time(state, g, p, depth)
-    j = state.cursors[depth] + 1
-    while j < n:
-        state.stats.candidates_examined += 1
-        if stop is not None and times[j] > stop:
-            return None
-        if _admissible(state, g, p, depth, j):
-            state.cursors[depth] = j
-            state.push(g, p, depth, j)
-            return j
-        j += 1
-    return None
-
-
-def simple_me(state: SearchState, g: TemporalGraph, p: PatternGraph,
-              depth: int) -> Optional[int]:
-    """Linear-scan matching edge: next admissible position after the cursor.
-
-    On success the edge is pushed (mapping updates recorded for undo) and
-    the depth's cursor advances; None signals backtrack.
-    """
-    return _linear_scan(state, g, p, depth)
-
-
-def _chain_scan(state: SearchState, g: TemporalGraph, p: PatternGraph,
-                depth: int, node: int, out: bool, lo: int) -> Optional[int]:
-    """Walk a node's link chain; same contract and order as the linear scan.
-
-    The entry point (first chain position > lo) is found by binary search
-    on the node's position list; every further step follows the per-edge
-    next-in-time links.
-    """
-    times = g.times
-    records = g.records
-    positions = g.out_positions[node] if out else g.in_positions[node]
-    k = bisect.bisect_right(positions, lo)
-    if k == len(positions):
-        return None
-    stop = _stop_time(state, g, p, depth)
-    j: Optional[int] = positions[k]
-    while j is not None:
-        state.stats.candidates_examined += 1
-        if stop is not None and times[j] > stop:
-            return None
-        if _admissible(state, g, p, depth, j):
-            state.cursors[depth] = j
-            state.push(g, p, depth, j)
-            return j
-        rec = records[j]
-        j = rec.next_src_out if out else rec.next_tgt_in
-    return None
-
-
-def index_me(state: SearchState, g: TemporalGraph, p: PatternGraph,
-             depth: int) -> Optional[int]:
-    """Link-walking matching edge; returns exactly what simple_me would.
-
-    With both endpoints mapped the walk follows the link list of the
-    endpoint whose last incident matched edge is most recent (ties go to
-    the source); with one endpoint mapped it follows that node's out- or
-    in-links; with neither mapped it degenerates to the linear scan.
-    """
-    pe = p.edges[depth]
-    fu = state.F.get(pe.source)
-    fv = state.F.get(pe.target)
-    if fu is None and fv is None:
-        return _linear_scan(state, g, p, depth)
-
-    lo = state.cursors[depth]
-    # A STRICT step needs a strictly later time than any stack edge, so
-    # chain entries at or before the latest incident matched edge cannot
-    # qualify and the walk may start past them.  An EQUAL step must not
-    # take that shortcut: simultaneous edges can sit earlier in the block.
-    clamp_ok = p.tags[depth] is Relation.STRICT
-    if fu is not None and fv is not None:
-        eu = state.F_edge[pe.source]
-        ev = state.F_edge[pe.target]
-        if clamp_ok:
-            lo = max(lo, eu, ev)
-        node, out = (fu, True) if eu >= ev else (fv, False)
-    elif fu is not None:
-        if clamp_ok:
-            lo = max(lo, state.F_edge[pe.source])
-        node, out = fu, True
-    else:
-        if clamp_ok:
-            lo = max(lo, state.F_edge[pe.target])
-        node, out = fv, False
-    return _chain_scan(state, g, p, depth, node, out, lo)
-
-
-_ME: dict[Strategy, Callable] = {Strategy.SIMPLE: simple_me, Strategy.INDEX: index_me}
-
-
-def _initial_cursor(g: TemporalGraph, p: PatternGraph, depth: int, prev_pos: int) -> int:
-    """Exclusive scan lower bound for a freshly entered depth."""
-    if p.tags[depth] is Relation.EQUAL:
-        return g.block_start(g.times[prev_pos]) - 1
-    return prev_pos
-
-
-def _emit(g: TemporalGraph, p: PatternGraph, state: SearchState) -> Match:
-    node_map = tuple(state.F[i] for i in range(p.node_count))
-    assignment = tuple(pos for pos, _ in state.stack)
-    start = g.times[assignment[0]]
-    end = g.times[assignment[-1]]
-    return Match(node_map, assignment, start, end, end - start + 1)
+def _compile(p: PatternGraph) -> tuple[_Step, ...]:
+    latest: dict[int, int] = {}
+    steps = []
+    for d, pe in enumerate(p.edges):
+        ls, lt = latest.get(pe.source, -1), latest.get(pe.target, -1)
+        if pe.source == pe.target:
+            test = _BOTH if ls >= 0 else _LOOP
+        elif ls >= 0:
+            test = _BOTH if lt >= 0 else _SOURCE
+        else:
+            test = _TARGET if lt >= 0 else _FREE
+        equal = d > 0 and p.tags[d] is Relation.EQUAL
+        steps.append(_Step(pe.source, pe.target, ls, lt, equal, test))
+        latest[pe.source] = latest[pe.target] = d
+    return tuple(steps)
 
 
 def interaction_search(
@@ -335,43 +153,140 @@ def interaction_search(
     delta: int,
     strategy: Strategy = Strategy.INDEX,
     limit: Optional[int] = None,
-    _debug_checks: bool = False,
 ) -> tuple[list[Match], SearchStats]:
     """Enumerate every match of ``p`` in ``g`` within the ``delta`` window.
 
     Matches are emitted in depth-first discovery order, which is
     lexicographic in the edge assignment positions (so earliest-starting
     matches surface first).  ``limit`` truncates the output after that
-    many matches; SIMPLE and INDEX produce identical lists.
+    many matches (a negative ``limit`` raises ValueError); SIMPLE and
+    INDEX produce identical lists.
     """
     report = validate_pattern(p, delta)
     if not report.ok:
         raise InvalidPatternError(report)
-    state = SearchState(p, delta, keep_snapshots=_debug_checks)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     matches: list[Match] = []
-    if limit is not None and limit <= 0:
-        return matches, state.stats
-    me = _ME[strategy]
-    last = len(p.edges) - 1
+    times = g.times
+    if limit == 0 or not times:
+        return matches, SearchStats()
+
+    steps = _compile(p)
+    use_index = strategy is Strategy.INDEX
+    sources, targets = g.sources, g.targets
+    out_positions, in_positions = g.out_positions, g.in_positions
+    n = len(times)
+    every = range(n)
+    never = times[0] - 1  # a time no edge has: disables the tie test
+    last = len(steps) - 1
+    F = [-1] * p.node_count  # graph node of each pattern node, valid once bound
+    used = bytearray(g.node_count)  # 1 for graph nodes that F binds
+    stack = [-1] * len(steps)  # matched edge position per depth, -1 above the top
+    saved: list = [None] * len(steps)  # cursor state of each depth below the top
+    examined = pushes = pops = found = deepest = deadline = 0
+
+    # The cursor of the current depth: candidates are seq[k:end]; times
+    # above ``stop`` end the depth, and a time equal to ``tie`` (the
+    # previous edge's, on a STRICT step) is skipped.
     d = 0
+    source, target, last_source, last_target, equal, test = steps[0]
+    seq, k, end, stop, tie, fs, ft = every, 0, n, times[-1], never, -1, -1
     while True:
-        pos = me(state, g, p, d)
-        if pos is not None:
-            if d == last:
-                matches.append(_emit(g, p, state))
-                state.stats.matches_found += 1
-                if limit is not None and len(matches) >= limit:
-                    break
-                state.pop()
+        j = -1
+        while k < end:
+            pos = seq[k]
+            k += 1
+            examined += 1
+            t = times[pos]
+            if t > stop:
+                break
+            if t == tie or equal and pos in stack:
+                continue
+            if test == _SOURCE:
+                if sources[pos] != fs or used[targets[pos]]:
+                    continue
+            elif test == _FREE:
+                a, b = sources[pos], targets[pos]
+                if a == b or used[a] or used[b]:
+                    continue
+            elif test == _TARGET:
+                if targets[pos] != ft or used[sources[pos]]:
+                    continue
+            elif test == _BOTH:
+                if sources[pos] != fs or targets[pos] != ft:
+                    continue
             else:
-                d += 1
-                state.cursors[d] = _initial_cursor(g, p, d, pos)
-        else:
+                a = sources[pos]
+                if a != targets[pos] or used[a]:
+                    continue
+            j = pos
+            break
+
+        if j < 0:  # depth exhausted: pop the edge below and resume its depth
             if d == 0:
                 break
-            state.pop()
             d -= 1
-    return matches, state.stats
+            source, target, last_source, last_target, equal, test = steps[d]
+            seq, k, end, stop, tie, fs, ft = saved[d]
+            if last_source < 0:
+                used[F[source]] = 0
+            if last_target < 0:
+                used[F[target]] = 0
+            stack[d] = -1
+            pops += 1
+            continue
+
+        pushes += 1
+        stack[d] = j
+        if last_source < 0:
+            F[source] = sources[j]
+        if last_target < 0:
+            F[target] = targets[j]
+        if d == last:
+            start = times[stack[0]]
+            matches.append(Match(tuple(F), tuple(stack), start, t, t - start + 1))
+            found += 1
+            deepest = d + 1
+            if found == limit:
+                break
+            stack[d] = -1
+            pops += 1
+            continue
+
+        if last_source < 0:
+            used[F[source]] = 1
+        if last_target < 0:
+            used[F[target]] = 1
+        if d == 0:
+            deadline = t + delta - 1
+        saved[d] = (seq, k, end, stop, tie, fs, ft)
+        d += 1
+        if d > deepest:
+            deepest = d
+        source, target, last_source, last_target, equal, test = steps[d]
+        fs, ft = F[source], F[target]
+        if equal:
+            # simultaneous edges may sit anywhere in the equal-time block,
+            # also before the previous edge's position
+            stop, tie, lo = t, never, bisect.bisect_left(times, t) - 1
+        else:
+            stop, tie, lo = deadline, t, j
+        if use_index and (last_source >= 0 or last_target >= 0):
+            # Walk a bound endpoint's position list.  With both bound, take
+            # the one whose latest matched edge is later (ties: source).  A
+            # STRICT step can start past every matched edge incident to a
+            # bound endpoint, since the candidate must be later than all.
+            ls = stack[last_source] if last_source >= 0 else -1
+            lt = stack[last_target] if last_target >= 0 else -1
+            if not equal:
+                lo = max(lo, ls, lt)
+            seq = out_positions[fs] if ls >= lt else in_positions[ft]
+            k, end = bisect.bisect_right(seq, lo), len(seq)
+        else:
+            seq, k, end = every, lo + 1, n
+
+    return matches, SearchStats(examined, found, deepest, pushes, pops)
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,7 +314,7 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Ver
     if len(m.node_map) != p.node_count or len(m.edge_assignment) != len(p.edges):
         raise ValueError("match shape does not fit the pattern")
     for pos in m.edge_assignment:
-        if pos < 0 or pos >= len(g.records):
+        if pos < 0 or pos >= len(g):
             raise ValueError(f"edge position {pos} out of range")
     violations: list[tuple[int, str]] = []
 
@@ -408,7 +323,7 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Ver
     if len(set(m.edge_assignment)) != len(m.edge_assignment):
         violations.append((1, "a graph edge is assigned to two pattern edges"))
     for i, pe in enumerate(p.edges):
-        ge = g.records[m.edge_assignment[i]].edge
+        ge = g.edge_at(m.edge_assignment[i])
         if ge.source != m.node_map[pe.source] or ge.target != m.node_map[pe.target]:
             violations.append((1, f"edge {i} endpoints disagree with the node mapping"))
 

@@ -2,11 +2,12 @@
 
 A temporal graph here is a directed multigraph whose edges carry integer
 timestamps.  The whole graph is stored as one flat edge list sorted by
-(time, source label, target label, input sequence).  Each edge record
-carries four next-in-time links (next edge sharing this edge's source or
-target node, as source or as target), and the graph keeps per-node entry
-points, so all in- or out-edges of a node can be visited in time order
-without scanning the full list.
+(time, source label, target label, input sequence), held as three flat
+columns (``sources``, ``targets``, ``times``) indexed by list position.
+Per node, the sorted positions of its out-edges and of its in-edges are
+kept as well, so all in- or out-edges of a node can be visited in time
+order without scanning the full list: the next-in-time edge of a node is
+the successor of the current position in that node's position list.
 
 Graphs are immutable after construction and safe for unrestricted
 concurrent read access.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class EmptyGraphError(ValueError):
@@ -46,22 +47,6 @@ class TemporalEdge:
 
 
 @dataclass(frozen=True, slots=True)
-class EdgeRecord:
-    """An edge plus its four next-in-time links.
-
-    Each link, when present, is the position (index into the sorted edge
-    list) of the next edge whose source/target equals this edge's
-    source/target node.  All links point strictly forward.
-    """
-
-    edge: TemporalEdge
-    next_src_out: Optional[int]  # next edge with source == this.source
-    next_src_in: Optional[int]  # next edge with target == this.source
-    next_tgt_out: Optional[int]  # next edge with source == this.target
-    next_tgt_in: Optional[int]  # next edge with target == this.target
-
-
-@dataclass(frozen=True, slots=True)
 class StaticGraph:
     """Timestamp-free projection: one directed edge per connected node pair."""
 
@@ -70,51 +55,55 @@ class StaticGraph:
 
 
 class TemporalGraph:
-    """Flat time-ordered edge list with link index and symbol table.
+    """Flat time-ordered edge columns, per-node position lists, symbol table.
 
+    ``sources[i]``, ``targets[i]`` and ``times[i]`` describe the edge at
+    list position ``i``; ``out_positions[n]`` / ``in_positions[n]`` are
+    the ascending positions of the edges leaving / entering node ``n``.
     Do not mutate any attribute after construction; use :func:`build_graph`.
     """
 
     __slots__ = (
-        "records",
+        "edges",
+        "sources",
+        "targets",
+        "times",
         "node_count",
         "labels",
         "label_index",
-        "first_out",
-        "first_in",
         "multiplicity",
-        "times",
         "out_positions",
         "in_positions",
     )
 
     def __init__(
         self,
-        records: list[EdgeRecord],
+        edges: list[TemporalEdge],
+        sources: tuple[int, ...],
+        targets: tuple[int, ...],
+        times: tuple[int, ...],
         labels: list[str],
         label_index: dict[str, int],
-        first_out: list[Optional[int]],
-        first_in: list[Optional[int]],
         multiplicity: dict[tuple[int, int], list[int]],
         out_positions: list[list[int]],
         in_positions: list[list[int]],
     ):
-        self.records = records
+        self.edges = edges
+        self.sources = sources
+        self.targets = targets
+        self.times = times
         self.labels = labels
         self.label_index = label_index
         self.node_count = len(labels)
-        self.first_out = first_out
-        self.first_in = first_in
         self.multiplicity = multiplicity
-        self.times = tuple(r.edge.time for r in records)
         self.out_positions = out_positions
         self.in_positions = in_positions
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.edges)
 
     def __repr__(self) -> str:
-        return f"TemporalGraph(nodes={self.node_count}, edges={len(self.records)})"
+        return f"TemporalGraph(nodes={self.node_count}, edges={len(self.edges)})"
 
     def node_id(self, label: str) -> int:
         return self.label_index[str(label)]
@@ -123,54 +112,17 @@ class TemporalGraph:
         return self.labels[node]
 
     def edge_at(self, pos: int) -> TemporalEdge:
-        return self.records[pos].edge
+        return self.edges[pos]
 
     def block_start(self, t: int) -> int:
-        """Position of the first record with time >= t."""
+        """Position of the first edge with time >= t."""
         return bisect.bisect_left(self.times, t)
-
-    def next_out(self, node: int, after: Optional[int] = None) -> Optional[int]:
-        """Smallest position > ``after`` whose edge has source ``node``.
-
-        ``after=None`` means "before the start", i.e. the node's first
-        occurrence as a source.  Found by following the out links, so the
-        cost is the number of out-edges of ``node`` up to ``after``.
-        """
-        pos = self.first_out[node]
-        if after is None:
-            return pos
-        while pos is not None and pos <= after:
-            pos = self.records[pos].next_src_out
-        return pos
-
-    def next_in(self, node: int, after: Optional[int] = None) -> Optional[int]:
-        """Dual of :meth:`next_out` for edges with target ``node``."""
-        pos = self.first_in[node]
-        if after is None:
-            return pos
-        while pos is not None and pos <= after:
-            pos = self.records[pos].next_tgt_in
-        return pos
-
-    def iter_out(self, node: int) -> Iterator[int]:
-        """Positions of all edges with source ``node``, in list order."""
-        pos = self.first_out[node]
-        while pos is not None:
-            yield pos
-            pos = self.records[pos].next_src_out
-
-    def iter_in(self, node: int) -> Iterator[int]:
-        """Positions of all edges with target ``node``, in list order."""
-        pos = self.first_in[node]
-        while pos is not None:
-            yield pos
-            pos = self.records[pos].next_tgt_in
 
     def export_edges(self) -> list[tuple[str, str, int]]:
         """Label triples in list order; rebuilding from them reproduces the graph."""
         return [
-            (self.labels[r.edge.source], self.labels[r.edge.target], r.edge.time)
-            for r in self.records
+            (self.labels[u], self.labels[v], t)
+            for u, v, t in zip(self.sources, self.targets, self.times)
         ]
 
 
@@ -233,37 +185,23 @@ def build_graph(
 
     keyed.sort()
 
-    n = len(keyed)
-    nv = len(labels)
-    sources = [label_index[k[1]] for k in keyed]
-    targets = [label_index[k[2]] for k in keyed]
-
-    # Backward pass: next position (strictly after i) where a node occurs
-    # as source / as target.
-    next_as_src: list[Optional[int]] = [None] * nv
-    next_as_tgt: list[Optional[int]] = [None] * nv
-    links: list[tuple] = [()] * n
-    for i in range(n - 1, -1, -1):
-        u, v = sources[i], targets[i]
-        links[i] = (next_as_src[u], next_as_tgt[u], next_as_src[v], next_as_tgt[v])
-        next_as_src[u] = i
-        next_as_tgt[v] = i
-    first_out = list(next_as_src)
-    first_in = list(next_as_tgt)
+    sources = tuple(label_index[k[1]] for k in keyed)
+    targets = tuple(label_index[k[2]] for k in keyed)
+    times = tuple(k[0] for k in keyed)
 
     multiplicity: dict[tuple[int, int], list[int]] = {}
-    out_positions: list[list[int]] = [[] for _ in range(nv)]
-    in_positions: list[list[int]] = [[] for _ in range(nv)]
-    records: list[EdgeRecord] = []
+    out_positions: list[list[int]] = [[] for _ in labels]
+    in_positions: list[list[int]] = [[] for _ in labels]
+    temporal_edges: list[TemporalEdge] = []
     for i, (t, _, _, seq) in enumerate(keyed):
         u, v = sources[i], targets[i]
-        records.append(EdgeRecord(TemporalEdge(u, v, t, seq), *links[i]))
+        temporal_edges.append(TemporalEdge(u, v, t, seq))
         multiplicity.setdefault((u, v), []).append(i)
         out_positions[u].append(i)
         in_positions[v].append(i)
 
     return TemporalGraph(
-        records, labels, label_index, first_out, first_in,
+        temporal_edges, sources, targets, times, labels, label_index,
         multiplicity, out_positions, in_positions,
     )
 
@@ -271,17 +209,8 @@ def build_graph(
 def _times_of(obj) -> list[int]:
     if isinstance(obj, TemporalGraph):
         return list(obj.times)
-    times = []
-    for item in obj:
-        if isinstance(item, int):
-            times.append(item)
-        elif isinstance(item, EdgeRecord):
-            times.append(item.edge.time)
-        elif isinstance(item, TemporalEdge):
-            times.append(item.time)
-        else:
-            times.append(item.time)  # anything with a .time attribute
-    return times
+    # plain ints, or anything with a .time attribute such as TemporalEdge
+    return [item if isinstance(item, int) else item.time for item in obj]
 
 
 def duration(obj) -> int:

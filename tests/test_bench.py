@@ -161,19 +161,6 @@ class TestRunBench:
         ]
         assert strip(first) == strip(second)
 
-    def test_parallel_mode_matches_sequential(self, toy_graph_path):
-        base = dict(
-            graph_path=toy_graph_path, family="path", sizes=[2, 3],
-            deltas=[2, 100], strategies=["simple", "index"],
-        )
-        seq = run_bench(BenchPlan(**base))
-        par = run_bench(BenchPlan(**base, parallel=4))
-        strip = lambda rows: sorted(
-            (r.size, r.delta, r.strategy, r.query_id, r.matches, r.candidates)
-            for r in rows
-        )
-        assert strip(seq) == strip(par)
-
     def test_disagreement_aborts_and_saves_replay(self, toy_graph_path, tmp_path,
                                                   monkeypatch):
         import ipmatch.bench as bench_mod

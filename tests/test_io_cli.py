@@ -17,6 +17,7 @@ from ipmatch import (
     save_pattern,
     interaction_search,
     pattern_from_triples,
+    run_search,
     verify_match,
 )
 from ipmatch.cli import main
@@ -159,6 +160,21 @@ class TestQueryCommand:
         assert len(lines) == 6  # 5 matches + summary
         assert "summary" in lines[-1]
         assert json.loads(lines[-1])["summary"]["matches"] == 5
+
+    @pytest.mark.parametrize("strategy", ["simple", "index", "baseline", "oracle"])
+    def test_negative_limit_rejected(self, tmp_path, capsys, strategy):
+        gpath = write(tmp_path / "g.txt", "u v 1\nu v 2\nu v 3\n")
+        ppath = write(tmp_path / "p.txt", "nodes 2\n0 1 1\n")
+        with pytest.raises(ValueError, match="limit"):
+            run_search(load_graph(gpath), load_pattern(ppath), 10, strategy, limit=-1)
+        code = main([
+            "query", "--graph", gpath, "--pattern", ppath, "--delta", "10",
+            "--strategy", strategy, "--limit", "-1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "limit" in captured.err
 
     def test_zero_matches_still_exit_zero(self, toy_graph_file, tmp_path, capsys):
         ppath = write(tmp_path / "p.txt", "nodes 2\n0 1 1\n0 1 2\n0 1 3\n")

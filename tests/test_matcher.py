@@ -16,8 +16,6 @@ from ipmatch import (
     validate_pattern,
     verify_match,
 )
-from ipmatch.matcher import SearchState, index_me, simple_me
-
 from _generators import full_span, random_graph, random_pattern
 
 
@@ -105,9 +103,10 @@ class TestMatchingEdgeRoutines:
     def test_fresh_pair_takes_first_feasible(self):
         g = build_graph([("a", "b", 2), ("c", "d", 5)])
         p = pattern_from_triples([(0, 1, 1)])
-        state = SearchState(p, 10)
-        pos = simple_me(state, g, p, 0)
-        assert pos == 0
+        for strategy in Strategy:
+            matches, stats = interaction_search(g, p, 10, strategy, limit=1)
+            assert [m.edge_assignment for m in matches] == [(0,)]
+            assert stats.candidates_examined == 1
 
     def test_both_mapped_restricts_to_pair(self):
         g = build_graph([("a", "b", 1), ("b", "a", 2), ("a", "c", 3), ("a", "b", 4)])
@@ -121,13 +120,10 @@ class TestMatchingEdgeRoutines:
     def test_index_one_hop_on_parallel_edges(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
         p = pattern_from_triples([(0, 1, 1), (0, 1, 2)])
-        state = SearchState(p, 100)
-        assert index_me(state, g, p, 0) == 0
-        state.cursors[1] = 0
-        before = state.stats.candidates_examined
-        pos = index_me(state, g, p, 1)
-        assert pos == 1 and g.times[pos] == 9
-        assert state.stats.candidates_examined - before == 1
+        matches, stats = interaction_search(g, p, 100, Strategy.INDEX, limit=1)
+        assert matches[0].edge_assignment == (0, 1) and g.times[1] == 9
+        # the root at depth 0, then exactly one candidate at depth 1
+        assert stats.candidates_examined == 2
 
     def test_index_examines_fewer_on_sparse_node(self):
         # node "a" has two outgoing edges among 298; the indexed walk
@@ -142,16 +138,19 @@ class TestMatchingEdgeRoutines:
         assert simple == index and len(index) == 2
         assert i_stats.candidates_examined <= s_stats.candidates_examined
         # every edge once as a root candidate, plus the two chain hops
-        assert i_stats.candidates_examined == len(g.records) + 2
+        assert i_stats.candidates_examined == len(g) + 2
 
     def test_returns_none_signals_backtrack(self):
         g = build_graph([("a", "b", 1)])
         p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
-        state = SearchState(p, 10)
-        assert simple_me(state, g, p, 0) == 0
-        state.cursors[1] = 0
-        assert simple_me(state, g, p, 1) is None
-        assert index_me(state, g, p, 1) is None
+        for strategy in Strategy:
+            matches, stats = interaction_search(g, p, 10, strategy)
+            assert matches == []
+            # the root is pushed, depth 1 has no candidate, the root is popped
+            assert stats.as_dict() == {
+                "candidates_examined": 1, "matches_found": 0,
+                "max_depth_reached": 1, "pushes": 1, "pops": 1,
+            }
 
 
 class TestVerifyMatch:
@@ -227,10 +226,16 @@ class TestSearchProperties:
         delta = full_span(g)
         if not validate_pattern(p, delta).ok:
             return
-        # snapshot checks on every pop, then a fresh run must agree
-        first, _ = interaction_search(g, p, delta, Strategy.INDEX, _debug_checks=True)
+        first, stats = interaction_search(g, p, delta, Strategy.INDEX)
         second, _ = interaction_search(g, p, delta, Strategy.INDEX)
         assert first == second
+        # a full run pops every edge it pushed; a run cut short after k
+        # matches emits the first k and stops with one edge per depth pushed
+        assert stats.pushes == stats.pops
+        for k in sorted({1, (len(first) + 1) // 2, len(first)}) if first else ():
+            cut, cut_stats = interaction_search(g, p, delta, Strategy.INDEX, limit=k)
+            assert cut == first[:k]
+            assert cut_stats.pushes - cut_stats.pops == len(p.edges)
 
     def test_concurrent_searches_share_one_graph(self):
         from concurrent.futures import ThreadPoolExecutor

@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -30,12 +31,11 @@ class TestBuildGraph:
     def test_single_edge(self):
         g = build_graph([("a", "b", 5)])
         assert g.node_count == 2
-        assert len(g.records) == 1
-        assert g.first_out[g.node_id("a")] == 0
-        assert g.first_in[g.node_id("b")] == 0
-        rec = g.records[0]
-        assert rec.next_src_out is None and rec.next_src_in is None
-        assert rec.next_tgt_out is None and rec.next_tgt_in is None
+        assert len(g) == 1
+        a, b = g.node_id("a"), g.node_id("b")
+        assert (g.sources, g.targets, g.times) == ((a,), (b,), (5,))
+        assert g.out_positions[a] == [0] and g.in_positions[b] == [0]
+        assert g.out_positions[b] == [] and g.in_positions[a] == []
 
     def test_parallel_edge_multiplicity(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
@@ -46,12 +46,12 @@ class TestBuildGraph:
     def test_sort_order_and_links(self):
         # sorted by (time, source, target, input sequence)
         g = build_graph([("a", "b", 3), ("a", "c", 1), ("a", "b", 3)])
-        labels = [(g.node_label(r.edge.source), g.node_label(r.edge.target), r.edge.time)
-                  for r in g.records]
+        labels = [(g.node_label(e.source), g.node_label(e.target), e.time)
+                  for e in g.edges]
         assert labels == [("a", "c", 1), ("a", "b", 3), ("a", "b", 3)]
-        assert [r.edge.input_seq for r in g.records] == [1, 0, 2]
-        assert g.records[0].next_src_out == 1
-        assert g.records[1].next_src_out == 2
+        assert [e.input_seq for e in g.edges] == [1, 0, 2]
+        # the next out-edge of "a" after each edge is its successor here
+        assert g.out_positions[g.node_id("a")] == [0, 1, 2]
 
     def test_sort_matches_independent_sort(self):
         rng = random.Random(5)
@@ -61,13 +61,13 @@ class TestBuildGraph:
         expected = sorted(
             ((t, u, v, i) for i, (u, v, t) in enumerate(raw)),
         )
-        got = [(r.edge.time, g.node_label(r.edge.source),
-                g.node_label(r.edge.target), r.edge.input_seq) for r in g.records]
+        got = [(e.time, g.node_label(e.source),
+                g.node_label(e.target), e.input_seq) for e in g.edges]
         assert got == expected
 
     def test_duplicate_triples_retained(self):
         g = build_graph([("x", "y", 7), ("x", "y", 7)])
-        assert len(g.records) == 2
+        assert len(g) == 2
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyGraphError):
@@ -84,15 +84,15 @@ class TestBuildGraph:
     def test_isolated_nodes(self):
         g = build_graph([("a", "b", 1)], isolated_nodes=["z", "w"])
         assert g.node_count == 4
-        assert g.first_out[g.node_id("z")] is None
-        assert g.first_in[g.node_id("w")] is None
+        assert g.out_positions[g.node_id("z")] == []
+        assert g.in_positions[g.node_id("w")] == []
 
     @given(_triples)
     @settings(max_examples=150, deadline=None)
     def test_sortedness_invariant(self, triples):
         g = build_graph(triples)
-        keys = [(r.edge.time, g.node_label(r.edge.source),
-                 g.node_label(r.edge.target), r.edge.input_seq) for r in g.records]
+        keys = [(e.time, g.node_label(e.source),
+                 g.node_label(e.target), e.input_seq) for e in g.edges]
         assert keys == sorted(keys)
         assert all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
 
@@ -100,39 +100,44 @@ class TestBuildGraph:
     @settings(max_examples=150, deadline=None)
     def test_link_walk_completeness(self, triples):
         g = build_graph(triples)
+        # walking a node's position list visits exactly the positions that
+        # filtering the source / target column finds, in list order
         for w in range(g.node_count):
-            walked = list(g.iter_out(w))
-            expected = [i for i, r in enumerate(g.records) if r.edge.source == w]
-            assert walked == expected
-            walked_in = list(g.iter_in(w))
-            expected_in = [i for i, r in enumerate(g.records) if r.edge.target == w]
-            assert walked_in == expected_in
+            assert g.out_positions[w] == [i for i, s in enumerate(g.sources) if s == w]
+            assert g.in_positions[w] == [i for i, t in enumerate(g.targets) if t == w]
 
     @given(_triples)
     @settings(max_examples=100, deadline=None)
     def test_links_point_forward(self, triples):
         g = build_graph(triples)
-        for i, r in enumerate(g.records):
-            for link in (r.next_src_out, r.next_src_in, r.next_tgt_out, r.next_tgt_in):
-                assert link is None or link > i
+        # every successor in a position list lies strictly later, and each
+        # position sits in exactly one out-list and one in-list
+        for lists in (g.out_positions, g.in_positions):
+            for positions in lists:
+                assert all(a < b for a, b in zip(positions, positions[1:]))
+            assert sorted(i for positions in lists for i in positions) == list(range(len(g)))
 
     @given(_triples)
     @settings(max_examples=100, deadline=None)
     def test_all_four_link_families_exact(self, triples):
         g = build_graph(triples)
 
+        # The four next-in-time links of an edge (next edge leaving / entering
+        # its source / target) are implicit: the first entry after the edge's
+        # position in that node's position list.
         def first_after(i, node, as_source):
-            for j in range(i + 1, len(g.records)):
-                e = g.records[j].edge
-                if (e.source if as_source else e.target) == node:
-                    return j
-            return None
+            column = g.sources if as_source else g.targets
+            return next((j for j in range(i + 1, len(g)) if column[j] == node), None)
 
-        for i, r in enumerate(g.records):
-            assert r.next_src_out == first_after(i, r.edge.source, True)
-            assert r.next_src_in == first_after(i, r.edge.source, False)
-            assert r.next_tgt_out == first_after(i, r.edge.target, True)
-            assert r.next_tgt_in == first_after(i, r.edge.target, False)
+        def successor(positions, i):
+            k = bisect.bisect_right(positions, i)
+            return positions[k] if k < len(positions) else None
+
+        for i, e in enumerate(g.edges):
+            assert (g.sources[i], g.targets[i], g.times[i]) == (e.source, e.target, e.time)
+            for node in (e.source, e.target):
+                assert successor(g.out_positions[node], i) == first_after(i, node, True)
+                assert successor(g.in_positions[node], i) == first_after(i, node, False)
 
     @given(_triples)
     @settings(max_examples=100, deadline=None)
@@ -140,7 +145,7 @@ class TestBuildGraph:
         g = build_graph(triples)
         g2 = build_graph(g.export_edges())
         assert g.export_edges() == g2.export_edges()
-        assert [r.edge.time for r in g.records] == [r.edge.time for r in g2.records]
+        assert g.times == g2.times
 
 
 class TestDuration:
@@ -186,30 +191,26 @@ class TestStaticProjection:
 
 
 class TestNextOut:
+    """A node's next out- or in-edge is the next entry of its position list."""
+
     def test_from_start(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
-        assert g.next_out(g.node_id("u1")) == 0
+        assert g.out_positions[g.node_id("u1")][0] == 0
 
     def test_no_outgoing(self):
         g = build_graph([("a", "b", 1)])
-        assert g.next_out(g.node_id("b")) is None
+        assert g.out_positions[g.node_id("b")] == []
 
     def test_walk_matches_filter_sort(self):
         raw = [("a", "b", 3), ("c", "a", 1), ("a", "d", 2), ("b", "a", 2), ("a", "b", 5)]
         g = build_graph(raw)
         a = g.node_id("a")
-        walked = []
-        pos = g.next_out(a)
-        while pos is not None:
-            walked.append(pos)
-            pos = g.next_out(a, pos)
-        expected = sorted(i for i, r in enumerate(g.records) if r.edge.source == a)
-        assert walked == expected
+        expected = sorted(i for i, e in enumerate(g.edges) if e.source == a)
+        assert g.out_positions[a] == expected
 
     def test_next_in_after_position(self):
         g = build_graph([("a", "b", 1), ("c", "b", 2), ("d", "b", 3)])
         b = g.node_id("b")
-        assert g.next_in(b) == 0
-        assert g.next_in(b, 0) == 1
-        assert g.next_in(b, 1) == 2
-        assert g.next_in(b, 2) is None
+        positions = g.in_positions[b]
+        assert positions == [0, 1, 2]
+        assert [bisect.bisect_right(positions, after) for after in (0, 1, 2)] == [1, 2, 3]
