@@ -47,6 +47,7 @@ from .matcher import (
     Strategy,
     VerifyResult,
     interaction_search,
+    iter_matches,
     verify_match,
 )
 from .pattern import (
@@ -81,7 +82,7 @@ __all__ = [
     "Strategy", "StrategyMismatchError", "TemporalEdge", "TemporalGraph",
     "ValidationReport", "VerifyResult", "brute_force", "build_graph",
     "duration", "generate_path_query", "generate_random_query",
-    "graph_summary", "interaction_search", "load_graph",
+    "graph_summary", "interaction_search", "iter_matches", "load_graph",
     "load_pattern", "match_from_dict", "match_json_line", "match_to_dict",
     "order_edges", "pattern_from_triples", "run_bench", "run_query",
     "run_search", "save_graph", "save_pattern",

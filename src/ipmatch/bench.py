@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .io_cli import DELTA_UNITS, load_graph, run_search, save_pattern
+from .matcher import SearchStats, Strategy, iter_matches
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import TemporalGraph, static_projection
 
@@ -143,13 +144,15 @@ def _queries(plan: BenchPlan, g: TemporalGraph) -> list[tuple[int, str, PatternG
 
 def _run_cell(g, pattern, delta, strategy) -> tuple[float, int, int]:
     t0 = _time.perf_counter()
-    matches, stats = run_search(g, pattern, delta, strategy)
-    millis = (_time.perf_counter() - t0) * 1000.0
     if strategy == "baseline":
-        candidates = stats.temporal_candidates
+        matches, stats = run_search(g, pattern, delta, strategy)
+        found, candidates = len(matches), stats.temporal_candidates
     else:
+        stats = SearchStats()
+        found = sum(1 for _ in iter_matches(g, pattern, delta, Strategy(strategy), stats=stats))
         candidates = stats.candidates_examined
-    return millis, len(matches), candidates
+    millis = (_time.perf_counter() - t0) * 1000.0
+    return millis, found, candidates
 
 
 def run_bench(plan: BenchPlan) -> list[BenchRow]:

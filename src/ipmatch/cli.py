@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -74,7 +75,17 @@ def _cmd_query(args) -> int:
         limit=args.limit,
         stats=args.stats,
     )
-    return io_cli.run_query(spec, sys.stdout, sys.stderr)
+    code = io_cli.run_query(spec, sys.stdout, sys.stderr)
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run_query has dealt with the failed write (a closed pipe is not
+        # an error); point stdout at the null device so that the exit
+        # flush does not fail on the text still buffered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def _cmd_validate(args) -> int:

@@ -9,13 +9,15 @@ match, so every line is independently parseable.
 
 from __future__ import annotations
 
+import functools
 import json
 import time as _time
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
-from .matcher import Match, Strategy, interaction_search
+from .matcher import Match, SearchStats, Strategy, interaction_search, iter_matches
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import TemporalGraph, build_graph
 
@@ -168,8 +170,38 @@ def match_to_dict(m: Match, g: TemporalGraph) -> dict:
     }
 
 
+@functools.cache
+def _line_format(nodes: int, edges: int) -> tuple[str, tuple[int, ...]]:
+    """%-format of a match line, and the pattern node order of its ``nodes``.
+
+    The keys are in ``json.dumps(sort_keys=True)`` order, which sorts the
+    node keys as strings ("10" before "2").
+    """
+    order = tuple(sorted(range(nodes), key=str))
+    return (
+        '{"dur":%d,"edges":[' + ",".join(["[%s,%s,%d]"] * edges)
+        + '],"end":%d,"nodes":{' + ",".join(f'"{i}":%s' for i in order)
+        + '},"start":%d}'
+    ), order
+
+
 def match_json_line(m: Match, g: TemporalGraph) -> str:
-    return json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
+    """``match_to_dict(m, g)`` as one compact, key-sorted JSON line.
+
+    Byte-identical to ``json.dumps(match_to_dict(m, g), sort_keys=True,
+    separators=(",", ":"))``, but formatted straight from the graph's
+    columns and its JSON-encoded labels.
+    """
+    node_map, edge_assignment, start, end, dur = m
+    fmt, order = _line_format(len(node_map), len(edge_assignment))
+    label_json, sources, targets, times = g.label_json, g.sources, g.targets, g.times
+    args = [dur]
+    for pos in edge_assignment:
+        args += (label_json[sources[pos]], label_json[targets[pos]], times[pos])
+    args.append(end)
+    args += [label_json[node_map[i]] for i in order]
+    args.append(start)
+    return fmt % tuple(args)
 
 
 def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
@@ -205,8 +237,7 @@ def run_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if strategy in ("simple", "index"):
-        strat = Strategy.SIMPLE if strategy == "simple" else Strategy.INDEX
-        return interaction_search(g, p, delta, strat, limit=limit)
+        return interaction_search(g, p, delta, Strategy(strategy), limit=limit)
     if strategy == "baseline":
         matches, stats = two_phase_search(g, p, delta)
         matches.sort(key=lambda m: m.edge_assignment)
@@ -218,7 +249,13 @@ def run_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
 
 
 def run_query(q: QuerySpec, out: TextIO, err: TextIO) -> int:
-    """Execute one query; exit status 0 ok, 1 parse/validation, 2 I/O."""
+    """Execute one query; exit status 0 ok, 1 parse/validation, 2 I/O.
+
+    ``simple`` and ``index`` write each match line as the search finds
+    it; ``baseline`` and ``oracle`` collect and sort their matches first.
+    When the reader of ``out`` goes away (BrokenPipeError), the search
+    stops and the status is 0; any other write error is an I/O error.
+    """
     try:
         delta = q.effective_delta()
         g = load_graph(q.graph_path)
@@ -228,21 +265,36 @@ def run_query(q: QuerySpec, out: TextIO, err: TextIO) -> int:
             print(f"invalid pattern: {report}", file=err)
             return 1
         t0 = _time.perf_counter()
-        matches, stats = run_search(g, p, delta, q.strategy, q.limit)
-        millis = (_time.perf_counter() - t0) * 1000.0
+        if q.strategy in ("simple", "index"):
+            stats = SearchStats()
+            matches = closing(iter_matches(g, p, delta, Strategy(q.strategy), q.limit, stats))
+        else:
+            collected, stats = run_search(g, p, delta, q.strategy, q.limit)
+            matches = nullcontext(collected)
     except OSError as exc:
         print(f"i/o error: {exc}", file=err)
         return 2
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    for m in matches:
-        print(match_json_line(m, g), file=out)
-    if q.stats:
-        summary = {"millis": round(millis, 3), "matches": len(matches)}
-        if stats is not None:
-            summary.update(stats.as_dict())
-        print(json.dumps({"summary": summary}, sort_keys=True), file=out)
+    try:
+        count = 0
+        with matches as stream:
+            for m in stream:
+                out.write(match_json_line(m, g) + "\n")
+                count += 1
+        if q.stats:
+            millis = (_time.perf_counter() - t0) * 1000.0
+            summary = {"millis": round(millis, 3), "matches": count}
+            if stats is not None:
+                summary.update(stats.as_dict())
+            out.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+        out.flush()
+    except BrokenPipeError:
+        return 0
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=err)
+        return 2
     return 0
 
 

@@ -37,8 +37,10 @@ adjacent but ordered positions and a valid assignment may pick them in
 either position order.  Only an EQUAL step can meet an edge already on
 the stack, so only it tests for one.
 
-A search keeps all of its state in the locals of one call; one graph
-may serve any number of concurrent searches.
+The search is a generator that yields each match as it completes it, so
+a caller can stream, count or stop early without holding every match.
+It keeps all of its state in its own locals; one graph may serve any
+number of concurrent searches.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .pattern import PatternGraph, Relation, ValidationReport, validate_pattern
 from .temporal_graph import TemporalGraph
@@ -85,8 +87,7 @@ class SearchStats:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class Match:
+class Match(NamedTuple):
     """One complete match.
 
     ``node_map[i]`` is the graph node assigned to pattern node ``i``;
@@ -160,133 +161,159 @@ def interaction_search(
     lexicographic in the edge assignment positions (so earliest-starting
     matches surface first).  ``limit`` truncates the output after that
     many matches (a negative ``limit`` raises ValueError); SIMPLE and
-    INDEX produce identical lists.
+    INDEX produce identical lists.  The list form of :func:`iter_matches`.
+    """
+    stats = SearchStats()
+    return list(iter_matches(g, p, delta, strategy, limit, stats)), stats
+
+
+def iter_matches(
+    g: TemporalGraph,
+    p: PatternGraph,
+    delta: int,
+    strategy: Strategy = Strategy.INDEX,
+    limit: Optional[int] = None,
+    stats: Optional[SearchStats] = None,
+) -> Iterator[Match]:
+    """Yield the matches :func:`interaction_search` returns, one at a time.
+
+    The pattern and ``limit`` are checked by this call, so an invalid
+    query raises before any match is produced; the search itself runs
+    only as the returned generator is advanced.  When the generator
+    finishes or is closed, it writes its counters into ``stats``: a
+    stream closed after its k-th match reports the same counters as a
+    run with ``limit=k``.
     """
     report = validate_pattern(p, delta)
     if not report.ok:
         raise InvalidPatternError(report)
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    matches: list[Match] = []
+    return _search(g, p, delta, strategy is Strategy.INDEX, limit,
+                   SearchStats() if stats is None else stats)
+
+
+def _search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
+            limit: Optional[int], stats: SearchStats) -> Iterator[Match]:
     times = g.times
-    if limit == 0 or not times:
-        return matches, SearchStats()
-
-    steps = _compile(p)
-    use_index = strategy is Strategy.INDEX
-    sources, targets = g.sources, g.targets
-    out_positions, in_positions = g.out_positions, g.in_positions
-    n = len(times)
-    every = range(n)
-    never = times[0] - 1  # a time no edge has: disables the tie test
-    last = len(steps) - 1
-    F = [-1] * p.node_count  # graph node of each pattern node, valid once bound
-    used = bytearray(g.node_count)  # 1 for graph nodes that F binds
-    stack = [-1] * len(steps)  # matched edge position per depth, -1 above the top
-    saved: list = [None] * len(steps)  # cursor state of each depth below the top
     examined = pushes = pops = found = deepest = deadline = 0
+    try:
+        if limit == 0 or not times:
+            return
+        steps = _compile(p)
+        sources, targets = g.sources, g.targets
+        out_positions, in_positions = g.out_positions, g.in_positions
+        n = len(times)
+        every = range(n)
+        never = times[0] - 1  # a time no edge has: disables the tie test
+        last = len(steps) - 1
+        F = [-1] * p.node_count  # graph node of each pattern node, valid once bound
+        used = bytearray(g.node_count)  # 1 for graph nodes that F binds
+        stack = [-1] * len(steps)  # matched edge position per depth, -1 above the top
+        saved: list = [None] * len(steps)  # cursor state of each depth below the top
 
-    # The cursor of the current depth: candidates are seq[k:end]; times
-    # above ``stop`` end the depth, and a time equal to ``tie`` (the
-    # previous edge's, on a STRICT step) is skipped.
-    d = 0
-    source, target, last_source, last_target, equal, test = steps[0]
-    seq, k, end, stop, tie, fs, ft = every, 0, n, times[-1], never, -1, -1
-    while True:
-        j = -1
-        while k < end:
-            pos = seq[k]
-            k += 1
-            examined += 1
-            t = times[pos]
-            if t > stop:
+        # The cursor of the current depth: candidates are seq[k:end]; times
+        # above ``stop`` end the depth, and a time equal to ``tie`` (the
+        # previous edge's, on a STRICT step) is skipped.
+        d = 0
+        source, target, last_source, last_target, equal, test = steps[0]
+        seq, k, end, stop, tie, fs, ft = every, 0, n, times[-1], never, -1, -1
+        while True:
+            j = -1
+            while k < end:
+                pos = seq[k]
+                k += 1
+                examined += 1
+                t = times[pos]
+                if t > stop:
+                    break
+                if t == tie or equal and pos in stack:
+                    continue
+                if test == _SOURCE:
+                    if sources[pos] != fs or used[targets[pos]]:
+                        continue
+                elif test == _FREE:
+                    a, b = sources[pos], targets[pos]
+                    if a == b or used[a] or used[b]:
+                        continue
+                elif test == _TARGET:
+                    if targets[pos] != ft or used[sources[pos]]:
+                        continue
+                elif test == _BOTH:
+                    if sources[pos] != fs or targets[pos] != ft:
+                        continue
+                else:
+                    a = sources[pos]
+                    if a != targets[pos] or used[a]:
+                        continue
+                j = pos
                 break
-            if t == tie or equal and pos in stack:
+
+            if j < 0:  # depth exhausted: pop the edge below and resume its depth
+                if d == 0:
+                    break
+                d -= 1
+                source, target, last_source, last_target, equal, test = steps[d]
+                seq, k, end, stop, tie, fs, ft = saved[d]
+                if last_source < 0:
+                    used[F[source]] = 0
+                if last_target < 0:
+                    used[F[target]] = 0
+                stack[d] = -1
+                pops += 1
                 continue
-            if test == _SOURCE:
-                if sources[pos] != fs or used[targets[pos]]:
-                    continue
-            elif test == _FREE:
-                a, b = sources[pos], targets[pos]
-                if a == b or used[a] or used[b]:
-                    continue
-            elif test == _TARGET:
-                if targets[pos] != ft or used[sources[pos]]:
-                    continue
-            elif test == _BOTH:
-                if sources[pos] != fs or targets[pos] != ft:
-                    continue
-            else:
-                a = sources[pos]
-                if a != targets[pos] or used[a]:
-                    continue
-            j = pos
-            break
 
-        if j < 0:  # depth exhausted: pop the edge below and resume its depth
-            if d == 0:
-                break
-            d -= 1
-            source, target, last_source, last_target, equal, test = steps[d]
-            seq, k, end, stop, tie, fs, ft = saved[d]
+            pushes += 1
+            stack[d] = j
             if last_source < 0:
-                used[F[source]] = 0
+                F[source] = sources[j]
             if last_target < 0:
-                used[F[target]] = 0
-            stack[d] = -1
-            pops += 1
-            continue
+                F[target] = targets[j]
+            if d == last:
+                start = times[stack[0]]
+                found += 1
+                deepest = d + 1
+                yield Match(tuple(F), tuple(stack), start, t, t - start + 1)
+                if found == limit:
+                    break
+                stack[d] = -1
+                pops += 1
+                continue
 
-        pushes += 1
-        stack[d] = j
-        if last_source < 0:
-            F[source] = sources[j]
-        if last_target < 0:
-            F[target] = targets[j]
-        if d == last:
-            start = times[stack[0]]
-            matches.append(Match(tuple(F), tuple(stack), start, t, t - start + 1))
-            found += 1
-            deepest = d + 1
-            if found == limit:
-                break
-            stack[d] = -1
-            pops += 1
-            continue
-
-        if last_source < 0:
-            used[F[source]] = 1
-        if last_target < 0:
-            used[F[target]] = 1
-        if d == 0:
-            deadline = t + delta - 1
-        saved[d] = (seq, k, end, stop, tie, fs, ft)
-        d += 1
-        if d > deepest:
-            deepest = d
-        source, target, last_source, last_target, equal, test = steps[d]
-        fs, ft = F[source], F[target]
-        if equal:
-            # simultaneous edges may sit anywhere in the equal-time block,
-            # also before the previous edge's position
-            stop, tie, lo = t, never, bisect.bisect_left(times, t) - 1
-        else:
-            stop, tie, lo = deadline, t, j
-        if use_index and (last_source >= 0 or last_target >= 0):
-            # Walk a bound endpoint's position list.  With both bound, take
-            # the one whose latest matched edge is later (ties: source).  A
-            # STRICT step can start past every matched edge incident to a
-            # bound endpoint, since the candidate must be later than all.
-            ls = stack[last_source] if last_source >= 0 else -1
-            lt = stack[last_target] if last_target >= 0 else -1
-            if not equal:
-                lo = max(lo, ls, lt)
-            seq = out_positions[fs] if ls >= lt else in_positions[ft]
-            k, end = bisect.bisect_right(seq, lo), len(seq)
-        else:
-            seq, k, end = every, lo + 1, n
-
-    return matches, SearchStats(examined, found, deepest, pushes, pops)
+            if last_source < 0:
+                used[F[source]] = 1
+            if last_target < 0:
+                used[F[target]] = 1
+            if d == 0:
+                deadline = t + delta - 1
+            saved[d] = (seq, k, end, stop, tie, fs, ft)
+            d += 1
+            if d > deepest:
+                deepest = d
+            source, target, last_source, last_target, equal, test = steps[d]
+            fs, ft = F[source], F[target]
+            if equal:
+                # simultaneous edges may sit anywhere in the equal-time block,
+                # also before the previous edge's position
+                stop, tie, lo = t, never, bisect.bisect_left(times, t) - 1
+            else:
+                stop, tie, lo = deadline, t, j
+            if use_index and (last_source >= 0 or last_target >= 0):
+                # Walk a bound endpoint's position list.  With both bound, take
+                # the one whose latest matched edge is later (ties: source).  A
+                # STRICT step can start past every matched edge incident to a
+                # bound endpoint, since the candidate must be later than all.
+                ls = stack[last_source] if last_source >= 0 else -1
+                lt = stack[last_target] if last_target >= 0 else -1
+                if not equal:
+                    lo = max(lo, ls, lt)
+                seq = out_positions[fs] if ls >= lt else in_positions[ft]
+                k, end = bisect.bisect_right(seq, lo), len(seq)
+            else:
+                seq, k, end = every, lo + 1, n
+    finally:
+        stats.candidates_examined, stats.matches_found = examined, found
+        stats.max_depth_reached, stats.pushes, stats.pops = deepest, pushes, pops
 
 
 @dataclass(frozen=True, slots=True)

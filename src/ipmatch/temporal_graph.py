@@ -8,6 +8,8 @@ Per node, the sorted positions of its out-edges and of its in-edges are
 kept as well, so all in- or out-edges of a node can be visited in time
 order without scanning the full list: the next-in-time edge of a node is
 the successor of the current position in that node's position list.
+Each node label is also kept in its JSON string form, so that matches
+can be written out without encoding a label per line.
 
 Graphs are immutable after construction and safe for unrestricted
 concurrent read access.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 
@@ -60,6 +63,7 @@ class TemporalGraph:
     ``sources[i]``, ``targets[i]`` and ``times[i]`` describe the edge at
     list position ``i``; ``out_positions[n]`` / ``in_positions[n]`` are
     the ascending positions of the edges leaving / entering node ``n``.
+    ``label_json[n]`` is ``labels[n]`` as ``json.dumps`` writes it.
     Do not mutate any attribute after construction; use :func:`build_graph`.
     """
 
@@ -70,6 +74,7 @@ class TemporalGraph:
         "times",
         "node_count",
         "labels",
+        "label_json",
         "label_index",
         "multiplicity",
         "out_positions",
@@ -83,6 +88,7 @@ class TemporalGraph:
         targets: tuple[int, ...],
         times: tuple[int, ...],
         labels: list[str],
+        label_json: tuple[str, ...],
         label_index: dict[str, int],
         multiplicity: dict[tuple[int, int], list[int]],
         out_positions: list[list[int]],
@@ -93,6 +99,7 @@ class TemporalGraph:
         self.targets = targets
         self.times = times
         self.labels = labels
+        self.label_json = label_json
         self.label_index = label_index
         self.node_count = len(labels)
         self.multiplicity = multiplicity
@@ -200,9 +207,10 @@ def build_graph(
         out_positions[u].append(i)
         in_positions[v].append(i)
 
+    label_json = tuple(map(encode_basestring_ascii, labels))
     return TemporalGraph(
-        temporal_edges, sources, targets, times, labels, label_index,
-        multiplicity, out_positions, in_positions,
+        temporal_edges, sources, targets, times, labels, label_json,
+        label_index, multiplicity, out_positions, in_positions,
     )
 
 

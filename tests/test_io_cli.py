@@ -1,18 +1,29 @@
+import errno
+import io
 import json
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipmatch import (
     ParseError,
+    QuerySpec,
+    Strategy,
     build_graph,
+    generate_path_query,
     graph_summary,
     load_graph,
     load_pattern,
     match_from_dict,
     match_json_line,
+    match_to_dict,
+    run_query,
     save_graph,
     save_pattern,
     interaction_search,
@@ -21,6 +32,8 @@ from ipmatch import (
     verify_match,
 )
 from ipmatch.cli import main
+
+from _generators import full_span, random_graph, random_pattern
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,6 +137,114 @@ class TestMatchSerialization:
         obj = json.loads(match_json_line(matches[0], g))
         assert obj["nodes"] == {"0": "alice", "1": "bob"}
         assert obj["edges"] == [["alice", "bob", 1]]
+
+
+# Labels may hold anything but whitespace: quotes, backslashes, control
+# characters and non-ASCII text all need escaping in JSON.
+_LABEL_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x01\x08\x1b\x7f\x80\u00e9\u2028\ufeff\U0001f600'),
+    st.characters(),
+)
+_LABELS = st.text(_LABEL_CHARS, min_size=1, max_size=5).filter(
+    lambda s: not any(ch.isspace() for ch in s))
+
+
+class TestMatchJsonLine:
+    @given(st.lists(_LABELS, min_size=12, max_size=16, unique=True),
+           st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 20)),
+                    max_size=25))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_json_dumps(self, labels, extra):
+        # a time-ordered path through every label, so a path pattern of 11
+        # or more nodes matches and its node keys sort as strings
+        edges = [(labels[i], labels[i + 1], i + 1) for i in range(len(labels) - 1)]
+        edges += [(labels[u % len(labels)], labels[v % len(labels)], t) for u, v, t in extra]
+        g = build_graph(edges)
+        p = generate_path_query(len(labels) - 1)
+        assert p.node_count >= 11
+        matches, _ = interaction_search(g, p, 10**6)
+        assert matches
+        for m in matches:
+            expected = json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
+            assert match_json_line(m, g) == expected
+
+    def test_small_pattern_on_hostile_labels(self):
+        g = build_graph([('a"b', "c\\d", 1), ("c\\d", "\u00e9\x01", 2)])
+        p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
+        (m,), _ = interaction_search(g, p, 5)
+        expected = json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
+        assert match_json_line(m, g) == expected
+
+
+class _FailingSink(io.StringIO):
+    """Text sink whose every write raises ``exc``; counts the attempts."""
+
+    def __init__(self, exc: OSError):
+        super().__init__()
+        self.exc = exc
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        raise self.exc
+
+
+def _many_matches_files(tmp_path, n: int = 5000):
+    gpath = write(tmp_path / "g.txt", "".join(f"u v {t}\n" for t in range(1, n + 1)))
+    ppath = write(tmp_path / "p.txt", "nodes 2\n0 1 1\n")
+    return gpath, ppath
+
+
+class TestStreamingQuery:
+    @pytest.mark.parametrize("strategy", ["simple", "index", "baseline", "oracle"])
+    @pytest.mark.parametrize("limit", [None, 0, 1, 7])
+    @pytest.mark.parametrize("seed", [11, 35, 107])  # 13, 11 and 68 matches
+    def test_output_equals_run_search_lines(self, tmp_path, capsys, strategy, limit, seed):
+        rng = random.Random(seed)
+        g, p = random_graph(rng, max_nodes=8, max_edges=25), random_pattern(rng, max_edges=3)
+        delta = full_span(g)
+        save_graph(g, str(tmp_path / "g.txt"))
+        save_pattern(p, str(tmp_path / "p.txt"))
+        g = load_graph(str(tmp_path / "g.txt"))
+        p = load_pattern(str(tmp_path / "p.txt"))
+        argv = ["query", "--graph", str(tmp_path / "g.txt"), "--pattern",
+                str(tmp_path / "p.txt"), "--delta", str(delta), "--strategy", strategy]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        code = main(argv)
+        out = capsys.readouterr().out
+        matches, _ = run_search(g, p, delta, strategy, limit)
+        assert code == 0
+        assert out == "".join(match_json_line(m, g) + "\n" for m in matches)
+
+    @pytest.mark.parametrize("strategy", ["simple", "index"])
+    def test_stats_summary_counts_the_stream(self, tmp_path, capsys, strategy):
+        gpath, ppath = _many_matches_files(tmp_path, 50)
+        code = main(["query", "--graph", gpath, "--pattern", ppath, "--delta", "100",
+                     "--strategy", strategy, "--limit", "20", "--stats"])
+        lines = capsys.readouterr().out.splitlines()
+        summary = json.loads(lines[-1])["summary"]
+        _, stats = interaction_search(load_graph(gpath), load_pattern(ppath), 100,
+                                      Strategy(strategy), limit=20)
+        assert code == 0 and len(lines) == 21
+        assert summary.pop("millis") >= 0
+        assert summary == {"matches": 20, **stats.as_dict()}
+
+    @pytest.mark.parametrize("strategy", ["simple", "index", "baseline", "oracle"])
+    def test_broken_pipe_stops_quietly(self, tmp_path, strategy):
+        gpath, ppath = _many_matches_files(tmp_path, 50)
+        out, err = _FailingSink(BrokenPipeError(errno.EPIPE, "Broken pipe")), io.StringIO()
+        spec = QuerySpec(gpath, ppath, 100, strategy=strategy, stats=True)
+        assert run_query(spec, out, err) == 0
+        assert out.writes == 1
+        assert err.getvalue() == ""
+
+    def test_other_write_error_exit_2(self, tmp_path):
+        gpath, ppath = _many_matches_files(tmp_path, 50)
+        out, err = _FailingSink(OSError(errno.ENOSPC, "No space left on device")), io.StringIO()
+        assert run_query(QuerySpec(gpath, ppath, 100), out, err) == 2
+        assert out.writes == 1
+        assert err.getvalue() == "i/o error: [Errno 28] No space left on device\n"
 
 
 class TestQueryCommand:
@@ -287,3 +408,31 @@ class TestCliEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("limit", [None, 3])
+    def test_reader_closing_the_pipe_exits_zero_quietly(self, tmp_path, unbuffered, limit):
+        # Without a limit, 5,000 lines overflow the pipe, so the query is
+        # still writing when the reader closes its end after one line.  With
+        # --limit 3, the reader closes first and buffered stdout fails only
+        # on the final flush, with the text still pending at exit.
+        gpath, ppath = _many_matches_files(tmp_path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        argv = [sys.executable, "-m", "ipmatch.cli", "query", "--graph", gpath,
+                "--pattern", ppath, "--delta", "10000"]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        if limit is None:
+            assert json.loads(proc.stdout.readline())["start"] == 1
+        proc.stdout.close()
+        try:
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert code == 0
+        assert stderr == b""

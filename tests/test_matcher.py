@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from ipmatch import (
     InvalidPatternError,
     Match,
+    SearchStats,
     Strategy,
     brute_force,
     build_graph,
     duration,
     interaction_search,
+    iter_matches,
     pattern_from_triples,
     validate_pattern,
     verify_match,
@@ -90,6 +92,66 @@ class TestInteractionSearch:
             assert assignments == sorted(assignments)
             starts = [m.start for m in matches]
             assert starts == sorted(starts)
+
+
+class TestIterMatches:
+    def test_errors_raise_before_iteration(self):
+        g = build_graph([("a", "b", 1), ("b", "c", 5)])
+        p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
+        with pytest.raises(InvalidPatternError):
+            iter_matches(g, p, 1)
+        with pytest.raises(ValueError):
+            iter_matches(g, p, 10, limit=-1)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_lazy(self, strategy):
+        g = build_graph([("u", "v", t) for t in range(1, 10)])
+        p = pattern_from_triples([(0, 1, 1)])
+        _, full = interaction_search(g, p, 100, strategy)
+        stats = SearchStats()
+        stream = iter_matches(g, p, 100, strategy, stats=stats)
+        first = next(stream)
+        assert stats == SearchStats()  # counters are written when the stream ends
+        stream.close()
+        assert first.edge_assignment == (0,)
+        assert stats.matches_found == 1
+        assert stats.candidates_examined < full.candidates_examined
+
+    def test_match_is_an_immutable_hashable_tuple(self):
+        m = Match((0, 1), (3,), 5, 5, 1)
+        with pytest.raises(AttributeError):
+            m.start = 6
+        assert m == Match((0, 1), (3,), 5, 5, 1)
+        assert len({m, Match((0, 1), (3,), 5, 5, 1)}) == 1
+        assert m.node_dict() == {0: 0, 1: 1}
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_prefixes_and_counters_equal_the_list_api(self, seed):
+        rng = random.Random(seed)
+        g, p = random_graph(rng), random_pattern(rng)
+        delta = full_span(g)
+        if not validate_pattern(p, delta).ok:
+            return
+        strategy = rng.choice(list(Strategy))
+        everything, full = interaction_search(g, p, delta, strategy)
+        stats = SearchStats()
+        assert list(iter_matches(g, p, delta, strategy, stats=stats)) == everything
+        assert stats == full
+        n = len(everything)
+        # every k up to 64 keeps the quadratic cost bounded on the rare
+        # instance with thousands of matches
+        for k in sorted(set(range(1, min(n, 64) + 1)) | {n // 2, n} - {0}):
+            expected, cut = interaction_search(g, p, delta, strategy, limit=k)
+            assert list(iter_matches(g, p, delta, strategy, limit=k)) == expected
+            # closing the stream right after its k-th match leaves the
+            # counters of a run stopped by limit=k: one edge per depth pushed
+            stats = SearchStats()
+            stream = iter_matches(g, p, delta, strategy, stats=stats)
+            assert [next(stream) for _ in range(k)] == expected
+            stream.close()
+            assert stats == cut
+            assert stats.pushes - stats.pops == len(p.edges)
 
 
 class TestMatchingEdgeRoutines:
