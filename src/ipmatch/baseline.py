@@ -53,6 +53,14 @@ class StaticMatch:
     node_map: tuple[int, ...]
 
 
+def _pair_positions(g: TemporalGraph) -> dict[tuple[int, int], list[int]]:
+    """The ascending positions of the parallel edges behind each node pair."""
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for pos, pair in enumerate(zip(g.sources, g.targets)):
+        pairs.setdefault(pair, []).append(pos)
+    return pairs
+
+
 def _static_matches(g: TemporalGraph, p: PatternGraph) -> Iterator[StaticMatch]:
     """Edge-by-edge DFS over the static projection, node-injective."""
     edges = sorted(static_projection(g).edges)
@@ -124,10 +132,11 @@ def two_phase_search(
     times = g.times
     m = len(p.edges)
 
+    pair_positions = _pair_positions(g)
     for sm in _static_matches(g, p):
         stats.static_matches += 1
         cand = [
-            g.multiplicity[(sm.node_map[pe.source], sm.node_map[pe.target])]
+            pair_positions[(sm.node_map[pe.source], sm.node_map[pe.target])]
             for pe in p.edges
         ]
         chosen: list[int] = []
@@ -183,11 +192,12 @@ def brute_force(g: TemporalGraph, p: PatternGraph, delta: int) -> set[Match]:
     if p.node_count > g.node_count:
         return results
     times = g.times
+    pair_positions = _pair_positions(g)
     for perm in itertools.permutations(range(g.node_count), p.node_count):
         cand = []
         feasible = True
         for pe in p.edges:
-            positions = g.multiplicity.get((perm[pe.source], perm[pe.target]))
+            positions = pair_positions.get((perm[pe.source], perm[pe.target]))
             if not positions:
                 feasible = False
                 break

@@ -9,6 +9,7 @@ match, so every line is independently parseable.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import time as _time
@@ -19,7 +20,7 @@ from typing import Optional, TextIO
 from .baseline import brute_force, two_phase_search
 from .matcher import Match, SearchStats, Strategy, interaction_search, iter_matches
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
-from .temporal_graph import TemporalGraph, build_graph
+from .temporal_graph import TemporalGraph, build_graph, static_projection
 
 DELTA_UNITS = {
     "raw": 1,
@@ -78,6 +79,12 @@ class GraphSummary:
         return (self.end - self.start) / 86400.0
 
 
+def _open_ascii(path: str) -> TextIO:
+    """Open a text input; a non-ASCII byte decodes to a lone surrogate, so
+    the caller can report it with its line instead of a decoder offset."""
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
 def _parse_int(token: str, path: str, line_no: int, what: str) -> int:
     try:
         return int(token)
@@ -94,16 +101,22 @@ def load_graph(path: str) -> TemporalGraph:
     simultaneity stays exact.
     """
     edges: list[tuple[str, str, int]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    append = edges.append
+    with _open_ascii(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            if not line.isascii():
+                raise ParseError(path, line_no, "non-ASCII byte")
+            fields = line.split()
+            if not fields or fields[0][0] == "#":
                 continue
-            fields = stripped.split()
             if len(fields) != 3:
                 raise ParseError(path, line_no, f"expected 3 fields, got {len(fields)}")
             u, v, raw_t = fields
-            edges.append((u, v, _parse_int(raw_t, path, line_no, "timestamp")))
+            try:
+                t = int(raw_t)
+            except ValueError:
+                _parse_int(raw_t, path, line_no, "timestamp")  # raises ParseError
+            append((u, v, t))
     if not edges:
         raise ParseError(path, 0, "no edges in file")
     return build_graph(edges)
@@ -118,15 +131,18 @@ def save_graph(g: TemporalGraph, path: str) -> None:
 def graph_summary(g: TemporalGraph) -> GraphSummary:
     start = g.times[0] if g.times else None
     end = g.times[-1] if g.times else None
-    return GraphSummary(g.node_count, len(g), len(g.multiplicity), start, end)
+    static_edges = len(static_projection(g).edges)
+    return GraphSummary(g.node_count, len(g), static_edges, start, end)
 
 
 def load_pattern(path: str) -> PatternGraph:
     """Read a pattern file: ``nodes <n>`` header then int triples."""
     triples: list[tuple[int, int, int]] = []
     node_count = None
-    with open(path, "r", encoding="ascii") as fh:
+    with _open_ascii(path) as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise ParseError(path, line_no, "non-ASCII byte")
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -158,11 +174,12 @@ def save_pattern(p: PatternGraph, path: str) -> None:
 
 def match_to_dict(m: Match, g: TemporalGraph) -> dict:
     """JSON-ready view of a match, using the original external labels."""
+    labels, sources, targets, times = g.labels, g.sources, g.targets, g.times
     return {
-        "nodes": {str(i): g.node_label(node) for i, node in enumerate(m.node_map)},
+        "nodes": {str(i): labels[node] for i, node in enumerate(m.node_map)},
         "edges": [
-            [g.node_label(e.source), g.node_label(e.target), e.time]
-            for e in (g.edge_at(pos) for pos in m.edge_assignment)
+            [labels[sources[pos]], labels[targets[pos]], times[pos]]
+            for pos in m.edge_assignment
         ],
         "start": m.start,
         "end": m.end,
@@ -208,20 +225,30 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
     """Rebuild a match from its JSON form.
 
     Exact duplicate edges are indistinguishable in the serialized form;
-    any distinct-position resolution is equivalent for verification.
+    each edge resolves to the first position with its endpoints and time
+    that no earlier edge of the match took, which is equivalent for
+    verification.
     """
     node_map = tuple(g.node_id(obj["nodes"][str(i)]) for i in range(p.node_count))
+    targets, times = g.targets, g.times
     taken: set[int] = set()
     assignment: list[int] = []
     for (u_label, v_label, t) in obj["edges"]:
         u, v = g.node_id(u_label), g.node_id(v_label)
-        for pos in g.multiplicity.get((u, v), ()):
-            if pos not in taken and g.times[pos] == t:
-                taken.add(pos)
-                assignment.append(pos)
+        out = g.out_positions[u]
+        try:
+            k = bisect.bisect_left(out, g.block_start(t))
+        except TypeError:  # a time no int compares with matches no edge
+            k = len(out)
+        while k < len(out) and times[out[k]] == t:
+            pos = out[k]
+            if targets[pos] == v and pos not in taken:
                 break
+            k += 1
         else:
             raise ValueError(f"no unused graph edge matches {obj['edges']}")
+        taken.add(pos)
+        assignment.append(pos)
     return Match(node_map, tuple(assignment), obj["start"], obj["end"], obj["dur"])
 
 

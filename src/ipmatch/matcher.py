@@ -349,9 +349,10 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Ver
         violations.append((1, "node mapping is not injective"))
     if len(set(m.edge_assignment)) != len(m.edge_assignment):
         violations.append((1, "a graph edge is assigned to two pattern edges"))
+    sources, targets = g.sources, g.targets
     for i, pe in enumerate(p.edges):
-        ge = g.edge_at(m.edge_assignment[i])
-        if ge.source != m.node_map[pe.source] or ge.target != m.node_map[pe.target]:
+        pos = m.edge_assignment[i]
+        if sources[pos] != m.node_map[pe.source] or targets[pos] != m.node_map[pe.target]:
             violations.append((1, f"edge {i} endpoints disagree with the node mapping"))
 
     for i in range(len(p.edges)):

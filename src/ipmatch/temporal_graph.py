@@ -2,12 +2,13 @@
 
 A temporal graph here is a directed multigraph whose edges carry integer
 timestamps.  The whole graph is stored as one flat edge list sorted by
-(time, source label, target label, input sequence), held as three flat
-columns (``sources``, ``targets``, ``times``) indexed by list position.
-Per node, the sorted positions of its out-edges and of its in-edges are
-kept as well, so all in- or out-edges of a node can be visited in time
-order without scanning the full list: the next-in-time edge of a node is
-the successor of the current position in that node's position list.
+(time, source label, target label, input sequence), held only as flat
+columns (``sources``, ``targets``, ``times``, ``seqs``) indexed by list
+position; no object is kept per edge.  Per node, the sorted positions of
+its out-edges and of its in-edges are kept as well, so all in- or
+out-edges of a node can be visited in time order without scanning the
+full list: the next-in-time edge of a node is the successor of the
+current position in that node's position list.
 Each node label is also kept in its JSON string form, so that matches
 can be written out without encoding a label per line.
 
@@ -61,56 +62,54 @@ class TemporalGraph:
     """Flat time-ordered edge columns, per-node position lists, symbol table.
 
     ``sources[i]``, ``targets[i]`` and ``times[i]`` describe the edge at
-    list position ``i``; ``out_positions[n]`` / ``in_positions[n]`` are
+    list position ``i`` and ``seqs[i]`` is its index in the input that
+    built the graph; ``out_positions[n]`` / ``in_positions[n]`` are
     the ascending positions of the edges leaving / entering node ``n``.
     ``label_json[n]`` is ``labels[n]`` as ``json.dumps`` writes it.
     Do not mutate any attribute after construction; use :func:`build_graph`.
     """
 
     __slots__ = (
-        "edges",
         "sources",
         "targets",
         "times",
+        "seqs",
         "node_count",
         "labels",
         "label_json",
         "label_index",
-        "multiplicity",
         "out_positions",
         "in_positions",
     )
 
     def __init__(
         self,
-        edges: list[TemporalEdge],
         sources: tuple[int, ...],
         targets: tuple[int, ...],
         times: tuple[int, ...],
+        seqs: tuple[int, ...],
         labels: list[str],
         label_json: tuple[str, ...],
         label_index: dict[str, int],
-        multiplicity: dict[tuple[int, int], list[int]],
         out_positions: list[list[int]],
         in_positions: list[list[int]],
     ):
-        self.edges = edges
         self.sources = sources
         self.targets = targets
         self.times = times
+        self.seqs = seqs
         self.labels = labels
         self.label_json = label_json
         self.label_index = label_index
         self.node_count = len(labels)
-        self.multiplicity = multiplicity
         self.out_positions = out_positions
         self.in_positions = in_positions
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.times)
 
     def __repr__(self) -> str:
-        return f"TemporalGraph(nodes={self.node_count}, edges={len(self.edges)})"
+        return f"TemporalGraph(nodes={self.node_count}, edges={len(self)})"
 
     def node_id(self, label: str) -> int:
         return self.label_index[str(label)]
@@ -119,7 +118,10 @@ class TemporalGraph:
         return self.labels[node]
 
     def edge_at(self, pos: int) -> TemporalEdge:
-        return self.edges[pos]
+        """The edge at list position ``pos``, assembled from the columns."""
+        return TemporalEdge(
+            self.sources[pos], self.targets[pos], self.times[pos], self.seqs[pos]
+        )
 
     def block_start(self, t: int) -> int:
         """Position of the first edge with time >= t."""
@@ -135,7 +137,8 @@ class TemporalGraph:
 
 def _check_label(raw, entry: int) -> str:
     label = str(raw)
-    if not label or any(ch.isspace() for ch in label):
+    # a leading "#" would make the saved line a comment that load_graph skips
+    if not label or label[0] == "#" or any(ch.isspace() for ch in label):
         raise GraphBuildError(f"edge {entry}: malformed label {raw!r}")
     return label
 
@@ -168,49 +171,52 @@ def build_graph(
     label_index: dict[str, int] = {}
     labels: list[str] = []
 
-    def intern(label: str) -> int:
-        node = label_index.get(label)
-        if node is None:
-            node = len(labels)
-            label_index[label] = node
+    def intern(raw, entry: int) -> str:
+        label = _check_label(raw, entry)
+        if label not in label_index:
+            label_index[label] = len(labels)
             labels.append(label)
-        return node
+        return label
 
-    # Sort key uses the external labels so that exporting and rebuilding
-    # reproduces the exact record order regardless of id assignment.
+    # A str label is checked and interned when first seen; every later
+    # occurrence is a dict hit.  The sort key uses the external labels so
+    # that exporting and rebuilding reproduces the exact edge order
+    # regardless of id assignment.  Input index i and list position i
+    # share one int object: the seqs column and both position lists take
+    # theirs from ``ints``.
+    ints = list(range(len(edges)))
     keyed = []
-    for seq, item in enumerate(edges):
+    for seq, item in zip(ints, edges):
         if len(item) != 3:
             raise GraphBuildError(f"edge {seq}: expected 3 fields, got {len(item)}")
         u, v, t = item
-        su, sv = _check_label(u, seq), _check_label(v, seq)
-        keyed.append((_check_time(t, seq), su, sv, seq))
-        intern(su)
-        intern(sv)
+        if type(u) is not str or u not in label_index:
+            u = intern(u, seq)
+        if type(v) is not str or v not in label_index:
+            v = intern(v, seq)
+        if type(t) is not int:
+            t = _check_time(t, seq)
+        keyed.append((t, u, v, seq))
     for raw in isolated:
-        intern(_check_label(raw, -1))
+        intern(raw, -1)
 
     keyed.sort()
 
-    sources = tuple(label_index[k[1]] for k in keyed)
-    targets = tuple(label_index[k[2]] for k in keyed)
-    times = tuple(k[0] for k in keyed)
+    times, source_labels, target_labels, seqs = zip(*keyed) if keyed else ((),) * 4
+    del keyed  # the columns hold all it held, so free it before the lists grow
+    sources = tuple(map(label_index.__getitem__, source_labels))
+    targets = tuple(map(label_index.__getitem__, target_labels))
 
-    multiplicity: dict[tuple[int, int], list[int]] = {}
     out_positions: list[list[int]] = [[] for _ in labels]
     in_positions: list[list[int]] = [[] for _ in labels]
-    temporal_edges: list[TemporalEdge] = []
-    for i, (t, _, _, seq) in enumerate(keyed):
-        u, v = sources[i], targets[i]
-        temporal_edges.append(TemporalEdge(u, v, t, seq))
-        multiplicity.setdefault((u, v), []).append(i)
+    for i, u, v in zip(ints, sources, targets):
         out_positions[u].append(i)
         in_positions[v].append(i)
 
     label_json = tuple(map(encode_basestring_ascii, labels))
     return TemporalGraph(
-        temporal_edges, sources, targets, times, labels, label_json,
-        label_index, multiplicity, out_positions, in_positions,
+        sources, targets, times, seqs, labels, label_json, label_index,
+        out_positions, in_positions,
     )
 
 
@@ -231,4 +237,4 @@ def duration(obj) -> int:
 
 def static_projection(g: TemporalGraph) -> StaticGraph:
     """Drop timestamps and collapse parallel edges."""
-    return StaticGraph(g.node_count, frozenset(g.multiplicity.keys()))
+    return StaticGraph(g.node_count, frozenset(zip(g.sources, g.targets)))

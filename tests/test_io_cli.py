@@ -1,10 +1,12 @@
 import errno
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,7 @@ from ipmatch import (
     interaction_search,
     pattern_from_triples,
     run_search,
+    validate_files,
     verify_match,
 )
 from ipmatch.cli import main
@@ -51,6 +54,14 @@ def toy_graph_file(tmp_path):
 @pytest.fixture
 def path2_pattern_file(tmp_path):
     return write(tmp_path / "p.txt", "nodes 3\n0 1 1\n1 2 2\n")
+
+
+# Every token a graph file can hold as a label: printable ASCII or
+# non-whitespace control characters, not starting with "#".
+_FILE_LABELS = st.text(
+    st.characters(max_codepoint=127).filter(lambda ch: not ch.isspace()),
+    min_size=1, max_size=4,
+).filter(lambda s: s[0] != "#")
 
 
 class TestLoadGraph:
@@ -88,6 +99,37 @@ class TestLoadGraph:
         save_graph(g, str(path))
         g2 = load_graph(str(path))
         assert g.export_edges() == g2.export_edges()
+
+    @given(st.lists(
+        st.tuples(_FILE_LABELS, _FILE_LABELS, st.integers(-10**12, 10**12)),
+        min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_save_load_reproduces_the_columns(self, edges):
+        edges += edges[: len(edges) // 3]  # exact duplicates
+        g = build_graph(edges)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            save_graph(g, path)
+            g2 = load_graph(path)
+
+        def by_label(graph):
+            labels = graph.labels
+            return (
+                [labels[u] for u in graph.sources], [labels[v] for v in graph.targets],
+                graph.times,
+                {labels[n]: positions for n, positions in enumerate(graph.out_positions)},
+                {labels[n]: positions for n, positions in enumerate(graph.in_positions)},
+            )
+
+        assert by_label(g2) == by_label(g)
+        assert sorted(g2.labels) == sorted(g.labels)
+
+    def test_hash_target_label_exits_1_naming_it(self, tmp_path, path2_pattern_file):
+        gpath = write(tmp_path / "g.txt", "a b 1\na #x 5\n")
+        out, err = io.StringIO(), io.StringIO()
+        assert run_query(QuerySpec(gpath, path2_pattern_file, 10), out, err) == 1
+        assert out.getvalue() == ""
+        assert err.getvalue() == "error: edge 1: malformed label '#x'\n"
 
     def test_bundled_synthetic_file(self):
         g = load_graph(str(DATA / "synthetic_1000.txt"))
@@ -138,15 +180,45 @@ class TestMatchSerialization:
         assert obj["nodes"] == {"0": "alice", "1": "bob"}
         assert obj["edges"] == [["alice", "bob", 1]]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_exact_duplicates_resolve_to_distinct_positions(self, k):
+        # k copies of a -> b at time 5, among edges sharing the pair, the
+        # source or the time
+        g = build_graph([("a", "b", 4), ("a", "c", 5), ("c", "b", 5)]
+                        + [("a", "b", 5)] * k + [("a", "b", 6), ("b", "a", 5)])
+        p = pattern_from_triples([(0, 1, 1)] * k)
+        matches, _ = interaction_search(g, p, 1)
+        duplicates = tuple(pos for pos in range(len(g)) if g.times[pos] == 5 and (
+            g.labels[g.sources[pos]], g.labels[g.targets[pos]]) == ("a", "b"))
+        on_duplicates = [m for m in matches if set(m.edge_assignment) == set(duplicates)]
+        assert len(on_duplicates) == math.factorial(k)
+        for m in matches:
+            rebuilt = match_from_dict(json.loads(match_json_line(m, g)), g, p)
+            # equal triples resolve in list order, each to a distinct position
+            assert rebuilt.edge_assignment == tuple(sorted(m.edge_assignment))
+            assert verify_match(g, p, 1, rebuilt).ok
 
-# Labels may hold anything but whitespace: quotes, backslashes, control
-# characters and non-ASCII text all need escaping in JSON.
+    def test_unknown_edge_rejected(self):
+        g = build_graph([("a", "b", 5), ("a", "b", 5)])
+        p = pattern_from_triples([(0, 1, 1)] * 3)
+        obj = {"nodes": {"0": "a", "1": "b"}, "edges": [["a", "b", 5]] * 3,
+               "start": 5, "end": 5, "dur": 1}
+        with pytest.raises(ValueError, match="no unused graph edge"):
+            match_from_dict(obj, g, p)
+        for t in (6, "5", None):
+            obj["edges"] = [["a", "b", t]]
+            with pytest.raises(ValueError, match="no unused graph edge"):
+                match_from_dict(obj, g, pattern_from_triples([(0, 1, 1)]))
+
+
+# Labels may hold anything but whitespace and a leading "#": quotes,
+# backslashes, control characters and non-ASCII text all need escaping in JSON.
 _LABEL_CHARS = st.one_of(
     st.sampled_from('"\\/\x00\x01\x08\x1b\x7f\x80\u00e9\u2028\ufeff\U0001f600'),
     st.characters(),
 )
 _LABELS = st.text(_LABEL_CHARS, min_size=1, max_size=5).filter(
-    lambda s: not any(ch.isspace() for ch in s))
+    lambda s: s[0] != "#" and not any(ch.isspace() for ch in s))
 
 
 class TestMatchJsonLine:
@@ -340,6 +412,45 @@ class TestQueryCommand:
             assert code == 0
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1]
+
+
+class TestNonAsciiInput:
+    """A non-ASCII byte is reported with its file and line, exit status 1."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        good_graph = write(tmp_path / "g.txt", "a b 1\nb c 2\n")
+        good_pattern = write(tmp_path / "p.txt", "nodes 3\n0 1 1\n1 2 2\n")
+        bad_graph = tmp_path / "bad_g.txt"
+        bad_graph.write_bytes(b"a b 1\nb caf\xc3\xa9 2\n")
+        bad_pattern = tmp_path / "bad_p.txt"
+        bad_pattern.write_bytes(b"nodes 3\n0 1 1\n# \xff\n1 2 2\n")
+        return good_graph, good_pattern, str(bad_graph), str(bad_pattern)
+
+    def test_graph_file(self, files):
+        good_graph, good_pattern, bad_graph, _ = files
+        for run in (lambda o, e: run_query(QuerySpec(bad_graph, good_pattern, 5), o, e),
+                    lambda o, e: validate_files(bad_graph, good_pattern, 5, o, e)):
+            out, err = io.StringIO(), io.StringIO()
+            assert run(out, err) == 1
+            assert out.getvalue() == ""
+            assert err.getvalue() == f"error: {bad_graph}:2: non-ASCII byte\n"
+
+    def test_pattern_file(self, files):
+        good_graph, good_pattern, _, bad_pattern = files
+        for run in (lambda o, e: run_query(QuerySpec(good_graph, bad_pattern, 5), o, e),
+                    lambda o, e: validate_files(good_graph, bad_pattern, 5, o, e)):
+            out, err = io.StringIO(), io.StringIO()
+            assert run(out, err) == 1
+            assert out.getvalue() == ""
+            assert err.getvalue() == f"error: {bad_pattern}:3: non-ASCII byte\n"
+
+    def test_direct_loaders_raise_parse_error(self, files):
+        _, _, bad_graph, bad_pattern = files
+        with pytest.raises(ParseError, match=r":2: non-ASCII byte$"):
+            load_graph(bad_graph)
+        with pytest.raises(ParseError, match=r":3: non-ASCII byte$"):
+            load_pattern(bad_pattern)
 
 
 class TestValidateCommand:

@@ -2,13 +2,14 @@ import bisect
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ipmatch import (
     DurationUndefinedError,
     EmptyGraphError,
     GraphBuildError,
+    TemporalEdge,
     build_graph,
     duration,
     static_projection,
@@ -27,6 +28,11 @@ _triples = st.lists(
 )
 
 
+def _edges(g):
+    """Every edge of ``g`` in list order, each assembled by ``edge_at``."""
+    return [g.edge_at(i) for i in range(len(g))]
+
+
 class TestBuildGraph:
     def test_single_edge(self):
         g = build_graph([("a", "b", 5)])
@@ -40,16 +46,18 @@ class TestBuildGraph:
     def test_parallel_edge_multiplicity(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
         pair = (g.node_id("u1"), g.node_id("u5"))
-        assert g.multiplicity[pair] == [0, 1, 2]
-        assert len(g.multiplicity[pair]) == 3
+        positions = [i for i, e in enumerate(_edges(g)) if (e.source, e.target) == pair]
+        assert positions == [0, 1, 2]
+        assert len(positions) == 3
+        assert static_projection(g).edges == frozenset({pair})
 
     def test_sort_order_and_links(self):
         # sorted by (time, source, target, input sequence)
         g = build_graph([("a", "b", 3), ("a", "c", 1), ("a", "b", 3)])
         labels = [(g.node_label(e.source), g.node_label(e.target), e.time)
-                  for e in g.edges]
+                  for e in _edges(g)]
         assert labels == [("a", "c", 1), ("a", "b", 3), ("a", "b", 3)]
-        assert [e.input_seq for e in g.edges] == [1, 0, 2]
+        assert [e.input_seq for e in _edges(g)] == [1, 0, 2]
         # the next out-edge of "a" after each edge is its successor here
         assert g.out_positions[g.node_id("a")] == [0, 1, 2]
 
@@ -62,7 +70,7 @@ class TestBuildGraph:
             ((t, u, v, i) for i, (u, v, t) in enumerate(raw)),
         )
         got = [(e.time, g.node_label(e.source),
-                g.node_label(e.target), e.input_seq) for e in g.edges]
+                g.node_label(e.target), e.input_seq) for e in _edges(g)]
         assert got == expected
 
     def test_duplicate_triples_retained(self):
@@ -92,7 +100,7 @@ class TestBuildGraph:
     def test_sortedness_invariant(self, triples):
         g = build_graph(triples)
         keys = [(e.time, g.node_label(e.source),
-                 g.node_label(e.target), e.input_seq) for e in g.edges]
+                 g.node_label(e.target), e.input_seq) for e in _edges(g)]
         assert keys == sorted(keys)
         assert all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
 
@@ -133,7 +141,7 @@ class TestBuildGraph:
             k = bisect.bisect_right(positions, i)
             return positions[k] if k < len(positions) else None
 
-        for i, e in enumerate(g.edges):
+        for i, e in enumerate(_edges(g)):
             assert (g.sources[i], g.targets[i], g.times[i]) == (e.source, e.target, e.time)
             for node in (e.source, e.target):
                 assert successor(g.out_positions[node], i) == first_after(i, node, True)
@@ -146,6 +154,126 @@ class TestBuildGraph:
         g2 = build_graph(g.export_edges())
         assert g.export_edges() == g2.export_edges()
         assert g.times == g2.times
+
+
+# Mixed str and int labels whose str forms collide (3 and "3"), exact
+# duplicate triples, many equal times and declared isolated nodes.
+_mixed_label = st.one_of(st.sampled_from(["a", "b", "3", "10", "x#"]), st.integers(0, 12))
+
+
+@st.composite
+def _mixed_inputs(draw):
+    edges = draw(st.lists(
+        st.tuples(_mixed_label, _mixed_label, st.integers(-3, 3)), max_size=25))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=6))
+        edges = draw(st.permutations(edges))
+    isolated = draw(st.lists(_mixed_label, max_size=4))
+    assume(edges or isolated)
+    return edges, isolated
+
+
+def _reference_build(edges, isolated):
+    """The graph as a naive sort and filter describes it."""
+    keyed = sorted((t, str(u), str(v), seq) for seq, (u, v, t) in enumerate(edges))
+    labels = list(dict.fromkeys(
+        [str(x) for u, v, _ in edges for x in (u, v)] + [str(x) for x in isolated]))
+    node = {label: n for n, label in enumerate(labels)}
+    positions = range(len(keyed))
+    return {
+        "labels": labels,
+        "sources": tuple(node[k[1]] for k in keyed),
+        "targets": tuple(node[k[2]] for k in keyed),
+        "times": tuple(k[0] for k in keyed),
+        "seqs": tuple(k[3] for k in keyed),
+        "out_positions": [[i for i in positions if keyed[i][1] == label] for label in labels],
+        "in_positions": [[i for i in positions if keyed[i][2] == label] for label in labels],
+    }
+
+
+def _first_error(edges, isolated):
+    """The message of the seed build's first failing check, or None."""
+    def malformed(raw):
+        label = str(raw)
+        return not label or label[0] == "#" or any(ch.isspace() for ch in label)
+
+    for seq, item in enumerate(edges):
+        if len(item) != 3:
+            return f"edge {seq}: expected 3 fields, got {len(item)}"
+        u, v, t = item
+        for raw in (u, v):
+            if malformed(raw):
+                return f"edge {seq}: malformed label {raw!r}"
+        if isinstance(t, bool) or not isinstance(t, int):
+            return f"edge {seq}: timestamp {t!r} is not an integer"
+    for raw in isolated:
+        if malformed(raw):
+            return f"edge -1: malformed label {raw!r}"
+    return None
+
+
+# Mostly valid entries, so that a bad one often follows labels seen before.
+_any_label = st.one_of(
+    st.sampled_from(["a", "b", "c", "a#"]), st.integers(0, 3),
+    st.sampled_from(["", "a b", "c\t", "\x1c", "#", "#a"]),
+)
+_any_time = st.one_of(st.integers(-2, 2), st.sampled_from([1.5, True, "3", None]))
+_any_entry = st.one_of(
+    st.tuples(_any_label, _any_label, _any_time),
+    st.sampled_from([("a", "b"), ("a", "b", 1, 2), ()]),
+)
+
+
+class TestColumnarBuild:
+    @given(_mixed_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_equal_naive_reference(self, inputs):
+        edges, isolated = inputs
+        g = build_graph(edges, isolated_nodes=isolated)
+        ref = _reference_build(edges, isolated)
+        assert g.labels == ref["labels"]
+        assert g.node_count == len(ref["labels"])
+        assert g.label_index == {label: n for n, label in enumerate(ref["labels"])}
+        for column in ("sources", "targets", "times", "seqs", "out_positions", "in_positions"):
+            assert getattr(g, column) == ref[column], column
+        assert len(g) == len(edges)
+        assert _edges(g) == [
+            TemporalEdge(*row)
+            for row in zip(ref["sources"], ref["targets"], ref["times"], ref["seqs"])
+        ]
+        assert static_projection(g).edges == frozenset(zip(ref["sources"], ref["targets"]))
+
+    def test_columns_only(self):
+        g = build_graph([("a", "b", 1)])
+        assert not hasattr(g, "edges") and not hasattr(g, "multiplicity")
+
+    def test_positions_share_one_int_per_edge(self):
+        g = build_graph([(f"n{i % 7}", f"n{i % 5}", -i) for i in range(1000)])
+        out_ints = {id(i) for positions in g.out_positions for i in positions}
+        in_ints = {id(i) for positions in g.in_positions for i in positions}
+        assert len(out_ints) == len(g)
+        assert out_ints == in_ints == {id(i) for i in g.seqs}
+
+    @given(st.lists(_any_entry, min_size=1, max_size=12), st.lists(_any_label, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_invalid_input_names_the_first_bad_entry(self, edges, isolated):
+        expected = _first_error(edges, isolated)
+        if expected is None:
+            assert len(build_graph(edges, isolated_nodes=isolated)) == len(edges)
+        else:
+            with pytest.raises(GraphBuildError) as exc:
+                build_graph(edges, isolated_nodes=isolated)
+            assert str(exc.value) == expected
+
+    def test_leading_hash_label_rejected(self):
+        # saved as "#a b 1", the edge would reload as a comment
+        with pytest.raises(GraphBuildError, match=r"^edge 0: malformed label '#a'$"):
+            build_graph([("#a", "b", 1), ("b", "c", 2)])
+        with pytest.raises(GraphBuildError, match=r"^edge 1: malformed label '#'$"):
+            build_graph([("a", "b", 1), ("b", "#", 2)])
+        with pytest.raises(GraphBuildError, match=r"^edge -1: malformed label '#z'$"):
+            build_graph([("a", "b", 1)], isolated_nodes=["#z"])
+        assert build_graph([("a#", "b#c", 1)]).labels == ["a#", "b#c"]
 
 
 class TestDuration:
@@ -187,7 +315,7 @@ class TestStaticProjection:
     def test_projection_soundness(self, triples):
         g = build_graph(triples)
         sg = static_projection(g)
-        assert sg.edges == frozenset(pair for pair, lst in g.multiplicity.items() if lst)
+        assert sg.edges == frozenset((e.source, e.target) for e in _edges(g))
 
 
 class TestNextOut:
@@ -205,7 +333,7 @@ class TestNextOut:
         raw = [("a", "b", 3), ("c", "a", 1), ("a", "d", 2), ("b", "a", 2), ("a", "b", 5)]
         g = build_graph(raw)
         a = g.node_id("a")
-        expected = sorted(i for i, e in enumerate(g.edges) if e.source == a)
+        expected = sorted(i for i, e in enumerate(_edges(g)) if e.source == a)
         assert g.out_positions[a] == expected
 
     def test_next_in_after_position(self):
