@@ -11,7 +11,6 @@ and an exhaustive oracle are included for comparison and testing.
 from .baseline import (
     BaselineStats,
     OracleSizeLimitError,
-    StaticMatch,
     brute_force,
     two_phase_search,
 )
@@ -63,8 +62,6 @@ from .temporal_graph import (
     DurationUndefinedError,
     EmptyGraphError,
     GraphBuildError,
-    StaticGraph,
-    TemporalEdge,
     TemporalGraph,
     build_graph,
     duration,
@@ -78,9 +75,8 @@ __all__ = [
     "EmptyGraphError", "GraphBuildError", "GraphSummary",
     "InvalidPatternError", "Match", "OracleSizeLimitError", "ParseError",
     "PatternEdge", "PatternGraph", "QueryGenerationError", "QuerySpec",
-    "Relation", "SearchStats", "StaticGraph", "StaticMatch",
-    "Strategy", "StrategyMismatchError", "TemporalEdge", "TemporalGraph",
-    "ValidationReport", "VerifyResult", "brute_force", "build_graph",
+    "Relation", "SearchStats", "Strategy", "StrategyMismatchError",
+    "TemporalGraph", "ValidationReport", "VerifyResult", "brute_force", "build_graph",
     "duration", "generate_path_query", "generate_random_query",
     "graph_summary", "interaction_search", "iter_matches", "load_graph",
     "load_pattern", "match_from_dict", "match_json_line", "match_to_dict",

@@ -46,13 +46,6 @@ class BaselineStats:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class StaticMatch:
-    """Injective node mapping onto the static projection."""
-
-    node_map: tuple[int, ...]
-
-
 def _pair_positions(g: TemporalGraph) -> dict[tuple[int, int], list[int]]:
     """The ascending positions of the parallel edges behind each node pair."""
     pairs: dict[tuple[int, int], list[int]] = {}
@@ -61,9 +54,9 @@ def _pair_positions(g: TemporalGraph) -> dict[tuple[int, int], list[int]]:
     return pairs
 
 
-def _static_matches(g: TemporalGraph, p: PatternGraph) -> Iterator[StaticMatch]:
-    """Edge-by-edge DFS over the static projection, node-injective."""
-    edges = sorted(static_projection(g).edges)
+def _static_matches(g: TemporalGraph, p: PatternGraph) -> Iterator[tuple[int, ...]]:
+    """Edge-by-edge DFS over the static projection, yielding injective node maps."""
+    edges = sorted(static_projection(g))
     out_adj: dict[int, list[int]] = {}
     in_adj: dict[int, list[int]] = {}
     for a, b in edges:
@@ -100,9 +93,9 @@ def _static_matches(g: TemporalGraph, p: PatternGraph) -> Iterator[StaticMatch]:
             return [(w, fv) for w in in_adj.get(fv, ()) if w not in used]
         return [(a, b) for a, b in edges if a != b and a not in used and b not in used]
 
-    def rec(i: int) -> Iterator[StaticMatch]:
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == len(p.edges):
-            yield StaticMatch(tuple(f[k] for k in range(p.node_count)))
+            yield tuple(f[k] for k in range(p.node_count))
             return
         pe = p.edges[i]
         for a, b in candidates(i):
@@ -133,10 +126,10 @@ def two_phase_search(
     m = len(p.edges)
 
     pair_positions = _pair_positions(g)
-    for sm in _static_matches(g, p):
+    for node_map in _static_matches(g, p):
         stats.static_matches += 1
         cand = [
-            pair_positions[(sm.node_map[pe.source], sm.node_map[pe.target])]
+            pair_positions[(node_map[pe.source], node_map[pe.target])]
             for pe in p.edges
         ]
         chosen: list[int] = []
@@ -156,7 +149,7 @@ def two_phase_search(
                     return
                 start, end = min(times[c] for c in chosen), max(times[c] for c in chosen)
                 matches.append(
-                    Match(sm.node_map, tuple(chosen), start, end, end - start + 1)
+                    Match(node_map, tuple(chosen), start, end, end - start + 1)
                 )
                 return
             for pos in cand[i]:

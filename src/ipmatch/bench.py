@@ -19,7 +19,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import Optional
 
-from .io_cli import DELTA_UNITS, load_graph, run_search, save_pattern
+from .io_cli import effective_delta, load_graph, run_search, save_pattern
 from .matcher import SearchStats, Strategy, iter_matches
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import TemporalGraph, static_projection
@@ -95,7 +95,7 @@ def generate_random_query(g: TemporalGraph, n: int, seed: int,
         raise ValueError(f"random query size must be >= 2, got {n}")
     rng = random.Random(seed)
     out_adj: dict[int, list[int]] = {}
-    for a, b in sorted(static_projection(g).edges):
+    for a, b in sorted(static_projection(g)):
         out_adj.setdefault(a, []).append(b)
 
     for _ in range(max_restarts):
@@ -163,8 +163,7 @@ def run_bench(plan: BenchPlan) -> list[BenchRow]:
     next to the report for replay.
     """
     g = load_graph(plan.graph_path)
-    unit = DELTA_UNITS[plan.delta_unit]
-    deltas = [d * unit for d in plan.deltas]
+    deltas = [effective_delta(d, plan.delta_unit) for d in plan.deltas]
     queries = _queries(plan, g)
 
     # a window shorter than the query's own duration admits no matches and

@@ -90,12 +90,9 @@ def _cmd_query(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        delta = args.delta * io_cli.DELTA_UNITS[args.delta_unit]
-        if delta < 1:
-            print(f"error: delta must be >= 1, got {delta}", file=sys.stderr)
-            return 1
-    except KeyError:
-        print(f"error: unknown delta unit {args.delta_unit!r}", file=sys.stderr)
+        delta = io_cli.effective_delta(args.delta, args.delta_unit)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return io_cli.validate_files(args.graph, args.pattern, delta,
                                  sys.stdout, sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import json
 import time as _time
 from contextlib import closing, nullcontext
@@ -20,7 +21,7 @@ from typing import Optional, TextIO
 from .baseline import brute_force, two_phase_search
 from .matcher import Match, SearchStats, Strategy, interaction_search, iter_matches
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
-from .temporal_graph import TemporalGraph, build_graph, static_projection
+from .temporal_graph import GraphBuildError, TemporalGraph, build_graph, static_projection
 
 DELTA_UNITS = {
     "raw": 1,
@@ -31,6 +32,16 @@ DELTA_UNITS = {
 }
 
 STRATEGIES = ("simple", "index", "baseline", "oracle")
+
+
+def effective_delta(delta: int, unit: str) -> int:
+    """``delta`` in ``unit`` as raw time units; ValueError unless it is >= 1."""
+    if unit not in DELTA_UNITS:
+        raise ValueError(f"unknown delta unit {unit!r}")
+    delta *= DELTA_UNITS[unit]
+    if delta < 1:
+        raise ValueError(f"delta must be >= 1 after unit conversion, got {delta}")
+    return delta
 
 
 class ParseError(ValueError):
@@ -53,14 +64,6 @@ class QuerySpec:
     strategy: str = "index"
     limit: Optional[int] = None
     stats: bool = False
-
-    def effective_delta(self) -> int:
-        if self.delta_unit not in DELTA_UNITS:
-            raise ValueError(f"unknown delta unit {self.delta_unit!r}")
-        delta = self.delta * DELTA_UNITS[self.delta_unit]
-        if delta < 1:
-            raise ValueError(f"delta must be >= 1 after unit conversion, got {delta}")
-        return delta
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,23 @@ def load_graph(path: str) -> TemporalGraph:
             append((u, v, t))
     if not edges:
         raise ParseError(path, 0, "no edges in file")
-    return build_graph(edges)
+    try:
+        return build_graph(edges)
+    except GraphBuildError as exc:
+        # only now find the bad entry's line, so a valid file costs nothing extra
+        with _open_ascii(path) as fh:
+            edge_lines = (n for n, line in enumerate(fh, start=1)
+                          if line.lstrip()[:1] not in ("", "#"))
+            line_no = next(itertools.islice(edge_lines, exc.entry, None), 0)
+        raise ParseError(path, line_no, exc.reason) from None
 
 
 def save_graph(g: TemporalGraph, path: str) -> None:
+    """Write ``g`` as a graph file; ValueError, before any write, for a
+    label that is not ASCII."""
+    for label in g.labels:
+        if not label.isascii():
+            raise ValueError(f"label {label!r} is not ASCII, which graph files require")
     with open(path, "w", encoding="ascii") as fh:
         for u, v, t in g.export_edges():
             fh.write(f"{u} {v} {t}\n")
@@ -131,7 +147,7 @@ def save_graph(g: TemporalGraph, path: str) -> None:
 def graph_summary(g: TemporalGraph) -> GraphSummary:
     start = g.times[0] if g.times else None
     end = g.times[-1] if g.times else None
-    static_edges = len(static_projection(g).edges)
+    static_edges = len(static_projection(g))
     return GraphSummary(g.node_count, len(g), static_edges, start, end)
 
 
@@ -143,10 +159,9 @@ def load_pattern(path: str) -> PatternGraph:
         for line_no, line in enumerate(fh, start=1):
             if not line.isascii():
                 raise ParseError(path, line_no, "non-ASCII byte")
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            fields = line.split()
+            if not fields or fields[0][0] == "#":
                 continue
-            fields = stripped.split()
             if node_count is None:
                 if len(fields) != 2 or fields[0] != "nodes":
                     raise ParseError(path, line_no, "expected header 'nodes <n>'")
@@ -284,7 +299,7 @@ def run_query(q: QuerySpec, out: TextIO, err: TextIO) -> int:
     stops and the status is 0; any other write error is an I/O error.
     """
     try:
-        delta = q.effective_delta()
+        delta = effective_delta(q.delta, q.delta_unit)
         g = load_graph(q.graph_path)
         p = load_pattern(q.pattern_path)
         report = validate_pattern(p, delta)

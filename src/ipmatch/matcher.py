@@ -101,9 +101,6 @@ class Match(NamedTuple):
     end: int
     dur: int
 
-    def node_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.node_map))
-
 
 class _Step(NamedTuple):
     """What the pattern fixes about one depth of the search.
@@ -355,11 +352,11 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Ver
         if sources[pos] != m.node_map[pe.source] or targets[pos] != m.node_map[pe.target]:
             violations.append((1, f"edge {i} endpoints disagree with the node mapping"))
 
+    times = [g.times[pos] for pos in m.edge_assignment]
     for i in range(len(p.edges)):
         for j in range(i + 1, len(p.edges)):
             ti, tj = p.edges[i].time, p.edges[j].time
-            gi = g.times[m.edge_assignment[i]]
-            gj = g.times[m.edge_assignment[j]]
+            gi, gj = times[i], times[j]
             if ti < tj and not gi < gj:
                 violations.append((2, f"edges {i},{j} must be strictly ordered"))
             elif ti == tj and gi != gj:
@@ -367,7 +364,6 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Ver
             elif ti > tj and not gi > gj:
                 violations.append((2, f"edges {i},{j} must be strictly ordered"))
 
-    times = [g.times[pos] for pos in m.edge_assignment]
     dur = max(times) - min(times) + 1
     if dur > delta:
         violations.append((3, f"dur={dur} exceeds delta={delta}"))

@@ -35,7 +35,6 @@ class PatternEdge:
     source: int
     target: int
     time: int
-    input_seq: int = 0
 
 
 class PatternGraph:
@@ -92,7 +91,7 @@ def order_edges(edges: Sequence[PatternEdge], node_count: Optional[int] = None) 
 def pattern_from_triples(triples: Sequence[tuple[int, int, int]],
                          node_count: Optional[int] = None) -> PatternGraph:
     """Convenience builder from (source, target, time) int triples."""
-    edges = [PatternEdge(u, v, t, input_seq=i) for i, (u, v, t) in enumerate(triples)]
+    edges = [PatternEdge(u, v, t) for u, v, t in triples]
     return order_edges(edges, node_count=node_count)
 
 

@@ -2,13 +2,13 @@
 
 A temporal graph here is a directed multigraph whose edges carry integer
 timestamps.  The whole graph is stored as one flat edge list sorted by
-(time, source label, target label, input sequence), held only as flat
-columns (``sources``, ``targets``, ``times``, ``seqs``) indexed by list
-position; no object is kept per edge.  Per node, the sorted positions of
-its out-edges and of its in-edges are kept as well, so all in- or
-out-edges of a node can be visited in time order without scanning the
-full list: the next-in-time edge of a node is the successor of the
-current position in that node's position list.
+(time, source label, target label), equal keys in input order, held only
+as flat columns (``sources``, ``targets``, ``times``) indexed by list
+position: an edge is its position, and no object is kept per edge.  Per
+node, the sorted positions of its out-edges and of its in-edges are kept
+as well, so all in- or out-edges of a node can be visited in time order
+without scanning the full list: the next-in-time edge of a node is the
+successor of the current position in that node's position list.
 Each node label is also kept in its JSON string form, so that matches
 can be written out without encoding a label per line.
 
@@ -19,7 +19,6 @@ concurrent read access.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
@@ -31,39 +30,21 @@ class EmptyGraphError(ValueError):
 class GraphBuildError(ValueError):
     """Raised for malformed labels or timestamps, naming the offending entry."""
 
+    def __init__(self, entry: int, reason: str):
+        super().__init__(f"edge {entry}: {reason}")
+        self.entry = entry
+        self.reason = reason
+
 
 class DurationUndefinedError(ValueError):
     """Raised when the duration of an empty edge set is requested."""
-
-
-@dataclass(frozen=True, slots=True)
-class TemporalEdge:
-    """One timestamped directed interaction.
-
-    ``input_seq`` is the position of the edge in the original input and is
-    used only to break ties among otherwise identical sort keys.
-    """
-
-    source: int
-    target: int
-    time: int
-    input_seq: int
-
-
-@dataclass(frozen=True, slots=True)
-class StaticGraph:
-    """Timestamp-free projection: one directed edge per connected node pair."""
-
-    node_count: int
-    edges: frozenset[tuple[int, int]]
 
 
 class TemporalGraph:
     """Flat time-ordered edge columns, per-node position lists, symbol table.
 
     ``sources[i]``, ``targets[i]`` and ``times[i]`` describe the edge at
-    list position ``i`` and ``seqs[i]`` is its index in the input that
-    built the graph; ``out_positions[n]`` / ``in_positions[n]`` are
+    list position ``i``; ``out_positions[n]`` / ``in_positions[n]`` are
     the ascending positions of the edges leaving / entering node ``n``.
     ``label_json[n]`` is ``labels[n]`` as ``json.dumps`` writes it.
     Do not mutate any attribute after construction; use :func:`build_graph`.
@@ -73,7 +54,6 @@ class TemporalGraph:
         "sources",
         "targets",
         "times",
-        "seqs",
         "node_count",
         "labels",
         "label_json",
@@ -87,7 +67,6 @@ class TemporalGraph:
         sources: tuple[int, ...],
         targets: tuple[int, ...],
         times: tuple[int, ...],
-        seqs: tuple[int, ...],
         labels: list[str],
         label_json: tuple[str, ...],
         label_index: dict[str, int],
@@ -97,7 +76,6 @@ class TemporalGraph:
         self.sources = sources
         self.targets = targets
         self.times = times
-        self.seqs = seqs
         self.labels = labels
         self.label_json = label_json
         self.label_index = label_index
@@ -111,17 +89,12 @@ class TemporalGraph:
     def __repr__(self) -> str:
         return f"TemporalGraph(nodes={self.node_count}, edges={len(self)})"
 
-    def node_id(self, label: str) -> int:
-        return self.label_index[str(label)]
-
-    def node_label(self, node: int) -> str:
-        return self.labels[node]
-
-    def edge_at(self, pos: int) -> TemporalEdge:
-        """The edge at list position ``pos``, assembled from the columns."""
-        return TemporalEdge(
-            self.sources[pos], self.targets[pos], self.times[pos], self.seqs[pos]
-        )
+    def node_id(self, label) -> int:
+        """The node id of ``label``; ValueError for a label the graph lacks."""
+        try:
+            return self.label_index[str(label)]
+        except KeyError:
+            raise ValueError(f"unknown node label {label!r}") from None
 
     def block_start(self, t: int) -> int:
         """Position of the first edge with time >= t."""
@@ -133,23 +106,6 @@ class TemporalGraph:
             (self.labels[u], self.labels[v], t)
             for u, v, t in zip(self.sources, self.targets, self.times)
         ]
-
-
-def _check_label(raw, entry: int) -> str:
-    label = str(raw)
-    # a leading "#" would make the saved line a comment that load_graph skips
-    if not label or label[0] == "#" or any(ch.isspace() for ch in label):
-        raise GraphBuildError(f"edge {entry}: malformed label {raw!r}")
-    return label
-
-
-def _check_time(raw, entry: int) -> int:
-    # bool is an int subclass but makes no sense as a timestamp
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise GraphBuildError(
-            f"edge {entry}: timestamp {raw!r} is not an integer"
-        )
-    return raw
 
 
 def build_graph(
@@ -172,69 +128,65 @@ def build_graph(
     labels: list[str] = []
 
     def intern(raw, entry: int) -> str:
-        label = _check_label(raw, entry)
-        if label not in label_index:
+        label = str(raw)
+        if label not in label_index:  # a label in the index passed this check
+            # a leading "#" would make the saved line a comment that load_graph skips
+            if not label or label[0] == "#" or any(ch.isspace() for ch in label):
+                raise GraphBuildError(entry, f"malformed label {raw!r}")
             label_index[label] = len(labels)
             labels.append(label)
         return label
 
-    # A str label is checked and interned when first seen; every later
-    # occurrence is a dict hit.  The sort key uses the external labels so
+    # A label is checked and interned when first seen; every later
+    # occurrence of a str label is a dict hit.  The sort key uses the external labels so
     # that exporting and rebuilding reproduces the exact edge order
-    # regardless of id assignment.  Input index i and list position i
-    # share one int object: the seqs column and both position lists take
-    # theirs from ``ints``.
-    ints = list(range(len(edges)))
+    # regardless of id assignment; the sort is stable, so exact duplicates
+    # keep their input order.
     keyed = []
-    for seq, item in zip(ints, edges):
+    for seq, item in enumerate(edges):
         if len(item) != 3:
-            raise GraphBuildError(f"edge {seq}: expected 3 fields, got {len(item)}")
+            raise GraphBuildError(seq, f"expected 3 fields, got {len(item)}")
         u, v, t = item
         if type(u) is not str or u not in label_index:
             u = intern(u, seq)
         if type(v) is not str or v not in label_index:
             v = intern(v, seq)
-        if type(t) is not int:
-            t = _check_time(t, seq)
-        keyed.append((t, u, v, seq))
+        # bool is an int subclass but makes no sense as a timestamp
+        if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)):
+            raise GraphBuildError(seq, f"timestamp {t!r} is not an integer")
+        keyed.append((t, u, v))
     for raw in isolated:
         intern(raw, -1)
 
     keyed.sort()
 
-    times, source_labels, target_labels, seqs = zip(*keyed) if keyed else ((),) * 4
+    times, source_labels, target_labels = zip(*keyed) if keyed else ((),) * 3
     del keyed  # the columns hold all it held, so free it before the lists grow
     sources = tuple(map(label_index.__getitem__, source_labels))
     targets = tuple(map(label_index.__getitem__, target_labels))
 
     out_positions: list[list[int]] = [[] for _ in labels]
     in_positions: list[list[int]] = [[] for _ in labels]
-    for i, u, v in zip(ints, sources, targets):
+    # both lists take position i as the same int object
+    for i, u, v in zip(range(len(times)), sources, targets):
         out_positions[u].append(i)
         in_positions[v].append(i)
 
     label_json = tuple(map(encode_basestring_ascii, labels))
     return TemporalGraph(
-        sources, targets, times, seqs, labels, label_json, label_index,
+        sources, targets, times, labels, label_json, label_index,
         out_positions, in_positions,
     )
 
 
-def _times_of(obj) -> list[int]:
-    if isinstance(obj, TemporalGraph):
-        return list(obj.times)
-    # plain ints, or anything with a .time attribute such as TemporalEdge
-    return [item if isinstance(item, int) else item.time for item in obj]
-
-
 def duration(obj) -> int:
-    """Latest minus earliest timestamp plus one, over a graph or edge set."""
-    times = _times_of(obj)
+    """Latest minus earliest timestamp plus one, over a graph or its times."""
+    times = obj.times if isinstance(obj, TemporalGraph) else list(obj)
     if not times:
         raise DurationUndefinedError("duration of an empty edge set is undefined")
     return max(times) - min(times) + 1
 
 
-def static_projection(g: TemporalGraph) -> StaticGraph:
-    """Drop timestamps and collapse parallel edges."""
-    return StaticGraph(g.node_count, frozenset(zip(g.sources, g.targets)))
+def static_projection(g: TemporalGraph) -> frozenset[tuple[int, int]]:
+    """The (source, target) pairs: timestamps dropped, parallel edges collapsed."""
+    return frozenset(zip(g.sources, g.targets))

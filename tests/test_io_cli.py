@@ -125,11 +125,26 @@ class TestLoadGraph:
         assert sorted(g2.labels) == sorted(g.labels)
 
     def test_hash_target_label_exits_1_naming_it(self, tmp_path, path2_pattern_file):
-        gpath = write(tmp_path / "g.txt", "a b 1\na #x 5\n")
+        # the bad edge is the second edge but the fifth line of the file
+        gpath = write(tmp_path / "g.txt", "# header\na b 1\n\n  # c d 2\na #x 5\nb c 6\n")
         out, err = io.StringIO(), io.StringIO()
         assert run_query(QuerySpec(gpath, path2_pattern_file, 10), out, err) == 1
         assert out.getvalue() == ""
-        assert err.getvalue() == "error: edge 1: malformed label '#x'\n"
+        assert err.getvalue() == f"error: {gpath}:5: malformed label '#x'\n"
+        with pytest.raises(ParseError) as exc:
+            load_graph(gpath)
+        assert (exc.value.path, exc.value.line_no) == (gpath, 5)
+
+    def test_save_non_ascii_label_rejected_before_writing(self, tmp_path):
+        g = build_graph([("a", "b", 1), ("caf\u00e9", "b", 1)])
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="'caf\u00e9' is not ASCII"):
+            save_graph(g, str(path))
+        assert not path.exists()
+        path.write_text("x y 7\n")
+        with pytest.raises(ValueError, match="'caf\u00e9' is not ASCII"):
+            save_graph(g, str(path))
+        assert path.read_text() == "x y 7\n"
 
     def test_bundled_synthetic_file(self):
         g = load_graph(str(DATA / "synthetic_1000.txt"))
@@ -209,6 +224,13 @@ class TestMatchSerialization:
             obj["edges"] = [["a", "b", t]]
             with pytest.raises(ValueError, match="no unused graph edge"):
                 match_from_dict(obj, g, pattern_from_triples([(0, 1, 1)]))
+        # labels the graph does not have
+        obj["edges"] = [["a", "zz", 5]]
+        with pytest.raises(ValueError, match="unknown node label 'zz'"):
+            match_from_dict(obj, g, pattern_from_triples([(0, 1, 1)]))
+        obj["nodes"], obj["edges"] = {"0": "a", "1": "yy"}, [["a", "b", 5]]
+        with pytest.raises(ValueError, match="unknown node label 'yy'"):
+            match_from_dict(obj, g, pattern_from_triples([(0, 1, 1)]))
 
 
 # Labels may hold anything but whitespace and a leading "#": quotes,
@@ -481,6 +503,17 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "out of range" in out
+
+    def test_zero_delta_same_error_as_query(self, toy_graph_file, path2_pattern_file, capsys):
+        args = ["--graph", toy_graph_file, "--pattern", path2_pattern_file,
+                "--delta", "0", "--delta-unit", "hours"]
+        assert main(["query", *args]) == 1
+        query = capsys.readouterr()
+        assert main(["validate", *args]) == 1
+        validate = capsys.readouterr()
+        assert query.out == validate.out == ""
+        assert query.err == validate.err == (
+            "error: delta must be >= 1 after unit conversion, got 0\n")
 
 
 class TestGenCommand:

@@ -123,7 +123,6 @@ class TestIterMatches:
             m.start = 6
         assert m == Match((0, 1), (3,), 5, 5, 1)
         assert len({m, Match((0, 1), (3,), 5, 5, 1)}) == 1
-        assert m.node_dict() == {0: 0, 1: 1}
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

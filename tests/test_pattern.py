@@ -27,9 +27,9 @@ class TestOrderEdges:
         assert all(tag is Relation.STRICT for tag in p.tags[1:])
 
     def test_stable_among_equal_times(self):
-        edges = [PatternEdge(0, 1, 5, 0), PatternEdge(2, 0, 5, 1), PatternEdge(1, 2, 5, 2)]
+        edges = [PatternEdge(0, 1, 5), PatternEdge(2, 0, 5), PatternEdge(1, 2, 5)]
         p = order_edges(edges)
-        assert [e.input_seq for e in p.edges] == [0, 1, 2]
+        assert [(e.source, e.target) for e in p.edges] == [(0, 1), (2, 0), (1, 2)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

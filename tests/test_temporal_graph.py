@@ -9,7 +9,6 @@ from ipmatch import (
     DurationUndefinedError,
     EmptyGraphError,
     GraphBuildError,
-    TemporalEdge,
     build_graph,
     duration,
     static_projection,
@@ -29,8 +28,8 @@ _triples = st.lists(
 
 
 def _edges(g):
-    """Every edge of ``g`` in list order, each assembled by ``edge_at``."""
-    return [g.edge_at(i) for i in range(len(g))]
+    """Every edge of ``g`` in list order, as (source, target, time) rows."""
+    return list(zip(g.sources, g.targets, g.times))
 
 
 class TestBuildGraph:
@@ -46,18 +45,16 @@ class TestBuildGraph:
     def test_parallel_edge_multiplicity(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
         pair = (g.node_id("u1"), g.node_id("u5"))
-        positions = [i for i, e in enumerate(_edges(g)) if (e.source, e.target) == pair]
+        positions = [i for i, (u, v, _) in enumerate(_edges(g)) if (u, v) == pair]
         assert positions == [0, 1, 2]
         assert len(positions) == 3
-        assert static_projection(g).edges == frozenset({pair})
+        assert static_projection(g) == frozenset({pair})
 
     def test_sort_order_and_links(self):
-        # sorted by (time, source, target, input sequence)
+        # sorted by (time, source, target), exact duplicates in input order
         g = build_graph([("a", "b", 3), ("a", "c", 1), ("a", "b", 3)])
-        labels = [(g.node_label(e.source), g.node_label(e.target), e.time)
-                  for e in _edges(g)]
+        labels = [(g.labels[u], g.labels[v], t) for u, v, t in _edges(g)]
         assert labels == [("a", "c", 1), ("a", "b", 3), ("a", "b", 3)]
-        assert [e.input_seq for e in _edges(g)] == [1, 0, 2]
         # the next out-edge of "a" after each edge is its successor here
         assert g.out_positions[g.node_id("a")] == [0, 1, 2]
 
@@ -66,11 +63,10 @@ class TestBuildGraph:
         raw = [(rng.choice("abcd"), rng.choice("abcd"), rng.randint(1, 5))
                for _ in range(25)]
         g = build_graph(raw)
-        expected = sorted(
-            ((t, u, v, i) for i, (u, v, t) in enumerate(raw)),
-        )
-        got = [(e.time, g.node_label(e.source),
-                g.node_label(e.target), e.input_seq) for e in _edges(g)]
+        expected = [
+            key[:3] for key in sorted((t, u, v, i) for i, (u, v, t) in enumerate(raw))
+        ]
+        got = [(t, g.labels[u], g.labels[v]) for u, v, t in _edges(g)]
         assert got == expected
 
     def test_duplicate_triples_retained(self):
@@ -99,10 +95,8 @@ class TestBuildGraph:
     @settings(max_examples=150, deadline=None)
     def test_sortedness_invariant(self, triples):
         g = build_graph(triples)
-        keys = [(e.time, g.node_label(e.source),
-                 g.node_label(e.target), e.input_seq) for e in _edges(g)]
+        keys = [(t, g.labels[u], g.labels[v]) for u, v, t in _edges(g)]
         assert keys == sorted(keys)
-        assert all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
 
     @given(_triples)
     @settings(max_examples=150, deadline=None)
@@ -141,9 +135,8 @@ class TestBuildGraph:
             k = bisect.bisect_right(positions, i)
             return positions[k] if k < len(positions) else None
 
-        for i, e in enumerate(_edges(g)):
-            assert (g.sources[i], g.targets[i], g.times[i]) == (e.source, e.target, e.time)
-            for node in (e.source, e.target):
+        for i, (u, v, _) in enumerate(_edges(g)):
+            for node in (u, v):
                 assert successor(g.out_positions[node], i) == first_after(i, node, True)
                 assert successor(g.in_positions[node], i) == first_after(i, node, False)
 
@@ -174,7 +167,11 @@ def _mixed_inputs(draw):
 
 
 def _reference_build(edges, isolated):
-    """The graph as a naive sort and filter describes it."""
+    """The graph as a naive sort and filter describes it.
+
+    The input index ends each sort key, so exact duplicates keep their
+    input order, as a stable sort keeps them.
+    """
     keyed = sorted((t, str(u), str(v), seq) for seq, (u, v, t) in enumerate(edges))
     labels = list(dict.fromkeys(
         [str(x) for u, v, _ in edges for x in (u, v)] + [str(x) for x in isolated]))
@@ -185,7 +182,6 @@ def _reference_build(edges, isolated):
         "sources": tuple(node[k[1]] for k in keyed),
         "targets": tuple(node[k[2]] for k in keyed),
         "times": tuple(k[0] for k in keyed),
-        "seqs": tuple(k[3] for k in keyed),
         "out_positions": [[i for i in positions if keyed[i][1] == label] for label in labels],
         "in_positions": [[i for i in positions if keyed[i][2] == label] for label in labels],
     }
@@ -234,25 +230,22 @@ class TestColumnarBuild:
         assert g.labels == ref["labels"]
         assert g.node_count == len(ref["labels"])
         assert g.label_index == {label: n for n, label in enumerate(ref["labels"])}
-        for column in ("sources", "targets", "times", "seqs", "out_positions", "in_positions"):
+        for column in ("sources", "targets", "times", "out_positions", "in_positions"):
             assert getattr(g, column) == ref[column], column
         assert len(g) == len(edges)
-        assert _edges(g) == [
-            TemporalEdge(*row)
-            for row in zip(ref["sources"], ref["targets"], ref["times"], ref["seqs"])
-        ]
-        assert static_projection(g).edges == frozenset(zip(ref["sources"], ref["targets"]))
+        assert static_projection(g) == frozenset(zip(ref["sources"], ref["targets"]))
 
     def test_columns_only(self):
         g = build_graph([("a", "b", 1)])
         assert not hasattr(g, "edges") and not hasattr(g, "multiplicity")
+        assert not hasattr(g, "seqs") and not hasattr(g, "edge_at")
 
     def test_positions_share_one_int_per_edge(self):
         g = build_graph([(f"n{i % 7}", f"n{i % 5}", -i) for i in range(1000)])
         out_ints = {id(i) for positions in g.out_positions for i in positions}
         in_ints = {id(i) for positions in g.in_positions for i in positions}
         assert len(out_ints) == len(g)
-        assert out_ints == in_ints == {id(i) for i in g.seqs}
+        assert out_ints == in_ints
 
     @given(st.lists(_any_entry, min_size=1, max_size=12), st.lists(_any_label, max_size=3))
     @settings(max_examples=300, deadline=None)
@@ -295,27 +288,23 @@ class TestDuration:
 class TestStaticProjection:
     def test_parallel_edges_collapse(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
-        sg = static_projection(g)
-        assert sg.edges == frozenset({(g.node_id("u1"), g.node_id("u5"))})
+        assert static_projection(g) == frozenset({(g.node_id("u1"), g.node_id("u5"))})
 
     def test_isolated_nodes_no_edges(self):
         g = build_graph([("a", "b", 1)], isolated_nodes=["c", "d", "e"])
-        sg = static_projection(g)
-        assert sg.node_count == 5
-        assert len(sg.edges) == 1
+        assert g.node_count == 5
+        assert len(static_projection(g)) == 1
 
     def test_direction_preserved(self):
         g = build_graph([("a", "b", 1), ("b", "a", 2)])
-        sg = static_projection(g)
         a, b = g.node_id("a"), g.node_id("b")
-        assert sg.edges == frozenset({(a, b), (b, a)})
+        assert static_projection(g) == frozenset({(a, b), (b, a)})
 
     @given(_triples)
     @settings(max_examples=100, deadline=None)
     def test_projection_soundness(self, triples):
         g = build_graph(triples)
-        sg = static_projection(g)
-        assert sg.edges == frozenset((e.source, e.target) for e in _edges(g))
+        assert static_projection(g) == frozenset((u, v) for u, v, _ in _edges(g))
 
 
 class TestNextOut:
@@ -333,7 +322,7 @@ class TestNextOut:
         raw = [("a", "b", 3), ("c", "a", 1), ("a", "d", 2), ("b", "a", 2), ("a", "b", 5)]
         g = build_graph(raw)
         a = g.node_id("a")
-        expected = sorted(i for i, e in enumerate(_edges(g)) if e.source == a)
+        expected = sorted(i for i, (u, _, _) in enumerate(_edges(g)) if u == a)
         assert g.out_positions[a] == expected
 
     def test_next_in_after_position(self):
