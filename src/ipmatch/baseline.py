@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .matcher import InvalidPatternError, Match, verify_match
-from .pattern import PatternGraph, validate_pattern
+from .matcher import Match, check_query, verify_match
+from .pattern import PatternGraph
 from .temporal_graph import TemporalGraph, static_projection
 
 
@@ -117,9 +117,7 @@ def two_phase_search(
     differ).  ``temporal_candidates`` counts the complete assignment
     tuples the product generates after window-only pruning.
     """
-    report = validate_pattern(p, delta)
-    if not report.ok:
-        raise InvalidPatternError(report)
+    check_query(p, delta, None)
     stats = BaselineStats()
     matches: list[Match] = []
     times = g.times
@@ -178,9 +176,7 @@ def brute_force(g: TemporalGraph, p: PatternGraph, delta: int) -> set[Match]:
         raise OracleSizeLimitError(f"graph has {g.node_count} nodes, limit is 14")
     if len(p.edges) > 5:
         raise OracleSizeLimitError(f"pattern has {len(p.edges)} edges, limit is 5")
-    report = validate_pattern(p, delta)
-    if not report.ok:
-        raise InvalidPatternError(report)
+    check_query(p, delta, None)
     results: set[Match] = set()
     if p.node_count > g.node_count:
         return results

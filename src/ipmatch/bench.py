@@ -19,8 +19,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import Optional
 
-from .io_cli import effective_delta, load_graph, run_search, save_pattern
-from .matcher import SearchStats, Strategy, iter_matches
+from .io_cli import effective_delta, load_graph, save_pattern, stream_search
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import TemporalGraph, static_projection
 
@@ -144,15 +143,11 @@ def _queries(plan: BenchPlan, g: TemporalGraph) -> list[tuple[int, str, PatternG
 
 def _run_cell(g, pattern, delta, strategy) -> tuple[float, int, int]:
     t0 = _time.perf_counter()
-    if strategy == "baseline":
-        matches, stats = run_search(g, pattern, delta, strategy)
-        found, candidates = len(matches), stats.temporal_candidates
-    else:
-        stats = SearchStats()
-        found = sum(1 for _ in iter_matches(g, pattern, delta, Strategy(strategy), stats=stats))
-        candidates = stats.candidates_examined
+    matches, stats = stream_search(g, pattern, delta, strategy)
+    found = sum(1 for _ in matches)
     millis = (_time.perf_counter() - t0) * 1000.0
-    return millis, found, candidates
+    return millis, found, (stats.temporal_candidates if strategy == "baseline"
+                           else stats.candidates_examined)
 
 
 def run_bench(plan: BenchPlan) -> list[BenchRow]:

@@ -5,6 +5,9 @@ Graph files use the SNAP temporal edge-list layout: one ``<source>
 skipped.  Pattern files are the same 3-column format preceded by a
 ``nodes <n>`` header.  Matches are emitted as JSON Lines, one object per
 match, so every line is independently parseable.
+
+:func:`stream_search` is the one place a strategy name picks an engine;
+``run_search``, ``run_query`` and ``bench`` all take its match stream.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ import functools
 import itertools
 import json
 import time as _time
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
-from .matcher import Match, SearchStats, Strategy, interaction_search, iter_matches
+from .matcher import InvalidPatternError, Match, SearchStats, Strategy, check_query, iter_matches
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import GraphBuildError, TemporalGraph, build_graph, static_projection
 
@@ -71,14 +74,12 @@ class GraphSummary:
     nodes: int
     temporal_edges: int
     static_edges: int
-    start: Optional[int]
-    end: Optional[int]
+    start: int
+    end: int
 
     @property
-    def span_days(self) -> Optional[float]:
+    def span_days(self) -> float:
         """Time span in days assuming second-granularity timestamps."""
-        if self.start is None:
-            return None
         return (self.end - self.start) / 86400.0
 
 
@@ -145,10 +146,8 @@ def save_graph(g: TemporalGraph, path: str) -> None:
 
 
 def graph_summary(g: TemporalGraph) -> GraphSummary:
-    start = g.times[0] if g.times else None
-    end = g.times[-1] if g.times else None
     static_edges = len(static_projection(g))
-    return GraphSummary(g.node_count, len(g), static_edges, start, end)
+    return GraphSummary(g.node_count, len(g), static_edges, g.times[0], g.times[-1])
 
 
 def load_pattern(path: str) -> PatternGraph:
@@ -244,11 +243,20 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
     that no earlier edge of the match took, which is equivalent for
     verification.
     """
-    node_map = tuple(g.node_id(obj["nodes"][str(i)]) for i in range(p.node_count))
+    nodes, edges = obj["nodes"], obj["edges"]
+    missing = [str(i) for i in range(p.node_count) if str(i) not in nodes]
+    if missing:
+        raise ValueError(f"no label for pattern node {missing[0]!r} in nodes {nodes}")
+    if len(edges) != len(p.edges):
+        raise ValueError(f"expected {len(p.edges)} edges, got {len(edges)}: {edges}")
+    node_map = tuple(g.node_id(nodes[str(i)]) for i in range(p.node_count))
     targets, times = g.targets, g.times
     taken: set[int] = set()
     assignment: list[int] = []
-    for (u_label, v_label, t) in obj["edges"]:
+    for edge in edges:
+        if len(edge) != 3:
+            raise ValueError(f"malformed edge {edge}, expected [source, target, time]")
+        u_label, v_label, t = edge
         u, v = g.node_id(u_label), g.node_id(v_label)
         out = g.out_positions[u]
         try:
@@ -261,68 +269,69 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
                 break
             k += 1
         else:
-            raise ValueError(f"no unused graph edge matches {obj['edges']}")
+            raise ValueError(f"no unused graph edge matches {edges}")
         taken.add(pos)
         assignment.append(pos)
     return Match(node_map, tuple(assignment), obj["start"], obj["end"], obj["dur"])
 
 
+def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
+                  limit: Optional[int] = None):
+    """Start one query under any strategy; returns (matches, stats).
+
+    ``matches`` is a closeable generator of at most ``limit`` matches in
+    emitted order (by assigned edge positions); ``baseline`` and
+    ``oracle`` search and sort in this call.  ``stats`` (``SearchStats``,
+    ``BaselineStats`` or None) is complete once the stream ends or is
+    closed.  An invalid pattern, a negative ``limit`` or an unknown
+    strategy raises here."""
+    if strategy in ("simple", "index"):
+        stats = SearchStats()
+        return iter_matches(g, p, delta, Strategy(strategy), limit, stats), stats
+    check_query(p, delta, limit)  # before the search runs, as iter_matches does
+    if strategy == "baseline":
+        found, stats = two_phase_search(g, p, delta)
+    elif strategy == "oracle":
+        found, stats = brute_force(g, p, delta), None
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    found = sorted(found, key=lambda m: m.edge_assignment)[:limit]
+    return (m for m in found), stats
+
+
 def run_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
                limit: Optional[int] = None):
-    """Dispatch one query; returns (matches, stats-or-None).
-
-    The baseline and oracle strategies return matches sorted into the
-    same order the search strategies emit (lexicographic by assigned
-    edge positions), so outputs are directly comparable.  A negative
-    ``limit`` is rejected with ValueError for every strategy.
-    """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    if strategy in ("simple", "index"):
-        return interaction_search(g, p, delta, Strategy(strategy), limit=limit)
-    if strategy == "baseline":
-        matches, stats = two_phase_search(g, p, delta)
-        matches.sort(key=lambda m: m.edge_assignment)
-        return matches[:limit] if limit is not None else matches, stats
-    if strategy == "oracle":
-        found = sorted(brute_force(g, p, delta), key=lambda m: m.edge_assignment)
-        return found[:limit] if limit is not None else found, None
-    raise ValueError(f"unknown strategy {strategy!r}")
+    """:func:`stream_search` collected: returns (list of matches, stats)."""
+    matches, stats = stream_search(g, p, delta, strategy, limit)
+    return list(matches), stats
 
 
 def run_query(q: QuerySpec, out: TextIO, err: TextIO) -> int:
     """Execute one query; exit status 0 ok, 1 parse/validation, 2 I/O.
 
-    ``simple`` and ``index`` write each match line as the search finds
-    it; ``baseline`` and ``oracle`` collect and sort their matches first.
-    When the reader of ``out`` goes away (BrokenPipeError), the search
-    stops and the status is 0; any other write error is an I/O error.
+    Each match line is written as :func:`stream_search` yields it.  When
+    the reader of ``out`` goes away (BrokenPipeError), the search stops
+    and the status is 0; any other write error is an I/O error.
     """
     try:
         delta = effective_delta(q.delta, q.delta_unit)
         g = load_graph(q.graph_path)
         p = load_pattern(q.pattern_path)
-        report = validate_pattern(p, delta)
-        if not report.ok:
-            print(f"invalid pattern: {report}", file=err)
-            return 1
         t0 = _time.perf_counter()
-        if q.strategy in ("simple", "index"):
-            stats = SearchStats()
-            matches = closing(iter_matches(g, p, delta, Strategy(q.strategy), q.limit, stats))
-        else:
-            collected, stats = run_search(g, p, delta, q.strategy, q.limit)
-            matches = nullcontext(collected)
+        matches, stats = stream_search(g, p, delta, q.strategy, q.limit)
     except OSError as exc:
         print(f"i/o error: {exc}", file=err)
         return 2
+    except InvalidPatternError as exc:  # its text reads "invalid pattern: ..."
+        print(exc, file=err)
+        return 1
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1
     try:
         count = 0
-        with matches as stream:
-            for m in stream:
+        with closing(matches):
+            for m in matches:
                 out.write(match_json_line(m, g) + "\n")
                 count += 1
         if q.stats:

@@ -164,6 +164,16 @@ def interaction_search(
     return list(iter_matches(g, p, delta, strategy, limit, stats)), stats
 
 
+def check_query(p: PatternGraph, delta: int, limit: Optional[int]) -> None:
+    """InvalidPatternError for a pattern ``delta`` rejects, then ValueError
+    for a negative ``limit``: the checks every strategy makes first."""
+    report = validate_pattern(p, delta)
+    if not report.ok:
+        raise InvalidPatternError(report)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+
+
 def iter_matches(
     g: TemporalGraph,
     p: PatternGraph,
@@ -181,11 +191,7 @@ def iter_matches(
     stream closed after its k-th match reports the same counters as a
     run with ``limit=k``.
     """
-    report = validate_pattern(p, delta)
-    if not report.ok:
-        raise InvalidPatternError(report)
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+    check_query(p, delta, limit)
     return _search(g, p, delta, strategy is Strategy.INDEX, limit,
                    SearchStats() if stats is None else stats)
 
@@ -195,7 +201,7 @@ def _search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
     times = g.times
     examined = pushes = pops = found = deepest = deadline = 0
     try:
-        if limit == 0 or not times:
+        if limit == 0:
             return
         steps = _compile(p)
         sources, targets = g.sources, g.targets

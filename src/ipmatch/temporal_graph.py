@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import bisect
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class EmptyGraphError(ValueError):
-    """Raised when a graph is built from no edges and no declared nodes."""
+    """Raised when a graph is built from no edges."""
 
 
 class GraphBuildError(ValueError):
@@ -108,20 +108,15 @@ class TemporalGraph:
         ]
 
 
-def build_graph(
-    edges: Sequence[tuple],
-    isolated_nodes: Iterable = (),
-) -> TemporalGraph:
+def build_graph(edges: Sequence[tuple]) -> TemporalGraph:
     """Build a :class:`TemporalGraph` from (source, target, time) triples.
 
     Duplicate triples are retained as distinct parallel edges.  Labels may
     be strings or integers; they are interned into dense node ids in order
-    of first appearance.  ``isolated_nodes`` declares extra nodes that
-    carry no edges (they only affect the node count and projection).
+    of first appearance.
     """
     edges = list(edges)
-    isolated = list(isolated_nodes)
-    if not edges and not isolated:
+    if not edges:
         raise EmptyGraphError("cannot build a graph from an empty edge list")
 
     label_index: dict[str, int] = {}
@@ -155,12 +150,10 @@ def build_graph(
         if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)):
             raise GraphBuildError(seq, f"timestamp {t!r} is not an integer")
         keyed.append((t, u, v))
-    for raw in isolated:
-        intern(raw, -1)
 
     keyed.sort()
 
-    times, source_labels, target_labels = zip(*keyed) if keyed else ((),) * 3
+    times, source_labels, target_labels = zip(*keyed)
     del keyed  # the columns hold all it held, so free it before the lists grow
     sources = tuple(map(label_index.__getitem__, source_labels))
     targets = tuple(map(label_index.__getitem__, target_labels))

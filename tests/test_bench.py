@@ -164,17 +164,17 @@ class TestRunBench:
     def test_disagreement_aborts_and_saves_replay(self, toy_graph_path, tmp_path,
                                                   monkeypatch):
         import ipmatch.bench as bench_mod
-        from ipmatch import Strategy, StrategyMismatchError
+        from ipmatch import StrategyMismatchError
 
-        real = bench_mod.iter_matches
+        real = bench_mod.stream_search
 
-        def broken(g, pattern, delta, strategy, limit=None, stats=None):
-            matches = list(real(g, pattern, delta, strategy, limit, stats))
-            if strategy is Strategy.INDEX:
-                matches = matches[:-1]  # simulate a lost match
-            return iter(matches)
+        def broken(g, pattern, delta, strategy, limit=None):
+            matches, stats = real(g, pattern, delta, strategy, limit)
+            if strategy == "index":
+                matches = iter(list(matches)[:-1])  # simulate a lost match
+            return matches, stats
 
-        monkeypatch.setattr(bench_mod, "iter_matches", broken)
+        monkeypatch.setattr(bench_mod, "stream_search", broken)
         out = tmp_path / "r.csv"
         plan = BenchPlan(
             graph_path=toy_graph_path, family="path", sizes=[2],

@@ -1,5 +1,6 @@
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipmatch import (
+    InvalidPatternError,
     ParseError,
     QuerySpec,
     Strategy,
@@ -35,6 +38,7 @@ from ipmatch import (
     verify_match,
 )
 from ipmatch.cli import main
+from ipmatch.io_cli import stream_search
 
 from _generators import full_span, random_graph, random_pattern
 
@@ -231,6 +235,17 @@ class TestMatchSerialization:
         obj["nodes"], obj["edges"] = {"0": "a", "1": "yy"}, [["a", "b", 5]]
         with pytest.raises(ValueError, match="unknown node label 'yy'"):
             match_from_dict(obj, g, pattern_from_triples([(0, 1, 1)]))
+        # a pattern node without a label, a malformed edge, the wrong edge count
+        obj["nodes"] = {"0": "a"}
+        with pytest.raises(ValueError, match="no label for pattern node '1'"):
+            match_from_dict(obj, g, pattern_from_triples([(0, 1, 1)]))
+        obj["nodes"], obj["edges"] = {"0": "a", "1": "b"}, [["a", "b"]]
+        with pytest.raises(ValueError, match=r"malformed edge \['a', 'b'\]"):
+            match_from_dict(obj, g, pattern_from_triples([(0, 1, 1)]))
+        for edges in ([], [["a", "b", 5]] * 2):
+            obj["edges"] = edges
+            with pytest.raises(ValueError, match=f"expected 1 edges, got {len(edges)}"):
+                match_from_dict(obj, g, pattern_from_triples([(0, 1, 1)]))
 
 
 # Labels may hold anything but whitespace and a leading "#": quotes,
@@ -307,9 +322,15 @@ class TestStreamingQuery:
             argv += ["--limit", str(limit)]
         code = main(argv)
         out = capsys.readouterr().out
-        matches, _ = run_search(g, p, delta, strategy, limit)
+        matches, stats = run_search(g, p, delta, strategy, limit)
         assert code == 0
         assert out == "".join(match_json_line(m, g) + "\n" for m in matches)
+        assert list(stream_search(g, p, delta, strategy, limit)[0]) == matches
+        # a stream closed after its k-th match holds the limit=k prefix and counters
+        stream, streamed = stream_search(g, p, delta, strategy)
+        with closing(stream):
+            prefix = list(itertools.islice(stream, limit))
+        assert prefix == matches and streamed == stats
 
     @pytest.mark.parametrize("strategy", ["simple", "index"])
     def test_stats_summary_counts_the_stream(self, tmp_path, capsys, strategy):
@@ -380,8 +401,16 @@ class TestQueryCommand:
     def test_negative_limit_rejected(self, tmp_path, capsys, strategy):
         gpath = write(tmp_path / "g.txt", "u v 1\nu v 2\nu v 3\n")
         ppath = write(tmp_path / "p.txt", "nodes 2\n0 1 1\n")
+        g, p = load_graph(gpath), load_pattern(ppath)
         with pytest.raises(ValueError, match="limit"):
-            run_search(load_graph(gpath), load_pattern(ppath), 10, strategy, limit=-1)
+            run_search(g, p, 10, strategy, limit=-1)
+        # every fault raises on the call itself, before the stream is advanced
+        with pytest.raises(ValueError, match="limit"):
+            stream_search(g, p, 10, strategy, limit=-1)
+        with pytest.raises(InvalidPatternError):
+            stream_search(g, generate_path_query(3), 2, strategy, limit=-1)
+        with pytest.raises(ValueError, match="unknown strategy 'fast'"):
+            stream_search(g, p, 10, "fast")
         code = main([
             "query", "--graph", gpath, "--pattern", ppath, "--delta", "10",
             "--strategy", strategy, "--limit", "-1",
@@ -390,6 +419,19 @@ class TestQueryCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "limit" in captured.err
+
+    @pytest.mark.parametrize("strategy", ["simple", "index", "baseline", "oracle"])
+    @pytest.mark.parametrize("limit", [[], ["--limit", "-1"]])
+    def test_invalid_pattern_exit_1(self, tmp_path, capsys, strategy, limit):
+        # 16 nodes, over the oracle's size limit: the pattern is reported first
+        gpath = write(tmp_path / "g.txt", "".join(f"n{i} n{i + 1} {i}\n" for i in range(15)))
+        ppath = write(tmp_path / "p.txt", "nodes 4\n0 1 1\n1 2 2\n2 3 3\n")
+        code = main(["query", "--graph", gpath, "--pattern", ppath, "--delta", "2",
+                     "--strategy", strategy, "--stats", *limit])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "invalid pattern: dur(P)=3 exceeds delta=2\n"
 
     def test_zero_matches_still_exit_zero(self, toy_graph_file, tmp_path, capsys):
         ppath = write(tmp_path / "p.txt", "nodes 2\n0 1 1\n0 1 2\n0 1 3\n")

@@ -2,7 +2,7 @@ import bisect
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipmatch import (
@@ -85,12 +85,6 @@ class TestBuildGraph:
         with pytest.raises(GraphBuildError, match="edge 0"):
             build_graph([("a", "b", 1.5)])
 
-    def test_isolated_nodes(self):
-        g = build_graph([("a", "b", 1)], isolated_nodes=["z", "w"])
-        assert g.node_count == 4
-        assert g.out_positions[g.node_id("z")] == []
-        assert g.in_positions[g.node_id("w")] == []
-
     @given(_triples)
     @settings(max_examples=150, deadline=None)
     def test_sortedness_invariant(self, triples):
@@ -150,31 +144,26 @@ class TestBuildGraph:
 
 
 # Mixed str and int labels whose str forms collide (3 and "3"), exact
-# duplicate triples, many equal times and declared isolated nodes.
+# duplicate triples and many equal times.
 _mixed_label = st.one_of(st.sampled_from(["a", "b", "3", "10", "x#"]), st.integers(0, 12))
 
 
 @st.composite
 def _mixed_inputs(draw):
     edges = draw(st.lists(
-        st.tuples(_mixed_label, _mixed_label, st.integers(-3, 3)), max_size=25))
-    if edges:
-        edges += draw(st.lists(st.sampled_from(edges), max_size=6))
-        edges = draw(st.permutations(edges))
-    isolated = draw(st.lists(_mixed_label, max_size=4))
-    assume(edges or isolated)
-    return edges, isolated
+        st.tuples(_mixed_label, _mixed_label, st.integers(-3, 3)), min_size=1, max_size=25))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=6))
+    return draw(st.permutations(edges))
 
 
-def _reference_build(edges, isolated):
+def _reference_build(edges):
     """The graph as a naive sort and filter describes it.
 
     The input index ends each sort key, so exact duplicates keep their
     input order, as a stable sort keeps them.
     """
     keyed = sorted((t, str(u), str(v), seq) for seq, (u, v, t) in enumerate(edges))
-    labels = list(dict.fromkeys(
-        [str(x) for u, v, _ in edges for x in (u, v)] + [str(x) for x in isolated]))
+    labels = list(dict.fromkeys(str(x) for u, v, _ in edges for x in (u, v)))
     node = {label: n for n, label in enumerate(labels)}
     positions = range(len(keyed))
     return {
@@ -187,7 +176,7 @@ def _reference_build(edges, isolated):
     }
 
 
-def _first_error(edges, isolated):
+def _first_error(edges):
     """The message of the seed build's first failing check, or None."""
     def malformed(raw):
         label = str(raw)
@@ -202,9 +191,6 @@ def _first_error(edges, isolated):
                 return f"edge {seq}: malformed label {raw!r}"
         if isinstance(t, bool) or not isinstance(t, int):
             return f"edge {seq}: timestamp {t!r} is not an integer"
-    for raw in isolated:
-        if malformed(raw):
-            return f"edge -1: malformed label {raw!r}"
     return None
 
 
@@ -223,10 +209,9 @@ _any_entry = st.one_of(
 class TestColumnarBuild:
     @given(_mixed_inputs())
     @settings(max_examples=200, deadline=None)
-    def test_columns_equal_naive_reference(self, inputs):
-        edges, isolated = inputs
-        g = build_graph(edges, isolated_nodes=isolated)
-        ref = _reference_build(edges, isolated)
+    def test_columns_equal_naive_reference(self, edges):
+        g = build_graph(edges)
+        ref = _reference_build(edges)
         assert g.labels == ref["labels"]
         assert g.node_count == len(ref["labels"])
         assert g.label_index == {label: n for n, label in enumerate(ref["labels"])}
@@ -247,15 +232,15 @@ class TestColumnarBuild:
         assert len(out_ints) == len(g)
         assert out_ints == in_ints
 
-    @given(st.lists(_any_entry, min_size=1, max_size=12), st.lists(_any_label, max_size=3))
+    @given(st.lists(_any_entry, min_size=1, max_size=12))
     @settings(max_examples=300, deadline=None)
-    def test_invalid_input_names_the_first_bad_entry(self, edges, isolated):
-        expected = _first_error(edges, isolated)
+    def test_invalid_input_names_the_first_bad_entry(self, edges):
+        expected = _first_error(edges)
         if expected is None:
-            assert len(build_graph(edges, isolated_nodes=isolated)) == len(edges)
+            assert len(build_graph(edges)) == len(edges)
         else:
             with pytest.raises(GraphBuildError) as exc:
-                build_graph(edges, isolated_nodes=isolated)
+                build_graph(edges)
             assert str(exc.value) == expected
 
     def test_leading_hash_label_rejected(self):
@@ -264,8 +249,6 @@ class TestColumnarBuild:
             build_graph([("#a", "b", 1), ("b", "c", 2)])
         with pytest.raises(GraphBuildError, match=r"^edge 1: malformed label '#'$"):
             build_graph([("a", "b", 1), ("b", "#", 2)])
-        with pytest.raises(GraphBuildError, match=r"^edge -1: malformed label '#z'$"):
-            build_graph([("a", "b", 1)], isolated_nodes=["#z"])
         assert build_graph([("a#", "b#c", 1)]).labels == ["a#", "b#c"]
 
 
@@ -289,11 +272,6 @@ class TestStaticProjection:
     def test_parallel_edges_collapse(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
         assert static_projection(g) == frozenset({(g.node_id("u1"), g.node_id("u5"))})
-
-    def test_isolated_nodes_no_edges(self):
-        g = build_graph([("a", "b", 1)], isolated_nodes=["c", "d", "e"])
-        assert g.node_count == 5
-        assert len(static_projection(g)) == 1
 
     def test_direction_preserved(self):
         g = build_graph([("a", "b", 1), ("b", "a", 2)])
