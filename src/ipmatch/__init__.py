@@ -37,16 +37,14 @@ from .io_cli import (
     run_search,
     save_graph,
     save_pattern,
+    stream_search,
     validate_files,
 )
 from .matcher import (
     InvalidPatternError,
     Match,
     SearchStats,
-    Strategy,
     VerifyResult,
-    interaction_search,
-    iter_matches,
     verify_match,
 )
 from .pattern import (
@@ -75,13 +73,12 @@ __all__ = [
     "EmptyGraphError", "GraphBuildError", "GraphSummary",
     "InvalidPatternError", "Match", "OracleSizeLimitError", "ParseError",
     "PatternEdge", "PatternGraph", "QueryGenerationError", "QuerySpec",
-    "Relation", "SearchStats", "Strategy", "StrategyMismatchError",
-    "TemporalGraph", "ValidationReport", "VerifyResult", "brute_force", "build_graph",
+    "Relation", "SearchStats", "StrategyMismatchError", "TemporalGraph",
+    "ValidationReport", "VerifyResult", "brute_force", "build_graph",
     "duration", "generate_path_query", "generate_random_query",
-    "graph_summary", "interaction_search", "iter_matches", "load_graph",
-    "load_pattern", "match_from_dict", "match_json_line", "match_to_dict",
-    "order_edges", "pattern_from_triples", "run_bench", "run_query",
-    "run_search", "save_graph", "save_pattern",
-    "static_projection", "two_phase_search", "validate_files",
-    "validate_pattern", "verify_match",
+    "graph_summary", "load_graph", "load_pattern", "match_from_dict",
+    "match_json_line", "match_to_dict", "order_edges", "pattern_from_triples",
+    "run_bench", "run_query", "run_search", "save_graph", "save_pattern",
+    "static_projection", "stream_search", "two_phase_search",
+    "validate_files", "validate_pattern", "verify_match",
 ]

@@ -51,9 +51,14 @@ class BenchPlan:
             raise ValueError(f"unknown query family {self.family!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        for s in self.strategies:
+        for name in ("sizes", "deltas", "strategies"):
+            if not getattr(self, name):
+                raise ValueError(f"no {name} given")
+        for i, s in enumerate(self.strategies):
             if s not in ("simple", "index", "baseline"):
                 raise ValueError(f"unknown bench strategy {s!r}")
+            if s in self.strategies[:i]:
+                raise ValueError(f"strategy {s!r} given twice")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
-from .matcher import InvalidPatternError, Match, SearchStats, Strategy, check_query, iter_matches
+from .matcher import InvalidPatternError, Match, SearchStats, check_query, search
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import GraphBuildError, TemporalGraph, build_graph, static_projection
 
@@ -243,7 +243,16 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
     that no earlier edge of the match took, which is equivalent for
     verification.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"match {obj!r} is not a JSON object")
+    absent = [key for key in ("nodes", "edges", "start", "end", "dur") if key not in obj]
+    if absent:
+        raise ValueError(f"match has no {absent[0]!r}: {obj}")
     nodes, edges = obj["nodes"], obj["edges"]
+    if not isinstance(nodes, dict):
+        raise ValueError(f"nodes {nodes!r} is not an object")
+    if not isinstance(edges, list):
+        raise ValueError(f"edges {edges!r} is not a list")
     missing = [str(i) for i in range(p.node_count) if str(i) not in nodes]
     if missing:
         raise ValueError(f"no label for pattern node {missing[0]!r} in nodes {nodes}")
@@ -254,7 +263,7 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
     taken: set[int] = set()
     assignment: list[int] = []
     for edge in edges:
-        if len(edge) != 3:
+        if not isinstance(edge, list) or len(edge) != 3:
             raise ValueError(f"malformed edge {edge}, expected [source, target, time]")
         u_label, v_label, t = edge
         u, v = g.node_id(u_label), g.node_id(v_label)
@@ -285,10 +294,10 @@ def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
     ``BaselineStats`` or None) is complete once the stream ends or is
     closed.  An invalid pattern, a negative ``limit`` or an unknown
     strategy raises here."""
+    check_query(p, delta, limit)
     if strategy in ("simple", "index"):
         stats = SearchStats()
-        return iter_matches(g, p, delta, Strategy(strategy), limit, stats), stats
-    check_query(p, delta, limit)  # before the search runs, as iter_matches does
+        return search(g, p, delta, strategy == "index", limit, stats), stats
     if strategy == "baseline":
         found, stats = two_phase_search(g, p, delta)
     elif strategy == "oracle":

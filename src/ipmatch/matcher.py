@@ -46,7 +46,6 @@ number of concurrent searches.
 from __future__ import annotations
 
 import bisect
-import enum
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -60,11 +59,6 @@ class InvalidPatternError(ValueError):
     def __init__(self, report: ValidationReport):
         super().__init__(f"invalid pattern: {report}")
         self.report = report
-
-
-class Strategy(enum.Enum):
-    SIMPLE = "simple"
-    INDEX = "index"
 
 
 @dataclass
@@ -145,25 +139,6 @@ def _compile(p: PatternGraph) -> tuple[_Step, ...]:
     return tuple(steps)
 
 
-def interaction_search(
-    g: TemporalGraph,
-    p: PatternGraph,
-    delta: int,
-    strategy: Strategy = Strategy.INDEX,
-    limit: Optional[int] = None,
-) -> tuple[list[Match], SearchStats]:
-    """Enumerate every match of ``p`` in ``g`` within the ``delta`` window.
-
-    Matches are emitted in depth-first discovery order, which is
-    lexicographic in the edge assignment positions (so earliest-starting
-    matches surface first).  ``limit`` truncates the output after that
-    many matches (a negative ``limit`` raises ValueError); SIMPLE and
-    INDEX produce identical lists.  The list form of :func:`iter_matches`.
-    """
-    stats = SearchStats()
-    return list(iter_matches(g, p, delta, strategy, limit, stats)), stats
-
-
 def check_query(p: PatternGraph, delta: int, limit: Optional[int]) -> None:
     """InvalidPatternError for a pattern ``delta`` rejects, then ValueError
     for a negative ``limit``: the checks every strategy makes first."""
@@ -174,30 +149,18 @@ def check_query(p: PatternGraph, delta: int, limit: Optional[int]) -> None:
         raise ValueError(f"limit must be >= 0, got {limit}")
 
 
-def iter_matches(
-    g: TemporalGraph,
-    p: PatternGraph,
-    delta: int,
-    strategy: Strategy = Strategy.INDEX,
-    limit: Optional[int] = None,
-    stats: Optional[SearchStats] = None,
-) -> Iterator[Match]:
-    """Yield the matches :func:`interaction_search` returns, one at a time.
+def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
+           limit: Optional[int], stats: SearchStats) -> Iterator[Match]:
+    """Yield the matches of ``p`` in ``g`` within ``delta``, at most ``limit``.
 
-    The pattern and ``limit`` are checked by this call, so an invalid
-    query raises before any match is produced; the search itself runs
-    only as the returned generator is advanced.  When the generator
-    finishes or is closed, it writes its counters into ``stats``: a
-    stream closed after its k-th match reports the same counters as a
-    run with ``limit=k``.
+    Depth-first discovery order is lexicographic in the edge assignment
+    positions; ``use_index`` (position lists instead of the linear scan)
+    changes only the work done.  On finishing or being closed, the
+    generator writes its counters into ``stats``, so a stream closed after
+    its k-th match reports the counters of a ``limit=k`` run.  It checks
+    nothing: :func:`check_query` must accept ``(p, delta, limit)`` first,
+    as ``io_cli.stream_search`` does.
     """
-    check_query(p, delta, limit)
-    return _search(g, p, delta, strategy is Strategy.INDEX, limit,
-                   SearchStats() if stats is None else stats)
-
-
-def _search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
-            limit: Optional[int], stats: SearchStats) -> Iterator[Match]:
     times = g.times
     examined = pushes = pops = found = deepest = deadline = 0
     try:
@@ -339,7 +302,8 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Ver
     1. structural: injective node mapping, one distinct graph edge per
        pattern edge, endpoints agree;
     2. temporal order preservation for every pair of pattern edges;
-    3. duration within delta.
+    3. duration within delta, with ``start``, ``end`` and ``dur`` those of
+       the assigned edge times.
     """
     if len(m.node_map) != p.node_count or len(m.edge_assignment) != len(p.edges):
         raise ValueError("match shape does not fit the pattern")
@@ -370,7 +334,11 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Ver
             elif ti > tj and not gi > gj:
                 violations.append((2, f"edges {i},{j} must be strictly ordered"))
 
-    dur = max(times) - min(times) + 1
+    start, end = min(times), max(times)
+    dur = end - start + 1
     if dur > delta:
         violations.append((3, f"dur={dur} exceeds delta={delta}"))
+    if (m.start, m.end, m.dur) != (start, end, dur):
+        violations.append((3, f"start, end, dur {m.start}, {m.end}, {m.dur} are not "
+                              f"the edge times' {start}, {end}, {dur}"))
     return VerifyResult(tuple(violations))

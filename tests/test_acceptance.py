@@ -16,14 +16,13 @@ import pytest
 
 from ipmatch import (
     BenchPlan,
-    Strategy,
     brute_force,
     build_graph,
     graph_summary,
-    interaction_search,
     load_graph,
     match_json_line,
     run_bench,
+    run_search,
     save_graph,
     save_pattern,
     two_phase_search,
@@ -65,8 +64,8 @@ def sweep():
             continue
         oracle_top = brute_force(g, p, valid[-1])
         for delta in valid:
-            simple, s_stats = interaction_search(g, p, delta, Strategy.SIMPLE)
-            index, i_stats = interaction_search(g, p, delta, Strategy.INDEX)
+            simple, s_stats = run_search(g, p, delta, "simple")
+            index, i_stats = run_search(g, p, delta, "index")
             baseline, _ = two_phase_search(g, p, delta)
             # duration filtering of the widest-window oracle is the
             # definition applied verbatim; re-derive directly on a sample
@@ -142,7 +141,7 @@ def test_criterion_5_explosion_witness():
         g = parallel_family(k)
         delta = full_span(g)
         _, b_stats = two_phase_search(g, pattern, delta)
-        _, i_stats = interaction_search(g, pattern, delta, Strategy.INDEX)
+        _, i_stats = run_search(g, pattern, delta, "index")
         assert b_stats.temporal_candidates >= k ** 3 / 2, (
             f"k={k}: baseline generated only {b_stats.temporal_candidates}"
         )

@@ -4,11 +4,10 @@ import pytest
 
 from ipmatch import (
     OracleSizeLimitError,
-    Strategy,
     brute_force,
     build_graph,
-    interaction_search,
     pattern_from_triples,
+    run_search,
     two_phase_search,
     validate_pattern,
 )
@@ -53,7 +52,7 @@ class TestTwoPhaseSearch:
             delta = rng.choice([2, 5, full_span(g)])
             if not validate_pattern(p, delta).ok:
                 continue
-            via_search, _ = interaction_search(g, p, delta, Strategy.INDEX)
+            via_search, _ = run_search(g, p, delta, "index")
             via_phases, _ = two_phase_search(g, p, delta)
             assert set(via_search) == set(via_phases)
             checked += 1
@@ -100,7 +99,7 @@ class TestExplosionWitness:
             g = parallel_family(k)
             delta = full_span(g)
             base_matches, b_stats = two_phase_search(g, p, delta)
-            idx_matches, i_stats = interaction_search(g, p, delta, Strategy.INDEX)
+            idx_matches, i_stats = run_search(g, p, delta, "index")
             assert b_stats.temporal_candidates == k ** 3
             assert b_stats.temporal_candidates > previous_candidates
             previous_candidates = b_stats.temporal_candidates

@@ -184,3 +184,34 @@ class TestRunBench:
             run_bench(plan)
         saved = list(tmp_path.glob("*.mismatch-*.pattern"))
         assert len(saved) == 1
+
+
+class TestBenchPlan:
+    @pytest.mark.parametrize("field, value, message", [
+        ("sizes", [], "no sizes given"),
+        ("deltas", [], "no deltas given"),
+        ("strategies", [], "no strategies given"),
+        ("strategies", ["index", "simple", "index"], "strategy 'index' given twice"),
+        ("strategies", ["index", "oracle"], "unknown bench strategy 'oracle'"),
+    ], ids=["no-sizes", "no-deltas", "no-strategies", "strategy-twice", "unknown-strategy"])
+    def test_rejected(self, toy_graph_path, field, value, message):
+        plan = dict(graph_path=toy_graph_path, family="path", sizes=[2],
+                    deltas=[100], strategies=["simple", "index"])
+        with pytest.raises(ValueError, match=message):
+            BenchPlan(**{**plan, field: value})
+
+    @pytest.mark.parametrize("flag, value", [("--sizes", ""), ("--strategies", "index,index")])
+    def test_cli_exits_1_and_writes_nothing(self, toy_graph_path, tmp_path, capsys,
+                                            flag, value):
+        from ipmatch.cli import main
+
+        out = tmp_path / "r.csv"
+        args = {"--sizes": "1,2", "--deltas": "10", "--strategies": "simple,index"}
+        args[flag] = value
+        argv = ["bench", "--graph", toy_graph_path, "--family", "path",
+                "--output", str(out)]
+        for name, text in args.items():
+            argv += [name, text]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

@@ -19,7 +19,6 @@ from ipmatch import (
     InvalidPatternError,
     ParseError,
     QuerySpec,
-    Strategy,
     build_graph,
     generate_path_query,
     graph_summary,
@@ -31,14 +30,13 @@ from ipmatch import (
     run_query,
     save_graph,
     save_pattern,
-    interaction_search,
     pattern_from_triples,
     run_search,
+    stream_search,
     validate_files,
     verify_match,
 )
 from ipmatch.cli import main
-from ipmatch.io_cli import stream_search
 
 from _generators import full_span, random_graph, random_pattern
 
@@ -184,7 +182,7 @@ class TestMatchSerialization:
     def test_json_round_trip_verifies(self):
         g = build_graph([("a", "b", 1), ("b", "c", 3), ("a", "b", 1)])
         p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
-        matches, _ = interaction_search(g, p, 3)
+        matches, _ = run_search(g, p, 3, "index")
         assert matches
         for m in matches:
             line = match_json_line(m, g)
@@ -194,7 +192,7 @@ class TestMatchSerialization:
     def test_labels_not_ids_in_output(self):
         g = build_graph([("alice", "bob", 1)])
         p = pattern_from_triples([(0, 1, 1)])
-        matches, _ = interaction_search(g, p, 1)
+        matches, _ = run_search(g, p, 1, "index")
         obj = json.loads(match_json_line(matches[0], g))
         assert obj["nodes"] == {"0": "alice", "1": "bob"}
         assert obj["edges"] == [["alice", "bob", 1]]
@@ -206,7 +204,7 @@ class TestMatchSerialization:
         g = build_graph([("a", "b", 4), ("a", "c", 5), ("c", "b", 5)]
                         + [("a", "b", 5)] * k + [("a", "b", 6), ("b", "a", 5)])
         p = pattern_from_triples([(0, 1, 1)] * k)
-        matches, _ = interaction_search(g, p, 1)
+        matches, _ = run_search(g, p, 1, "index")
         duplicates = tuple(pos for pos in range(len(g)) if g.times[pos] == 5 and (
             g.labels[g.sources[pos]], g.labels[g.targets[pos]]) == ("a", "b"))
         on_duplicates = [m for m in matches if set(m.edge_assignment) == set(duplicates)]
@@ -246,6 +244,27 @@ class TestMatchSerialization:
             obj["edges"] = edges
             with pytest.raises(ValueError, match=f"expected 1 edges, got {len(edges)}"):
                 match_from_dict(obj, g, pattern_from_triples([(0, 1, 1)]))
+        # a line that is not an object, lacks a key, or has a key of the wrong type
+        one = pattern_from_triples([(0, 1, 1)])
+        good = {"nodes": {"0": "a", "1": "b"}, "edges": [["a", "b", 5]],
+                "start": 5, "end": 5, "dur": 1}
+        assert match_from_dict(good, g, one).edge_assignment == (0,)
+        for line in ([good], "x", 5, None):
+            with pytest.raises(ValueError, match="is not a JSON object"):
+                match_from_dict(line, g, one)
+        for key in good:
+            with pytest.raises(ValueError, match=f"match has no '{key}'"):
+                match_from_dict({k: v for k, v in good.items() if k != key}, g, one)
+        for key, value, message in [
+            ("edges", 5, "edges 5 is not a list"),
+            ("edges", {"0": ["a", "b", 5]}, "is not a list"),
+            ("edges", [5], "malformed edge 5"),
+            ("edges", ["abc"], "malformed edge abc"),
+            ("nodes", ["a", "b"], r"nodes \['a', 'b'\] is not an object"),
+            ("nodes", 5, "nodes 5 is not an object"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                match_from_dict({**good, key: value}, g, one)
 
 
 # Labels may hold anything but whitespace and a leading "#": quotes,
@@ -271,7 +290,7 @@ class TestMatchJsonLine:
         g = build_graph(edges)
         p = generate_path_query(len(labels) - 1)
         assert p.node_count >= 11
-        matches, _ = interaction_search(g, p, 10**6)
+        matches, _ = run_search(g, p, 10**6, "index")
         assert matches
         for m in matches:
             expected = json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
@@ -280,7 +299,7 @@ class TestMatchJsonLine:
     def test_small_pattern_on_hostile_labels(self):
         g = build_graph([('a"b', "c\\d", 1), ("c\\d", "\u00e9\x01", 2)])
         p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
-        (m,), _ = interaction_search(g, p, 5)
+        (m,), _ = run_search(g, p, 5, "index")
         expected = json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
         assert match_json_line(m, g) == expected
 
@@ -339,8 +358,8 @@ class TestStreamingQuery:
                      "--strategy", strategy, "--limit", "20", "--stats"])
         lines = capsys.readouterr().out.splitlines()
         summary = json.loads(lines[-1])["summary"]
-        _, stats = interaction_search(load_graph(gpath), load_pattern(ppath), 100,
-                                      Strategy(strategy), limit=20)
+        _, stats = run_search(load_graph(gpath), load_pattern(ppath), 100,
+                              strategy, limit=20)
         assert code == 0 and len(lines) == 21
         assert summary.pop("millis") >= 0
         assert summary == {"matches": 20, **stats.as_dict()}

@@ -8,13 +8,12 @@ from ipmatch import (
     InvalidPatternError,
     Match,
     SearchStats,
-    Strategy,
     brute_force,
     build_graph,
     duration,
-    interaction_search,
-    iter_matches,
     pattern_from_triples,
+    run_search,
+    stream_search,
     validate_pattern,
     verify_match,
 )
@@ -22,8 +21,8 @@ from _generators import full_span, random_graph, random_pattern
 
 
 def both_strategies(g, p, delta, **kw):
-    simple, s_stats = interaction_search(g, p, delta, Strategy.SIMPLE, **kw)
-    index, i_stats = interaction_search(g, p, delta, Strategy.INDEX, **kw)
+    simple, s_stats = run_search(g, p, delta, "simple", **kw)
+    index, i_stats = run_search(g, p, delta, "index", **kw)
     return simple, s_stats, index, i_stats
 
 
@@ -31,7 +30,7 @@ class TestInteractionSearch:
     def test_identity_case(self):
         g = build_graph([("a", "b", 1)])
         p = pattern_from_triples([(0, 1, 1)])
-        matches, _ = interaction_search(g, p, 1)
+        matches, _ = run_search(g, p, 1, "index")
         assert len(matches) == 1
         m = matches[0]
         assert m.node_map == (g.node_id("a"), g.node_id("b"))
@@ -40,36 +39,36 @@ class TestInteractionSearch:
     def test_two_edge_path_window(self):
         g = build_graph([("a", "b", 1), ("b", "c", 3)])
         p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
-        matches, _ = interaction_search(g, p, 3)
+        matches, _ = run_search(g, p, 3, "index")
         assert len(matches) == 1 and matches[0].dur == 3
         assert set(matches) == brute_force(g, p, 3)
-        matches2, _ = interaction_search(g, p, 2)
+        matches2, _ = run_search(g, p, 2, "index")
         assert matches2 == []
         assert brute_force(g, p, 2) == set()
 
     def test_parallel_edges_are_distinct_matches(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
         p = pattern_from_triples([(0, 1, 1)])
-        matches, _ = interaction_search(g, p, 20)
+        matches, _ = run_search(g, p, 20, "index")
         assert [m.edge_assignment for m in matches] == [(0,), (1,), (2,)]
 
     def test_equal_tag_pair(self):
         p = pattern_from_triples([(0, 1, 1), (1, 2, 1)])
         g_yes = build_graph([("a", "b", 5), ("b", "c", 5)])
         g_no = build_graph([("a", "b", 5), ("b", "c", 6)])
-        assert len(interaction_search(g_yes, p, 5)[0]) == 1
-        assert interaction_search(g_no, p, 5)[0] == []
+        assert len(run_search(g_yes, p, 5, "index")[0]) == 1
+        assert run_search(g_no, p, 5, "index")[0] == []
 
     def test_invalid_pattern_raises(self):
         g = build_graph([("a", "b", 1)])
         p = pattern_from_triples([(0, 1, 1), (1, 2, 5)])
         with pytest.raises(InvalidPatternError):
-            interaction_search(g, p, 2)
+            run_search(g, p, 2, "index")
 
     def test_self_loop_pattern_matches_graph_self_loops(self):
         g = build_graph([("a", "a", 1), ("a", "b", 2), ("b", "b", 3)])
         p = pattern_from_triples([(0, 0, 1), (0, 1, 2)])
-        matches, _ = interaction_search(g, p, 5)
+        matches, _ = run_search(g, p, 5, "index")
         a, b = g.node_id("a"), g.node_id("b")
         assert [(m.node_map, m.edge_assignment) for m in matches] == [((a, b), (0, 1))]
         assert set(matches) == brute_force(g, p, 5)
@@ -77,8 +76,8 @@ class TestInteractionSearch:
     def test_limit_zero_and_truncation(self):
         g = build_graph([("u", "v", t) for t in range(1, 8)])
         p = pattern_from_triples([(0, 1, 1)])
-        assert interaction_search(g, p, 10, limit=0)[0] == []
-        assert len(interaction_search(g, p, 10, limit=3)[0]) == 3
+        assert run_search(g, p, 10, "index", limit=0)[0] == []
+        assert len(run_search(g, p, 10, "index", limit=3)[0]) == 3
 
     def test_emission_order_lexicographic(self):
         rng = random.Random(13)
@@ -87,7 +86,7 @@ class TestInteractionSearch:
             delta = full_span(g)
             if not validate_pattern(p, delta).ok:
                 continue
-            matches, _ = interaction_search(g, p, delta)
+            matches, _ = run_search(g, p, delta, "index")
             assignments = [m.edge_assignment for m in matches]
             assert assignments == sorted(assignments)
             starts = [m.start for m in matches]
@@ -99,17 +98,16 @@ class TestIterMatches:
         g = build_graph([("a", "b", 1), ("b", "c", 5)])
         p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
         with pytest.raises(InvalidPatternError):
-            iter_matches(g, p, 1)
+            stream_search(g, p, 1, "index")
         with pytest.raises(ValueError):
-            iter_matches(g, p, 10, limit=-1)
+            stream_search(g, p, 10, "index", limit=-1)
 
-    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("strategy", ["simple", "index"])
     def test_lazy(self, strategy):
         g = build_graph([("u", "v", t) for t in range(1, 10)])
         p = pattern_from_triples([(0, 1, 1)])
-        _, full = interaction_search(g, p, 100, strategy)
-        stats = SearchStats()
-        stream = iter_matches(g, p, 100, strategy, stats=stats)
+        _, full = run_search(g, p, 100, strategy)
+        stream, stats = stream_search(g, p, 100, strategy)
         first = next(stream)
         assert stats == SearchStats()  # counters are written when the stream ends
         stream.close()
@@ -132,25 +130,29 @@ class TestIterMatches:
         delta = full_span(g)
         if not validate_pattern(p, delta).ok:
             return
-        strategy = rng.choice(list(Strategy))
-        everything, full = interaction_search(g, p, delta, strategy)
-        stats = SearchStats()
-        assert list(iter_matches(g, p, delta, strategy, stats=stats)) == everything
-        assert stats == full
+        everything = run_search(g, p, delta, "index")[0]
         n = len(everything)
-        # every k up to 64 keeps the quadratic cost bounded on the rare
-        # instance with thousands of matches
-        for k in sorted(set(range(1, min(n, 64) + 1)) | {n // 2, n} - {0}):
-            expected, cut = interaction_search(g, p, delta, strategy, limit=k)
-            assert list(iter_matches(g, p, delta, strategy, limit=k)) == expected
-            # closing the stream right after its k-th match leaves the
-            # counters of a run stopped by limit=k: one edge per depth pushed
-            stats = SearchStats()
-            stream = iter_matches(g, p, delta, strategy, stats=stats)
-            assert [next(stream) for _ in range(k)] == expected
-            stream.close()
-            assert stats == cut
-            assert stats.pushes - stats.pops == len(p.edges)
+        for strategy in ("simple", "index", "baseline", "oracle"):
+            kernel = strategy in ("simple", "index")
+            stream, stats = stream_search(g, p, delta, strategy)
+            assert list(stream) == everything
+            if kernel:
+                assert stats == run_search(g, p, delta, strategy)[1]
+            # every k up to 64 keeps the quadratic cost bounded on the rare
+            # instance with thousands of matches; baseline and oracle redo
+            # their whole search for every k, so they try one k
+            ks = set(range(1, min(n, 64) + 1)) | {n // 2, n} if kernel else {(n + 1) // 2}
+            for k in sorted(ks - {0}):
+                expected, cut = run_search(g, p, delta, strategy, limit=k)
+                assert expected == everything[:k]
+                stream, stats = stream_search(g, p, delta, strategy)
+                assert [next(stream) for _ in range(k)] == expected
+                stream.close()
+                if kernel:
+                    # closing the stream right after its k-th match leaves the
+                    # counters of a run stopped by limit=k: one edge per depth pushed
+                    assert stats == cut
+                    assert stats.pushes - stats.pops == len(p.edges)
 
 
 class TestMatchingEdgeRoutines:
@@ -158,21 +160,21 @@ class TestMatchingEdgeRoutines:
         # window 5 anchored at t=4 admits candidate times up to 8
         g = build_graph([("a", "b", 4), ("b", "c", 8), ("b", "d", 9)])
         p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
-        matches, _ = interaction_search(g, p, 5)
+        matches, _ = run_search(g, p, 5, "index")
         assert [(m.start, m.end, m.dur) for m in matches] == [(4, 8, 5)]
 
     def test_fresh_pair_takes_first_feasible(self):
         g = build_graph([("a", "b", 2), ("c", "d", 5)])
         p = pattern_from_triples([(0, 1, 1)])
-        for strategy in Strategy:
-            matches, stats = interaction_search(g, p, 10, strategy, limit=1)
+        for strategy in ("simple", "index"):
+            matches, stats = run_search(g, p, 10, strategy, limit=1)
             assert [m.edge_assignment for m in matches] == [(0,)]
             assert stats.candidates_examined == 1
 
     def test_both_mapped_restricts_to_pair(self):
         g = build_graph([("a", "b", 1), ("b", "a", 2), ("a", "c", 3), ("a", "b", 4)])
         p = pattern_from_triples([(0, 1, 1), (0, 1, 2)])
-        matches, _ = interaction_search(g, p, 10)
+        matches, _ = run_search(g, p, 10, "index")
         a, b = g.node_id("a"), g.node_id("b")
         assert [m.node_map for m in matches] == [(a, b)]
         assert matches[0].edge_assignment == (0, 3)
@@ -181,7 +183,7 @@ class TestMatchingEdgeRoutines:
     def test_index_one_hop_on_parallel_edges(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
         p = pattern_from_triples([(0, 1, 1), (0, 1, 2)])
-        matches, stats = interaction_search(g, p, 100, Strategy.INDEX, limit=1)
+        matches, stats = run_search(g, p, 100, "index", limit=1)
         assert matches[0].edge_assignment == (0, 1) and g.times[1] == 9
         # the root at depth 0, then exactly one candidate at depth 1
         assert stats.candidates_examined == 2
@@ -204,8 +206,8 @@ class TestMatchingEdgeRoutines:
     def test_returns_none_signals_backtrack(self):
         g = build_graph([("a", "b", 1)])
         p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
-        for strategy in Strategy:
-            matches, stats = interaction_search(g, p, 10, strategy)
+        for strategy in ("simple", "index"):
+            matches, stats = run_search(g, p, 10, strategy)
             assert matches == []
             # the root is pushed, depth 1 has no candidate, the root is popped
             assert stats.as_dict() == {
@@ -220,7 +222,7 @@ class TestVerifyMatch:
         self.p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
 
     def test_emitted_matches_are_ok(self):
-        matches, _ = interaction_search(self.g, self.p, 3)
+        matches, _ = run_search(self.g, self.p, 3, "index")
         assert all(verify_match(self.g, self.p, 3, m).ok for m in matches)
 
     def test_non_injective_mapping_violates_condition_1(self):
@@ -229,10 +231,20 @@ class TestVerifyMatch:
         assert 1 in {c for c, _ in result.violations}
 
     def test_duration_violates_condition_3_only(self):
-        good, _ = interaction_search(self.g, self.p, 3)
+        good, _ = run_search(self.g, self.p, 3, "index")
         m = good[0]
         result = verify_match(self.g, self.p, 2, m)
         assert {c for c, _ in result.violations} == {3}
+
+    def test_wrong_start_end_or_dur_violates_condition_3(self):
+        g = build_graph([("a", "b", 5), ("b", "c", 7)])
+        (good,), _ = run_search(g, self.p, 3, "index")
+        assert (good.start, good.end, good.dur) == (5, 7, 3)
+        assert verify_match(g, self.p, 3, good).ok
+        for fields in ({"start": 1}, {"end": 99}, {"dur": 1},
+                       {"start": 1, "end": 99, "dur": 1}):
+            result = verify_match(g, self.p, 200, good._replace(**fields))
+            assert [c for c, _ in result.violations] == [3], fields
 
     def test_order_violation_condition_2(self):
         g = build_graph([("a", "b", 5), ("b", "c", 3)])
@@ -274,7 +286,7 @@ class TestSearchProperties:
         for delta in sorted({1, 2, 5, span}):
             if not validate_pattern(p, delta).ok:
                 continue
-            matches, _ = interaction_search(g, p, delta)
+            matches, _ = run_search(g, p, delta, "index")
             current = set(matches)
             assert previous <= current
             previous = current
@@ -287,14 +299,14 @@ class TestSearchProperties:
         delta = full_span(g)
         if not validate_pattern(p, delta).ok:
             return
-        first, stats = interaction_search(g, p, delta, Strategy.INDEX)
-        second, _ = interaction_search(g, p, delta, Strategy.INDEX)
+        first, stats = run_search(g, p, delta, "index")
+        second, _ = run_search(g, p, delta, "index")
         assert first == second
         # a full run pops every edge it pushed; a run cut short after k
         # matches emits the first k and stops with one edge per depth pushed
         assert stats.pushes == stats.pops
         for k in sorted({1, (len(first) + 1) // 2, len(first)}) if first else ():
-            cut, cut_stats = interaction_search(g, p, delta, Strategy.INDEX, limit=k)
+            cut, cut_stats = run_search(g, p, delta, "index", limit=k)
             assert cut == first[:k]
             assert cut_stats.pushes - cut_stats.pops == len(p.edges)
 
@@ -306,10 +318,10 @@ class TestSearchProperties:
         patterns = [random_pattern(rng) for _ in range(12)]
         delta = full_span(g)
         jobs = [(p, delta) for p in patterns if validate_pattern(p, delta).ok]
-        expected = [interaction_search(g, p, d, Strategy.INDEX)[0] for p, d in jobs]
+        expected = [run_search(g, p, d, "index")[0] for p, d in jobs]
         with ThreadPoolExecutor(max_workers=6) as pool:
             got = list(pool.map(
-                lambda job: interaction_search(g, job[0], job[1], Strategy.INDEX)[0],
+                lambda job: run_search(g, job[0], job[1], "index")[0],
                 jobs,
             ))
         assert got == expected

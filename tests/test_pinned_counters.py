@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from ipmatch import Strategy, build_graph, interaction_search, load_graph, pattern_from_triples
+from ipmatch import build_graph, load_graph, pattern_from_triples, run_search
 
 DATA = Path(__file__).parent / "data" / "synthetic_1000.txt"
 DAY = 86_400
@@ -76,9 +76,9 @@ def graphs():
 def test_counters_unchanged(graphs, case, strategy):
     unit, name, delta, limit = case
     digest, counters = PINNED[case]
-    matches, stats = interaction_search(
+    matches, stats = run_search(
         graphs[unit], pattern_from_triples(PATTERNS[name]), delta,
-        Strategy(strategy), limit=limit,
+        strategy, limit=limit,
     )
     assert stats.as_dict() == dict(zip(COUNTERS, counters[strategy]))
     assert len(matches) == stats.matches_found
