@@ -135,11 +135,12 @@ def _shuffled(items, rng: random.Random) -> list:
 
 def _queries(plan: BenchPlan, g: TemporalGraph) -> list[tuple[int, str, PatternGraph]]:
     queries = []
+    sizes = dict.fromkeys(plan.sizes)  # a repeated size adds no cell
     if plan.family == "path":
-        for length in plan.sizes:
+        for length in sizes:
             queries.append((length, f"len{length}", generate_path_query(length)))
     else:
-        for size in plan.sizes:
+        for size in sizes:
             for i in range(plan.count):
                 seed = plan.seed * 1_000_003 + size * 1_009 + i
                 queries.append((size, f"s{size}q{i}", generate_random_query(g, size, seed)))
@@ -163,7 +164,8 @@ def run_bench(plan: BenchPlan) -> list[BenchRow]:
     next to the report for replay.
     """
     g = load_graph(plan.graph_path)
-    deltas = [effective_delta(d, plan.delta_unit) for d in plan.deltas]
+    # a delta repeated, as given or once converted, adds no cell
+    deltas = list(dict.fromkeys(effective_delta(d, plan.delta_unit) for d in plan.deltas))
     queries = _queries(plan, g)
 
     # a window shorter than the query's own duration admits no matches and

@@ -5,7 +5,17 @@ chronological edge-driven search of the paper (also Mackey et al., "A
 Chronological Edge-Driven Approach to Temporal Subgraph Isomorphism",
 IEEE BigData 2018).  Each query first compiles the pattern into one step
 per depth, recording which endpoints earlier edges have bound and which
-structural test applies, so the search loop itself only compares ints.
+structural test applies.  From those steps it writes the search as
+Python source, one nested ``for`` loop per depth, with the bound nodes,
+positions and times and the window deadline as plain locals and each
+depth's time and structural tests written out once, so the loops only
+compare ints (query compilation, as in Neumann, "Efficiently Compiling
+Efficient Query Plans for Modern Hardware", VLDB 2011).  The compiled
+code is cached per pattern shape and strategy, and takes the graph's
+columns as arguments, so one kernel serves every graph.  CPython
+refuses more than 20 nested blocks in one function, so a pattern of
+more than 16 edges is split into generator functions of 16 depths each,
+chained by ``yield from``.
 
 Two strategies differ only in the candidate sequence of a depth:
 
@@ -18,8 +28,11 @@ Two strategies differ only in the candidate sequence of a depth:
 
 Both yield identical candidates in identical order; they differ only in
 how many edges they examine.  A depth with no admissible candidate left
-backtracks, an admitted one extends the partial match, and a complete
-assignment is recorded and then popped so enumeration continues.
+backtracks, an admitted one (a push) extends the partial match, and a
+complete assignment is yielded; the loop then moves on to the next
+candidate, which pops the edge it admitted.  A stream stopped at its
+limit or closed at a yield keeps its last match pushed, one edge per
+depth, so then ``pops == pushes - len(p.edges)``.
 
 Candidate admissibility at depth d (pattern edge (u, v)):
 
@@ -34,8 +47,9 @@ Candidate admissibility at depth d (pattern edge (u, v)):
 For an EQUAL step the scan starts at the beginning of the previous
 edge's equal-time block, not after it: simultaneous graph edges sit at
 adjacent but ordered positions and a valid assignment may pick them in
-either position order.  Only an EQUAL step can meet an edge already on
-the stack, so only it tests for one.
+either position order.  Only an EQUAL step can meet an edge already in
+the partial match, and only one of its own equal-time run, so only it
+tests for one, by comparing positions with that run's.
 
 The search is a generator that yields each match as it completes it, so
 a caller can stream, count or stop early without holding every match.
@@ -46,6 +60,8 @@ number of concurrent searches.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -63,7 +79,16 @@ class InvalidPatternError(ValueError):
 
 @dataclass
 class SearchStats:
-    """Work counters for one search run."""
+    """Work counters for one search run.
+
+    ``pushes`` counts the candidates admitted at every depth and ``pops``
+    the admitted edges given up again; ``matches_found`` is the pushes at
+    the last depth and ``max_depth_reached`` the number of depths that
+    admitted a candidate.  A search that runs out pops every push.  One
+    stopped at ``limit`` or closed at a yield still holds its last match,
+    one edge per pattern edge, so then ``pops`` is ``pushes`` minus the
+    number of pattern edges.
+    """
 
     candidates_examined: int = 0
     matches_found: int = 0
@@ -103,7 +128,7 @@ class _Step(NamedTuple):
     pattern edge incident to this edge's source / target, or -1 when this
     edge binds that node first.  Which nodes are bound at a depth depends
     only on the pattern's edge order, so this case analysis is done once
-    per query instead of once per candidate.
+    per pattern shape, when its kernel is written, not once per candidate.
     """
 
     source: int
@@ -115,10 +140,10 @@ class _Step(NamedTuple):
 
 
 # Structural tests, named by which endpoints are already bound.
-_SOURCE = 0  # source bound: candidate leaves F[source] for an unused node
+_SOURCE = 0  # source bound: candidate leaves its node for an unused node
 _FREE = 1  # neither bound: distinct unused endpoints
-_TARGET = 2  # target bound: candidate enters F[target] from an unused node
-_BOTH = 3  # both bound (a bound self-loop too): exactly F[source] -> F[target]
+_TARGET = 2  # target bound: candidate enters its node from an unused node
+_BOTH = 3  # both bound (a bound self-loop too): exactly between their nodes
 _LOOP = 4  # unbound self-loop: a self-loop on an unused node
 
 
@@ -151,135 +176,165 @@ def check_query(p: PatternGraph, delta: int, limit: Optional[int]) -> None:
 
 def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
            limit: Optional[int], stats: SearchStats) -> Iterator[Match]:
-    """Yield the matches of ``p`` in ``g`` within ``delta``, at most ``limit``.
+    """A generator of the matches of ``p`` in ``g`` within ``delta``, at most
+    ``limit``, run by the kernel compiled for ``p``'s shape (built by the
+    first call for that shape, then cached).
 
     Depth-first discovery order is lexicographic in the edge assignment
     positions; ``use_index`` (position lists instead of the linear scan)
     changes only the work done.  On finishing or being closed, the
-    generator writes its counters into ``stats``, so a stream closed after
-    its k-th match reports the counters of a ``limit=k`` run.  It checks
-    nothing: :func:`check_query` must accept ``(p, delta, limit)`` first,
-    as ``io_cli.stream_search`` does.
+    generator adds its counters into ``stats``, which must be fresh, so a
+    stream closed after its k-th match reports the counters of a
+    ``limit=k`` run.  It checks nothing: :func:`check_query` must accept
+    ``(p, delta, limit)`` first, as ``io_cli.stream_search`` does.
     """
-    times = g.times
-    examined = pushes = pops = found = deepest = deadline = 0
-    try:
-        if limit == 0:
-            return
-        steps = _compile(p)
-        sources, targets = g.sources, g.targets
-        out_positions, in_positions = g.out_positions, g.in_positions
-        n = len(times)
-        every = range(n)
-        never = times[0] - 1  # a time no edge has: disables the tie test
-        last = len(steps) - 1
-        F = [-1] * p.node_count  # graph node of each pattern node, valid once bound
-        used = bytearray(g.node_count)  # 1 for graph nodes that F binds
-        stack = [-1] * len(steps)  # matched edge position per depth, -1 above the top
-        saved: list = [None] * len(steps)  # cursor state of each depth below the top
+    kernel = _kernel(_compile(p), use_index)
+    return kernel(g.sources, g.targets, g.times, g.out_positions, g.in_positions,
+                  delta, limit, stats)
 
-        # The cursor of the current depth: candidates are seq[k:end]; times
-        # above ``stop`` end the depth, and a time equal to ``tie`` (the
-        # previous edge's, on a STRICT step) is skipped.
-        d = 0
-        source, target, last_source, last_target, equal, test = steps[0]
-        seq, k, end, stop, tie, fs, ft = every, 0, n, times[-1], never, -1, -1
-        while True:
-            j = -1
-            while k < end:
-                pos = seq[k]
-                k += 1
-                examined += 1
-                t = times[pos]
-                if t > stop:
-                    break
-                if t == tie or equal and pos in stack:
-                    continue
-                if test == _SOURCE:
-                    if sources[pos] != fs or used[targets[pos]]:
-                        continue
-                elif test == _FREE:
-                    a, b = sources[pos], targets[pos]
-                    if a == b or used[a] or used[b]:
-                        continue
-                elif test == _TARGET:
-                    if targets[pos] != ft or used[sources[pos]]:
-                        continue
-                elif test == _BOTH:
-                    if sources[pos] != fs or targets[pos] != ft:
-                        continue
-                else:
-                    a = sources[pos]
-                    if a != targets[pos] or used[a]:
-                        continue
-                j = pos
-                break
 
-            if j < 0:  # depth exhausted: pop the edge below and resume its depth
-                if d == 0:
-                    break
-                d -= 1
-                source, target, last_source, last_target, equal, test = steps[d]
-                seq, k, end, stop, tie, fs, ft = saved[d]
-                if last_source < 0:
-                    used[F[source]] = 0
-                if last_target < 0:
-                    used[F[target]] = 0
-                stack[d] = -1
-                pops += 1
-                continue
+@functools.lru_cache(maxsize=64)
+def _kernel(steps: tuple[_Step, ...], use_index: bool):
+    """The compiled search of one pattern shape; it serves every graph."""
+    namespace = {"bisect_left": bisect.bisect_left, "bisect_right": bisect.bisect_right,
+                 "islice": itertools.islice, "new": tuple.__new__, "Match": Match}
+    exec(compile(_kernel_source(steps, use_index), "<ipmatch kernel>", "exec"), namespace)
+    return namespace["_k0"]
 
-            pushes += 1
-            stack[d] = j
-            if last_source < 0:
-                F[source] = sources[j]
-            if last_target < 0:
-                F[target] = targets[j]
-            if d == last:
-                start = times[stack[0]]
-                found += 1
-                deepest = d + 1
-                yield Match(tuple(F), tuple(stack), start, t, t - start + 1)
-                if found == limit:
-                    break
-                stack[d] = -1
-                pops += 1
-                continue
 
-            if last_source < 0:
-                used[F[source]] = 1
-            if last_target < 0:
-                used[F[target]] = 1
+# Depths per generated function: CPython refuses more than 20 statically
+# nested blocks, and a function spends one on its ``try`` and one per depth.
+_CHUNK = 16
+
+
+def _later(steps: tuple[_Step, ...], x: int, y: int) -> bool:
+    """Whether depth x's edge position is never below depth y's: every
+    STRICT step starts after the previous edge, an EQUAL step may not."""
+    return x == y or x > y and not any(s.equal for s in steps[y + 1:x + 1])
+
+
+def _kernel_source(steps: tuple[_Step, ...], use_index: bool) -> str:
+    """Python source of the search over ``steps``: one nested ``for`` per
+    depth, in generator functions ``_k0``, ``_k1``, ... of at most
+    ``_CHUNK`` depths, each handing its bound locals to the next through
+    ``yield from``.  Pattern node i is bound to graph node ``v{i}``, and
+    depth d to edge position ``p{d}`` at time ``t{d}``.  Each function
+    adds its per-depth counters ``e{d}`` (examined) and ``c{d}``
+    (admitted) into ``stats`` in its ``finally``; ``_k0`` then sets
+    ``pops``.  Only ints and fixed names enter the source.
+    """
+    m = len(steps)
+    nodes = 1 + max(max(s.source, s.target) for s in steps)
+    strict = any(not s.equal for s in steps[1:])
+    cols = "sources, targets, times, out_positions, in_positions"
+    bound: set[int] = set()  # pattern nodes bound above the depth being written
+    src: list[str] = []
+
+    def taken(v: str) -> list[str]:  # tests that graph node v is already bound
+        return [f"{v} == v{i}" for i in sorted(bound)]
+
+    for a in range(0, m, _CHUNK):  # one function for depths a .. b-1
+        b = min(a + _CHUNK, m)
+        counters = [f"e{d}" for d in range(a, b)] + [f"c{d}" for d in range(a, b)]
+        if a == 0:
+            src += [f"def _k0({cols}, delta, limit, stats):",
+                    "    if limit == 0: return",
+                    f"    n, found, held = len(times), 0, {m}"]
+        else:  # ``live``: what the previous function's last depth hands on
+            src.append(f"def _k{a // _CHUNK}({cols}, n, delta, limit, stats, found, "
+                       f"{', '.join(live)}):")
+        src += ["    " + " = ".join(counters) + " = 0", "    try:"]
+        for d in range(a, b):
+            s = steps[d]
+            ind = "        " + "    " * (d - a)
+            walked = None  # the endpoint the walked position list fixes
             if d == 0:
-                deadline = t + delta - 1
-            saved[d] = (seq, k, end, stop, tie, fs, ft)
-            d += 1
-            if d > deepest:
-                deepest = d
-            source, target, last_source, last_target, equal, test = steps[d]
-            fs, ft = F[source], F[target]
-            if equal:
-                # simultaneous edges may sit anywhere in the equal-time block,
-                # also before the previous edge's position
-                stop, tie, lo = t, never, bisect.bisect_left(times, t) - 1
+                header = "range(n)"
             else:
-                stop, tie, lo = deadline, t, j
-            if use_index and (last_source >= 0 or last_target >= 0):
-                # Walk a bound endpoint's position list.  With both bound, take
-                # the one whose latest matched edge is later (ties: source).  A
-                # STRICT step can start past every matched edge incident to a
-                # bound endpoint, since the candidate must be later than all.
-                ls = stack[last_source] if last_source >= 0 else -1
-                lt = stack[last_target] if last_target >= 0 else -1
-                if not equal:
-                    lo = max(lo, ls, lt)
-                seq = out_positions[fs] if ls >= lt else in_positions[ft]
-                k, end = bisect.bisect_right(seq, lo), len(seq)
-            else:
-                seq, k, end = every, lo + 1, n
-    finally:
-        stats.candidates_examined, stats.matches_found = examined, found
-        stats.max_depth_reached, stats.pushes, stats.pops = deepest, pushes, pops
+                lo = f"bisect_left(times, t{d - 1}) - 1" if s.equal else f"p{d - 1}"
+                header = f"range({lo} + 1, n)"
+            if d and use_index and (s.last_source >= 0 or s.last_target >= 0):
+                # Walk a bound endpoint's position list: with both bound, the
+                # one whose latest matched edge is later (ties: source).  A
+                # STRICT step starts past every matched edge at either end.
+                ls, lt = s.last_source, s.last_target
+                if lt < 0 or ls >= 0 and _later(steps, ls, lt):
+                    walked, seq = "source", f"out_positions[v{s.source}]"
+                elif ls < 0 or _later(steps, lt, ls):
+                    walked, seq = "target", f"in_positions[v{s.target}]"
+                else:
+                    seq = (f"out_positions[v{s.source}] if p{ls} >= p{lt} "
+                           f"else in_positions[v{s.target}]")
+                if not s.equal:
+                    deps = {x for x in (d - 1, ls, lt) if x >= 0}
+                    top = [x for x in sorted(deps) if not any(
+                        y != x and _later(steps, y, x) for y in deps)]
+                    lo = ", ".join(f"p{x}" for x in top)
+                    lo = lo if len(top) == 1 else f"max({lo})"
+                src.append(f"{ind}s{d} = {seq}")
+                header = f"islice(s{d}, bisect_right(s{d}, {lo}), None)"
+            src.append(f"{ind}for p{d} in {header}:")
+            ind += "    "
+            src.append(f"{ind}e{d} += 1")
+            if d:
+                src.append(f"{ind}t{d} = times[p{d}]")
+                if s.equal:
+                    start = max(r for r in range(d) if r == 0 or not steps[r].equal)
+                    same = " or ".join(f"p{d} == p{r}" for r in range(start, d))
+                    src += [f"{ind}if t{d} > t{d - 1}: break", f"{ind}if {same}: continue"]
+                else:
+                    src += [f"{ind}if t{d} > deadline: break",
+                            f"{ind}if t{d} == t{d - 1}: continue"]
+            vs, vt = f"v{s.source}", f"v{s.target}"
+            on_s = [f"sources[p{d}] != {vs}"] * (walked != "source")
+            on_t = [f"targets[p{d}] != {vt}"] * (walked != "target")
+            if s.test == _SOURCE:
+                src.append(f"{ind}{vt} = targets[p{d}]")
+                tests = on_s + taken(vt)
+            elif s.test == _TARGET:
+                src.append(f"{ind}{vs} = sources[p{d}]")
+                tests = on_t + taken(vs)
+            elif s.test == _BOTH:
+                tests = on_s + on_t
+            elif s.test == _FREE:
+                src.append(f"{ind}{vs}, {vt} = sources[p{d}], targets[p{d}]")
+                tests = [f"{vs} == {vt}"] + taken(vs) + taken(vt)
+            else:  # _LOOP
+                src.append(f"{ind}{vs} = sources[p{d}]")
+                tests = [f"targets[p{d}] != {vs}"] + taken(vs)
+            if tests:
+                src.append(f"{ind}if {' or '.join(tests)}: continue")
+            src.append(f"{ind}c{d} += 1")
+            bound |= {s.source, s.target}
+            if d == 0:
+                src.append(f"{ind}t0 = times[p0]")
+                if strict:
+                    src.append(f"{ind}deadline = t0 + delta - 1")
+            if d == m - 1:
+                node_map = ", ".join(f"v{i}" for i in range(nodes))
+                edges = ", ".join(f"p{k}" for k in range(m))
+                src += [f"{ind}yield new(Match, (({node_map},), ({edges},), t0, t{d}, "
+                        f"t{d} - t0 + 1))",
+                        f"{ind}if found + c{d} == limit: return limit"]
+            elif d == b - 1:
+                live = ([f"v{i}" for i in sorted(bound)] + [f"p{k}" for k in range(b)]
+                        + ["t0"] + [f"t{d}"] * (d > 0) + ["deadline"] * strict)
+                src += [f"{ind}found = yield from _k{b // _CHUNK}({cols}, n, delta, limit, "
+                        f"stats, found, {', '.join(live)})",
+                        f"{ind}if found == limit: return limit"]
+        if a == 0:
+            src.append("        held = 0")
+        src += [f"        return found{f' + c{m - 1}' if b == m else ''}",
+                "    finally:",
+                f"        stats.candidates_examined += {' + '.join(counters[:b - a])}",
+                f"        stats.pushes += {' + '.join(counters[b - a:])}",
+                "        stats.max_depth_reached = max(stats.max_depth_reached, "
+                f"{a} + {' + '.join(f'({c} > 0)' for c in counters[b - a:])})"]
+        if b == m:
+            src.append(f"        stats.matches_found += c{m - 1}")
+        if a == 0:
+            src.append("        stats.pops = stats.pushes - held")
+    return "\n".join(src) + "\n"
 
 
 @dataclass(frozen=True, slots=True)

@@ -215,3 +215,16 @@ class TestBenchPlan:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_repeated_sizes_and_deltas_give_one_cell(self, tmp_path):
+        from ipmatch.cli import main
+
+        graph = tmp_path / "g.txt"
+        graph.write_text("a b 1\nb c 2\na b 3\nb c 4\nc a 5\n")
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--graph", str(graph), "--family", "path", "--sizes", "2,2",
+                "--deltas", "10,10", "--strategies", "index", "--output", str(out)]
+        assert main(argv) == 0
+        rows = read_rows(out)
+        assert [(r["size"], r["delta"], r["query_id"]) for r in rows] == [
+            ("2", "10", "len2"), ("2", "10", "avg")]

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from ipmatch import (
     validate_pattern,
     verify_match,
 )
+from ipmatch.matcher import _kernel, _kernel_source
 from _generators import full_span, random_graph, random_pattern
 
 
@@ -325,3 +327,36 @@ class TestSearchProperties:
                 jobs,
             ))
         assert got == expected
+
+
+class TestCompiledKernel:
+    """Each pattern shape is compiled once into a kernel that every graph shares."""
+
+    def test_one_pattern_on_two_graphs(self):
+        p = pattern_from_triples([(0, 1, 1), (1, 2, 2), (2, 0, 3)])
+        small = build_graph([("a", "b", 1), ("b", "c", 2), ("c", "a", 3), ("b", "c", 4)])
+        large = build_graph([(f"n{i % 5}", f"n{(i * i + 1) % 5}", i // 3) for i in range(60)])
+        for strategy in ("simple", "index"):
+            run_search(small, p, 6, strategy)
+            counts = []
+            for g in (large, small):  # the kernel is cached now
+                before = _kernel.cache_info()
+                matches, _ = run_search(g, p, 6, strategy)
+                assert _kernel.cache_info().hits == before.hits + 1
+                assert set(matches) == brute_force(g, p, 6)
+                assert len(set(matches)) == len(matches)
+                counts.append(len(matches))
+            assert counts[0] > counts[1] == 1
+
+    def test_same_shape_reuses_the_kernel(self):
+        g = build_graph([("a", "b", 1), ("b", "c", 2), ("c", "d", 3)])
+        triples = [(0, 1, 1), (1, 2, 2), (2, 3, 2)]
+        first, _ = run_search(g, pattern_from_triples(triples), 4, "index")
+        before = _kernel.cache_info()
+        second, _ = run_search(g, pattern_from_triples(triples), 4, "index")
+        after = _kernel.cache_info()
+        assert second == first
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_kernel_source_reads_only_the_compiled_steps(self):
+        assert list(inspect.signature(_kernel_source).parameters) == ["steps", "use_index"]

@@ -11,6 +11,10 @@ broadcast-reply pattern (whose second edge is simultaneous with its
 first, an EQUAL step) can only be pinned with zero matches there.  It is
 also pinned on the same edges with timestamps truncated to whole days,
 where simultaneous edges exist and the EQUAL step admits matches.
+
+Paths of 19 to 40 edges on a 60-edge chain are pinned too: they run
+deeper than one generated kernel function (16 depths) and so cross a
+boundary between two of them.
 """
 
 import hashlib
@@ -18,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from ipmatch import build_graph, load_graph, pattern_from_triples, run_search
+from ipmatch import (
+    build_graph, generate_path_query, load_graph, pattern_from_triples, run_search,
+)
 
 DATA = Path(__file__).parent / "data" / "synthetic_1000.txt"
 DAY = 86_400
@@ -61,7 +67,44 @@ PINNED = {
         "index": (1121, 100, 2, 609, 607)}),
 }
 
+# (path length, limit) -> the same, for generate_path_query(length) at
+# delta 45 on the chain i -> i+1 at time i, i = 0..59, recorded from the
+# explicit-stack search that preceded the generated kernel
+DEEP_PINNED = {
+    (19, None): ("955fdde0f6414646", {
+        "simple": (21819, 42, 19, 969, 969),
+        "index": (969, 42, 19, 969, 969)}),
+    (20, None): ("0baecd60ce08b1fc", {
+        "simple": (22575, 41, 20, 1010, 1010),
+        "index": (1010, 41, 20, 1010, 1010)}),
+    (21, None): ("ad9dac06b817c088", {
+        "simple": (23290, 40, 21, 1050, 1050),
+        "index": (1050, 40, 21, 1050, 1050)}),
+    (40, None): ("98d32afcf89023e3", {
+        "simple": (30415, 21, 40, 1620, 1620),
+        "index": (1620, 21, 40, 1620, 1620)}),
+    (19, 5): ("7b924e39f93ccb45", {
+        "simple": (2651, 5, 19, 95, 76),
+        "index": (95, 5, 19, 95, 76)}),
+    (20, 5): ("7389159f2ffb8adb", {
+        "simple": (2760, 5, 20, 100, 80),
+        "index": (100, 5, 20, 100, 80)}),
+    (21, 5): ("e94de912cd438333", {
+        "simple": (2865, 5, 21, 105, 84),
+        "index": (105, 5, 21, 105, 84)}),
+    (40, 5): ("0ff53cccff9272dc", {
+        "simple": (4100, 5, 40, 200, 160),
+        "index": (200, 5, 40, 200, 160)}),
+}
+
 COUNTERS = ("candidates_examined", "matches_found", "max_depth_reached", "pushes", "pops")
+
+
+def assert_pinned(matches, stats, digest, counters):
+    assert stats.as_dict() == dict(zip(COUNTERS, counters))
+    assert len(matches) == stats.matches_found
+    listing = repr([(m.node_map, m.edge_assignment) for m in matches]).encode()
+    assert hashlib.sha256(listing).hexdigest()[:16] == digest
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +123,14 @@ def test_counters_unchanged(graphs, case, strategy):
         graphs[unit], pattern_from_triples(PATTERNS[name]), delta,
         strategy, limit=limit,
     )
-    assert stats.as_dict() == dict(zip(COUNTERS, counters[strategy]))
-    assert len(matches) == stats.matches_found
-    listing = repr([(m.node_map, m.edge_assignment) for m in matches]).encode()
-    assert hashlib.sha256(listing).hexdigest()[:16] == digest
+    assert_pinned(matches, stats, digest, counters[strategy])
+
+
+@pytest.mark.parametrize("strategy", ["simple", "index"])
+@pytest.mark.parametrize("case", list(DEEP_PINNED), ids=lambda c: "-".join(map(str, c)))
+def test_deep_path_counters_unchanged(case, strategy):
+    length, limit = case
+    digest, counters = DEEP_PINNED[case]
+    chain = build_graph([(str(i), str(i + 1), i) for i in range(60)])
+    matches, stats = run_search(chain, generate_path_query(length), 45, strategy, limit=limit)
+    assert_pinned(matches, stats, digest, counters[strategy])
