@@ -26,19 +26,16 @@ from .bench import (
 from .io_cli import (
     GraphSummary,
     ParseError,
-    QuerySpec,
     graph_summary,
     load_graph,
     load_pattern,
     match_from_dict,
     match_json_line,
     match_to_dict,
-    run_query,
     run_search,
     save_graph,
     save_pattern,
     stream_search,
-    validate_files,
 )
 from .matcher import (
     InvalidPatternError,
@@ -72,13 +69,13 @@ __all__ = [
     "BaselineStats", "BenchPlan", "BenchRow", "DurationUndefinedError",
     "EmptyGraphError", "GraphBuildError", "GraphSummary",
     "InvalidPatternError", "Match", "OracleSizeLimitError", "ParseError",
-    "PatternEdge", "PatternGraph", "QueryGenerationError", "QuerySpec",
-    "Relation", "SearchStats", "StrategyMismatchError", "TemporalGraph",
+    "PatternEdge", "PatternGraph", "QueryGenerationError", "Relation",
+    "SearchStats", "StrategyMismatchError", "TemporalGraph",
     "ValidationReport", "VerifyResult", "brute_force", "build_graph",
     "duration", "generate_path_query", "generate_random_query",
     "graph_summary", "load_graph", "load_pattern", "match_from_dict",
     "match_json_line", "match_to_dict", "order_edges", "pattern_from_triples",
-    "run_bench", "run_query", "run_search", "save_graph", "save_pattern",
+    "run_bench", "run_search", "save_graph", "save_pattern",
     "static_projection", "stream_search", "two_phase_search",
-    "validate_files", "validate_pattern", "verify_match",
+    "validate_pattern", "verify_match",
 ]

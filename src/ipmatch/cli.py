@@ -1,15 +1,22 @@
-"""Command-line interface: query, validate, gen, bench subcommands."""
+"""Command-line interface: query, validate, gen, bench subcommands.
+
+Each subcommand reads its parsed arguments and raises on failure;
+:func:`main` alone maps an exception to a message and an exit status.
+"""
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+import time as _time
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
 from . import io_cli
-from .io_cli import QuerySpec
+from .matcher import InvalidPatternError
+from .pattern import validate_pattern
 
 
 def _int_list(text: str) -> list[int]:
@@ -66,82 +73,86 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_query(args) -> int:
-    spec = QuerySpec(
-        graph_path=args.graph,
-        pattern_path=args.pattern,
-        delta=args.delta,
-        delta_unit=args.delta_unit,
-        strategy=args.strategy,
-        limit=args.limit,
-        stats=args.stats,
-    )
-    code = io_cli.run_query(spec, sys.stdout, sys.stderr)
-    try:
-        sys.stdout.flush()
-    except OSError:
-        # run_query has dealt with the failed write (a closed pipe is not
-        # an error); point stdout at the null device so that the exit
-        # flush does not fail on the text still buffered
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    return code
+    """Write each match as a JSON line as :func:`io_cli.stream_search` yields it."""
+    delta = io_cli.effective_delta(args.delta, args.delta_unit)
+    g = io_cli.load_graph(args.graph)
+    p = io_cli.load_pattern(args.pattern)
+    t0 = _time.perf_counter()
+    matches, stats = io_cli.stream_search(g, p, delta, args.strategy, args.limit)
+    # looked up per call: a caller may redirect stdout, a test replace the encoder
+    out, to_line = sys.stdout, io_cli.match_json_line
+    count = 0
+    for count, m in enumerate(matches, 1):
+        out.write(to_line(m, g) + "\n")
+    if args.stats:
+        millis = (_time.perf_counter() - t0) * 1000.0
+        summary = {"millis": round(millis, 3), "matches": count}
+        if stats is not None:
+            summary.update(stats.as_dict())
+        out.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+    return 0
 
 
 def _cmd_validate(args) -> int:
-    try:
-        delta = io_cli.effective_delta(args.delta, args.delta_unit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return io_cli.validate_files(args.graph, args.pattern, delta,
-                                 sys.stdout, sys.stderr)
+    """Report both inputs' counts and any pattern violations (status 1)."""
+    delta = io_cli.effective_delta(args.delta, args.delta_unit)
+    g = io_cli.load_graph(args.graph)
+    p = io_cli.load_pattern(args.pattern)
+    s = io_cli.graph_summary(g)
+    print(f"graph: {s.nodes} nodes, {s.temporal_edges} temporal edges, "
+          f"{s.static_edges} static edges, span {s.span_days:.2f} days")
+    print(f"pattern: {p.node_count} nodes, {len(p.edges)} edges")
+    report = validate_pattern(p, delta)
+    if report.ok:
+        print("ok")
+        return 0
+    for violation in report.violations:
+        print(f"violation: {violation}")
+    return 1
 
 
 def _cmd_gen(args) -> int:
-    try:
-        if args.generator == "path":
-            pattern = bench_mod.generate_path_query(args.length)
-        else:
-            g = io_cli.load_graph(args.graph)
-            pattern = bench_mod.generate_random_query(g, args.nodes, args.seed)
-        io_cli.save_pattern(pattern, args.output)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, bench_mod.QueryGenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.generator == "path":
+        pattern = bench_mod.generate_path_query(args.length)
+    else:
+        g = io_cli.load_graph(args.graph)
+        pattern = bench_mod.generate_random_query(g, args.nodes, args.seed)
+    io_cli.save_pattern(pattern, args.output)
     print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    try:
-        plan = bench_mod.BenchPlan(
-            graph_path=args.graph,
-            family=args.family,
-            sizes=args.sizes,
-            deltas=args.deltas,
-            strategies=[s for s in args.strategies.split(",") if s],
-            count=args.count,
-            delta_unit=args.delta_unit,
-            seed=args.seed,
-            output=args.output,
-        )
-        rows = bench_mod.run_bench(plan)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, io_cli.ParseError, bench_mod.QueryGenerationError,
-            bench_mod.StrategyMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    plan = bench_mod.BenchPlan(
+        graph_path=args.graph,
+        family=args.family,
+        sizes=args.sizes,
+        deltas=args.deltas,
+        strategies=[s for s in args.strategies.split(",") if s],
+        count=args.count,
+        delta_unit=args.delta_unit,
+        seed=args.seed,
+        output=args.output,
+    )
+    rows = bench_mod.run_bench(plan)
     print(f"wrote {args.output} ({len(rows)} rows)", file=sys.stderr)
     return 0
 
 
+def _drop_unwritten_output() -> None:
+    """Point stdout at the null device if the text a failed write left in its
+    buffer still cannot be written (in-memory sinks never fail to flush)."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; returns the exit status: 0 success, a closed
+    pipe included; 1 parse or validation failure; 2 I/O failure."""
     args = build_parser().parse_args(argv)
     handlers = {
         "query": _cmd_query,
@@ -149,7 +160,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "gen": _cmd_gen,
         "bench": _cmd_bench,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader went away, which is not an error
+        _drop_unwritten_output()
+        return 0
+    except OSError as exc:
+        _drop_unwritten_output()
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except InvalidPatternError as exc:  # its text reads "invalid pattern: ..."
+        print(exc, file=sys.stderr)
+        return 1
+    except (ValueError, bench_mod.QueryGenerationError,
+            bench_mod.StrategyMismatchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""File formats, match serialization, and query plumbing.
+"""File formats, match serialization, and the one search entry point.
 
 Graph files use the SNAP temporal edge-list layout: one ``<source>
 <target> <timestamp>`` line per edge, whitespace separated, ``#`` lines
@@ -7,7 +7,8 @@ skipped.  Pattern files are the same 3-column format preceded by a
 match, so every line is independently parseable.
 
 :func:`stream_search` is the one place a strategy name picks an engine;
-``run_search``, ``run_query`` and ``bench`` all take its match stream.
+``run_search``, ``bench`` and the ``query`` command take its match stream.
+Nothing here prints: errors are raised, and ``cli.main`` reports them.
 """
 
 from __future__ import annotations
@@ -15,15 +16,12 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import json
-import time as _time
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
-from .matcher import InvalidPatternError, Match, SearchStats, check_query, search
-from .pattern import PatternGraph, pattern_from_triples, validate_pattern
+from .matcher import Match, SearchStats, check_query, search
+from .pattern import PatternGraph, pattern_from_triples
 from .temporal_graph import GraphBuildError, TemporalGraph, build_graph, static_projection
 
 DELTA_UNITS = {
@@ -54,19 +52,6 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = path
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class QuerySpec:
-    """One CLI query: inputs, window, strategy, output controls."""
-
-    graph_path: str
-    pattern_path: str
-    delta: int
-    delta_unit: str = "raw"
-    strategy: str = "index"
-    limit: Optional[int] = None
-    stats: bool = False
 
 
 @dataclass(frozen=True)
@@ -313,73 +298,3 @@ def run_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
     """:func:`stream_search` collected: returns (list of matches, stats)."""
     matches, stats = stream_search(g, p, delta, strategy, limit)
     return list(matches), stats
-
-
-def run_query(q: QuerySpec, out: TextIO, err: TextIO) -> int:
-    """Execute one query; exit status 0 ok, 1 parse/validation, 2 I/O.
-
-    Each match line is written as :func:`stream_search` yields it.  When
-    the reader of ``out`` goes away (BrokenPipeError), the search stops
-    and the status is 0; any other write error is an I/O error.
-    """
-    try:
-        delta = effective_delta(q.delta, q.delta_unit)
-        g = load_graph(q.graph_path)
-        p = load_pattern(q.pattern_path)
-        t0 = _time.perf_counter()
-        matches, stats = stream_search(g, p, delta, q.strategy, q.limit)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=err)
-        return 2
-    except InvalidPatternError as exc:  # its text reads "invalid pattern: ..."
-        print(exc, file=err)
-        return 1
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    try:
-        count = 0
-        with closing(matches):
-            for m in matches:
-                out.write(match_json_line(m, g) + "\n")
-                count += 1
-        if q.stats:
-            millis = (_time.perf_counter() - t0) * 1000.0
-            summary = {"millis": round(millis, 3), "matches": count}
-            if stats is not None:
-                summary.update(stats.as_dict())
-            out.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
-        out.flush()
-    except BrokenPipeError:
-        return 0
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=err)
-        return 2
-    return 0
-
-
-def validate_files(graph_path: str, pattern_path: str, delta: int,
-                   out: TextIO, err: TextIO) -> int:
-    """Load both inputs, report counts and any pattern violations."""
-    try:
-        g = load_graph(graph_path)
-        p = load_pattern(pattern_path)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=err)
-        return 2
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    s = graph_summary(g)
-    print(
-        f"graph: {s.nodes} nodes, {s.temporal_edges} temporal edges, "
-        f"{s.static_edges} static edges, span {s.span_days:.2f} days", file=out,
-    )
-    print(f"pattern: {p.node_count} nodes, {len(p.edges)} edges", file=out)
-    report = validate_pattern(p, delta)
-    if report.ok:
-        print("ok", file=out)
-        return 0
-    for violation in report.violations:
-        print(f"violation: {violation}", file=out)
-    return 1

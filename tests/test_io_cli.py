@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from ipmatch import (
     InvalidPatternError,
     ParseError,
-    QuerySpec,
     build_graph,
     generate_path_query,
     graph_summary,
@@ -27,15 +26,14 @@ from ipmatch import (
     match_from_dict,
     match_json_line,
     match_to_dict,
-    run_query,
     save_graph,
     save_pattern,
     pattern_from_triples,
     run_search,
     stream_search,
-    validate_files,
     verify_match,
 )
+from ipmatch import io_cli
 from ipmatch.cli import main
 
 from _generators import full_span, random_graph, random_pattern
@@ -126,13 +124,14 @@ class TestLoadGraph:
         assert by_label(g2) == by_label(g)
         assert sorted(g2.labels) == sorted(g.labels)
 
-    def test_hash_target_label_exits_1_naming_it(self, tmp_path, path2_pattern_file):
+    def test_hash_target_label_exits_1_naming_it(self, tmp_path, path2_pattern_file, capsys):
         # the bad edge is the second edge but the fifth line of the file
         gpath = write(tmp_path / "g.txt", "# header\na b 1\n\n  # c d 2\na #x 5\nb c 6\n")
-        out, err = io.StringIO(), io.StringIO()
-        assert run_query(QuerySpec(gpath, path2_pattern_file, 10), out, err) == 1
-        assert out.getvalue() == ""
-        assert err.getvalue() == f"error: {gpath}:5: malformed label '#x'\n"
+        assert main(["query", "--graph", gpath, "--pattern", path2_pattern_file,
+                     "--delta", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {gpath}:5: malformed label '#x'\n"
         with pytest.raises(ParseError) as exc:
             load_graph(gpath)
         assert (exc.value.path, exc.value.line_no) == (gpath, 5)
@@ -365,20 +364,23 @@ class TestStreamingQuery:
         assert summary == {"matches": 20, **stats.as_dict()}
 
     @pytest.mark.parametrize("strategy", ["simple", "index", "baseline", "oracle"])
-    def test_broken_pipe_stops_quietly(self, tmp_path, strategy):
+    def test_broken_pipe_stops_quietly(self, tmp_path, capsys, monkeypatch, strategy):
+        # the sink has no file descriptor, so stdout is left as it is
         gpath, ppath = _many_matches_files(tmp_path, 50)
-        out, err = _FailingSink(BrokenPipeError(errno.EPIPE, "Broken pipe")), io.StringIO()
-        spec = QuerySpec(gpath, ppath, 100, strategy=strategy, stats=True)
-        assert run_query(spec, out, err) == 0
+        out = _FailingSink(BrokenPipeError(errno.EPIPE, "Broken pipe"))
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["query", "--graph", gpath, "--pattern", ppath, "--delta", "100",
+                     "--strategy", strategy, "--stats"]) == 0
         assert out.writes == 1
-        assert err.getvalue() == ""
+        assert capsys.readouterr().err == ""
 
-    def test_other_write_error_exit_2(self, tmp_path):
+    def test_other_write_error_exit_2(self, tmp_path, capsys, monkeypatch):
         gpath, ppath = _many_matches_files(tmp_path, 50)
-        out, err = _FailingSink(OSError(errno.ENOSPC, "No space left on device")), io.StringIO()
-        assert run_query(QuerySpec(gpath, ppath, 100), out, err) == 2
+        out = _FailingSink(OSError(errno.ENOSPC, "No space left on device"))
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["query", "--graph", gpath, "--pattern", ppath, "--delta", "100"]) == 2
         assert out.writes == 1
-        assert err.getvalue() == "i/o error: [Errno 28] No space left on device\n"
+        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
 
 
 class TestQueryCommand:
@@ -510,23 +512,23 @@ class TestNonAsciiInput:
         bad_pattern.write_bytes(b"nodes 3\n0 1 1\n# \xff\n1 2 2\n")
         return good_graph, good_pattern, str(bad_graph), str(bad_pattern)
 
-    def test_graph_file(self, files):
+    def test_graph_file(self, files, capsys):
         good_graph, good_pattern, bad_graph, _ = files
-        for run in (lambda o, e: run_query(QuerySpec(bad_graph, good_pattern, 5), o, e),
-                    lambda o, e: validate_files(bad_graph, good_pattern, 5, o, e)):
-            out, err = io.StringIO(), io.StringIO()
-            assert run(out, err) == 1
-            assert out.getvalue() == ""
-            assert err.getvalue() == f"error: {bad_graph}:2: non-ASCII byte\n"
+        for command in ("query", "validate"):
+            assert main([command, "--graph", bad_graph, "--pattern", good_pattern,
+                         "--delta", "5"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {bad_graph}:2: non-ASCII byte\n"
 
-    def test_pattern_file(self, files):
+    def test_pattern_file(self, files, capsys):
         good_graph, good_pattern, _, bad_pattern = files
-        for run in (lambda o, e: run_query(QuerySpec(good_graph, bad_pattern, 5), o, e),
-                    lambda o, e: validate_files(good_graph, bad_pattern, 5, o, e)):
-            out, err = io.StringIO(), io.StringIO()
-            assert run(out, err) == 1
-            assert out.getvalue() == ""
-            assert err.getvalue() == f"error: {bad_pattern}:3: non-ASCII byte\n"
+        for command in ("query", "validate"):
+            assert main([command, "--graph", good_graph, "--pattern", bad_pattern,
+                         "--delta", "5"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {bad_pattern}:3: non-ASCII byte\n"
 
     def test_direct_loaders_raise_parse_error(self, files):
         _, _, bad_graph, bad_pattern = files
@@ -622,22 +624,130 @@ class TestCliEntryPoint:
         # --limit 3, the reader closes first and buffered stdout fails only
         # on the final flush, with the text still pending at exit.
         gpath, ppath = _many_matches_files(tmp_path)
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = unbuffered
-        argv = [sys.executable, "-m", "ipmatch.cli", "query", "--graph", gpath,
-                "--pattern", ppath, "--delta", "10000"]
+        argv = ["query", "--graph", gpath, "--pattern", ppath, "--delta", "10000"]
         if limit is not None:
             argv += ["--limit", str(limit)]
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        if limit is None:
+        assert _run_closing_stdout(argv, unbuffered, read_first=limit is None) == (0, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_validate_into_a_closed_pipe_exits_zero_quietly(
+            self, toy_graph_file, path2_pattern_file, unbuffered):
+        # the reader closes its end before validate prints its first line
+        argv = ["validate", "--graph", toy_graph_file, "--pattern", path2_pattern_file,
+                "--delta", "10"]
+        assert _run_closing_stdout(argv, unbuffered, read_first=False) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("command", ["query", "validate"])
+    def test_full_device_exit_2(self, toy_graph_file, path2_pattern_file, unbuffered,
+                                command):
+        # the text a failed write leaves buffered must not fail again at exit
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "ipmatch.cli", command, "--graph", toy_graph_file,
+                 "--pattern", path2_pattern_file, "--delta", "10"],
+                stdout=full, stderr=subprocess.PIPE, env=_child_env(unbuffered), timeout=60)
+        assert result.returncode == 2
+        assert result.stderr == b"i/o error: [Errno 28] No space left on device\n"
+
+
+def _child_env(unbuffered: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
+def _run_closing_stdout(argv, unbuffered: str, read_first: bool) -> tuple[int, bytes]:
+    """Run ``ipmatch <argv>`` in a child whose reader closes stdout, after
+    one line if ``read_first``; returns (exit status, stderr)."""
+    proc = subprocess.Popen([sys.executable, "-m", "ipmatch.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env(unbuffered))
+    try:
+        if read_first:
             assert json.loads(proc.stdout.readline())["start"] == 1
         proc.stdout.close()
-        try:
-            stderr = proc.stderr.read()
-            code = proc.wait(timeout=60)
-        finally:
-            proc.kill()
-            proc.stderr.close()
-        assert code == 0
-        assert stderr == b""
+        stderr = proc.stderr.read()
+        return proc.wait(timeout=60), stderr
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+class TestErrorContract:
+    """Every command maps an error to one message and status through cli.main."""
+
+    COMMANDS = ["query", "validate", "gen random", "bench"]
+
+    @staticmethod
+    def argv(command, graph, pattern, output):
+        return {
+            "query": ["query", "--graph", graph, "--pattern", pattern, "--delta", "5"],
+            "validate": ["validate", "--graph", graph, "--pattern", pattern, "--delta", "5"],
+            "gen random": ["gen", "random", "--graph", graph, "--nodes", "2",
+                           "--output", output],
+            "bench": ["bench", "--graph", graph, "--family", "path", "--sizes", "1",
+                      "--deltas", "5", "--output", output],
+        }[command]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_graph_exit_2(self, tmp_path, path2_pattern_file, capsys, command):
+        missing, output = str(tmp_path / "absent.txt"), tmp_path / "out.txt"
+        assert main(self.argv(command, missing, path2_pattern_file, str(output))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"i/o error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not output.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_ascii_graph_exit_1(self, tmp_path, path2_pattern_file, capsys, command):
+        bad = tmp_path / "bad_g.txt"
+        bad.write_bytes(b"a b 1\nb caf\xc3\xa9 2\n")
+        output = tmp_path / "out.txt"
+        assert main(self.argv(command, str(bad), path2_pattern_file, str(output))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:2: non-ASCII byte\n"
+        assert not output.exists()
+
+    @pytest.mark.parametrize("command", ["gen path", "bench"])
+    def test_output_into_missing_directory_exit_2(self, toy_graph_file, path2_pattern_file,
+                                                   tmp_path, capsys, command):
+        output = str(tmp_path / "absent" / "out.txt")
+        argv = (["gen", "path", "--length", "2", "--output", output] if command == "gen path"
+                else self.argv(command, toy_graph_file, path2_pattern_file, output))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"i/o error: [Errno 2] No such file or directory: '{output}'\n"
+
+
+class TestCliLooksUpAtCallTime:
+    """``query`` calls the engine and the encoder through ``io_cli`` when it
+    runs, so that replacing either changes what it prints."""
+
+    @pytest.fixture
+    def argv(self, toy_graph_file, path2_pattern_file):
+        return ["query", "--graph", toy_graph_file, "--pattern", path2_pattern_file,
+                "--delta", "10"]
+
+    def test_replaced_engine(self, argv, capsys, monkeypatch):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        real = io_cli.stream_search
+
+        def drop_last(*args):
+            matches, stats = real(*args)
+            return iter(list(matches)[:-1]), stats
+
+        monkeypatch.setattr(io_cli, "stream_search", drop_last)
+        assert main(argv) == 0
+        assert len(lines) == 4
+        assert capsys.readouterr().out.splitlines() == lines[:-1]
+
+    def test_replaced_encoder(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(io_cli, "match_json_line", lambda m, g: str(m.edge_assignment))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "(0, 2)\n(0, 3)\n(1, 2)\n(1, 3)\n"
