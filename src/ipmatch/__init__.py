@@ -47,34 +47,29 @@ from .matcher import (
 from .pattern import (
     PatternEdge,
     PatternGraph,
-    Relation,
     ValidationReport,
-    order_edges,
     pattern_from_triples,
     validate_pattern,
 )
 from .temporal_graph import (
-    DurationUndefinedError,
     EmptyGraphError,
     GraphBuildError,
     TemporalGraph,
     build_graph,
-    duration,
     static_projection,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineStats", "BenchPlan", "BenchRow", "DurationUndefinedError",
-    "EmptyGraphError", "GraphBuildError", "GraphSummary",
-    "InvalidPatternError", "Match", "OracleSizeLimitError", "ParseError",
-    "PatternEdge", "PatternGraph", "QueryGenerationError", "Relation",
-    "SearchStats", "StrategyMismatchError", "TemporalGraph",
-    "ValidationReport", "VerifyResult", "brute_force", "build_graph",
-    "duration", "generate_path_query", "generate_random_query",
+    "BaselineStats", "BenchPlan", "BenchRow", "EmptyGraphError",
+    "GraphBuildError", "GraphSummary", "InvalidPatternError", "Match",
+    "OracleSizeLimitError", "ParseError", "PatternEdge", "PatternGraph",
+    "QueryGenerationError", "SearchStats", "StrategyMismatchError",
+    "TemporalGraph", "ValidationReport", "VerifyResult", "brute_force",
+    "build_graph", "generate_path_query", "generate_random_query",
     "graph_summary", "load_graph", "load_pattern", "match_from_dict",
-    "match_json_line", "match_to_dict", "order_edges", "pattern_from_triples",
+    "match_json_line", "match_to_dict", "pattern_from_triples",
     "run_bench", "run_search", "save_graph", "save_pattern",
     "static_projection", "stream_search", "two_phase_search",
     "validate_pattern", "verify_match",

@@ -20,7 +20,7 @@ concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from .matcher import Match, check_query, verify_match
@@ -39,11 +39,7 @@ class BaselineStats:
     matches_found: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "static_matches": self.static_matches,
-            "temporal_candidates": self.temporal_candidates,
-            "matches_found": self.matches_found,
-        }
+        return asdict(self)
 
 
 def _pair_positions(g: TemporalGraph) -> dict[tuple[int, int], list[int]]:

@@ -14,6 +14,7 @@ otherwise idle.
 from __future__ import annotations
 
 import csv
+import os
 import random
 import time as _time
 from dataclasses import dataclass
@@ -161,7 +162,9 @@ def run_bench(plan: BenchPlan) -> list[BenchRow]:
 
     Per-cell match counts must agree across the plan's strategies; the
     first disagreement aborts the run after saving the offending pattern
-    next to the report for replay.
+    next to the report for replay.  The report is opened before the first
+    cell runs, so an unwritable path fails fast, and is removed again if
+    the sweep fails.
     """
     g = load_graph(plan.graph_path)
     # a delta repeated, as given or once converted, adds no cell
@@ -178,18 +181,23 @@ def run_bench(plan: BenchPlan) -> list[BenchRow]:
         for strategy in plan.strategies
     ]
 
-    rows = [
-        BenchRow(plan.family, size, delta, strategy, qid,
-                 *_run_cell(g, pattern, delta, strategy))
-        for size, qid, pattern, delta, strategy in cells
-    ]
-
-    _check_agreement(plan, queries, rows)
-
-    aggregates = _aggregate(plan, rows)
-    all_rows = rows + aggregates
-    if plan.output:
-        _write_csv(plan, all_rows)
+    fh = open(plan.output, "w", encoding="ascii", newline="") if plan.output else None
+    try:
+        rows = [
+            BenchRow(plan.family, size, delta, strategy, qid,
+                     *_run_cell(g, pattern, delta, strategy))
+            for size, qid, pattern, delta, strategy in cells
+        ]
+        _check_agreement(plan, queries, rows)
+        all_rows = rows + _aggregate(plan, rows)
+        if fh:
+            _write_csv(plan, all_rows, fh)
+            fh.close()
+    except BaseException:
+        if fh:
+            fh.close()
+            os.remove(plan.output)
+        raise
     return all_rows
 
 
@@ -224,13 +232,12 @@ def _aggregate(plan: BenchPlan, rows: list[BenchRow]) -> list[BenchRow]:
     return aggregates
 
 
-def _write_csv(plan: BenchPlan, rows: list[BenchRow]) -> None:
-    with open(plan.output, "w", encoding="ascii", newline="") as fh:
-        fh.write("# wall-clock per query call, graph load excluded\n")
-        fh.write(f"# family={plan.family} seed={plan.seed} "
-                 f"delta_unit={plan.delta_unit} count={plan.count}\n")
-        fh.write("# random-query edge order: DFS discovery order, rank times\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.as_list())
+def _write_csv(plan: BenchPlan, rows: list[BenchRow], fh) -> None:
+    fh.write("# wall-clock per query call, graph load excluded\n")
+    fh.write(f"# family={plan.family} seed={plan.seed} "
+             f"delta_unit={plan.delta_unit} count={plan.count}\n")
+    fh.write("# random-query edge order: DFS discovery order, rank times\n")
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow(row.as_list())

@@ -254,7 +254,7 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
         u, v = g.node_id(u_label), g.node_id(v_label)
         out = g.out_positions[u]
         try:
-            k = bisect.bisect_left(out, g.block_start(t))
+            k = bisect.bisect_left(out, bisect.bisect_left(times, t))
         except TypeError:  # a time no int compares with matches no edge
             k = len(out)
         while k < len(out) and times[out[k]] == t:

@@ -37,7 +37,8 @@ depth, so then ``pops == pushes - len(p.edges)``.
 Candidate admissibility at depth d (pattern edge (u, v)):
 
 * time order - strictly after the previous matched edge when the
-  pattern step is STRICT, simultaneous when EQUAL;
+  pattern edge is later than the previous pattern edge (a STRICT step),
+  simultaneous when their times are equal (an EQUAL step);
 * window - candidate time <= time(first matched edge) + delta - 1,
   which is exactly dur(match) <= delta for time-ordered matching;
 * structure - endpoints agree with the partial node mapping, fresh
@@ -62,10 +63,10 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
-from .pattern import PatternGraph, Relation, ValidationReport, validate_pattern
+from .pattern import PatternGraph, ValidationReport, validate_pattern
 from .temporal_graph import TemporalGraph
 
 
@@ -97,13 +98,7 @@ class SearchStats:
     pops: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "candidates_examined": self.candidates_examined,
-            "matches_found": self.matches_found,
-            "max_depth_reached": self.max_depth_reached,
-            "pushes": self.pushes,
-            "pops": self.pops,
-        }
+        return asdict(self)
 
 
 class Match(NamedTuple):
@@ -158,7 +153,7 @@ def _compile(p: PatternGraph) -> tuple[_Step, ...]:
             test = _BOTH if lt >= 0 else _SOURCE
         else:
             test = _TARGET if lt >= 0 else _FREE
-        equal = d > 0 and p.tags[d] is Relation.EQUAL
+        equal = d > 0 and pe.time == p.edges[d - 1].time
         steps.append(_Step(pe.source, pe.target, ls, lt, equal, test))
         latest[pe.source] = latest[pe.target] = d
     return tuple(steps)

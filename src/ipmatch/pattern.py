@@ -6,23 +6,14 @@ matters to the matcher.  Rank-valued times 1..k are the recommended
 input, which makes the pattern's duration equal to the number of
 distinct ranks.
 
-Patterns are immutable after :func:`order_edges` and freely shareable.
+Patterns are immutable after :func:`pattern_from_triples` and freely
+shareable.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-from .temporal_graph import duration
-
-
-class Relation(enum.Enum):
-    """Order relation between consecutive edges of the sorted pattern list."""
-
-    STRICT = "strict"  # previous edge happens strictly before this one
-    EQUAL = "equal"  # previous edge is simultaneous with this one
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,18 +29,17 @@ class PatternEdge:
 
 
 class PatternGraph:
-    """Pattern with its edges sorted by time and per-step relation tags.
+    """Pattern with its edges sorted by time.
 
-    ``tags[i]`` relates edge ``i-1`` to edge ``i``; ``tags[0]`` is None.
+    Edge ``i`` is simultaneous with edge ``i-1`` when their times are
+    equal and strictly after it otherwise.
     """
 
-    __slots__ = ("node_count", "edges", "tags")
+    __slots__ = ("node_count", "edges")
 
-    def __init__(self, node_count: int, edges: tuple[PatternEdge, ...],
-                 tags: tuple[Optional[Relation], ...]):
+    def __init__(self, node_count: int, edges: tuple[PatternEdge, ...]):
         self.node_count = node_count
         self.edges = edges
-        self.tags = tags
 
     def __repr__(self) -> str:
         return f"PatternGraph(nodes={self.node_count}, edges={len(self.edges)})"
@@ -70,29 +60,20 @@ class ValidationReport:
         return "ok" if self.ok else "; ".join(self.violations)
 
 
-def order_edges(edges: Sequence[PatternEdge], node_count: Optional[int] = None) -> PatternGraph:
-    """Sort pattern edges by time and compute the relation tags.
+def pattern_from_triples(triples: Sequence[tuple[int, int, int]],
+                         node_count: Optional[int] = None) -> PatternGraph:
+    """The pattern of (source, target, time) int triples, sorted by time.
 
     The sort is stable, so input order among equal-time edges is
     preserved.  ``node_count`` defaults to max endpoint id + 1.
     """
+    edges = tuple(sorted((PatternEdge(u, v, t) for u, v, t in triples),
+                         key=lambda e: e.time))
     if not edges:
         raise ValueError("a pattern needs at least one edge")
-    ordered = tuple(sorted(edges, key=lambda e: e.time))
     if node_count is None:
-        node_count = 1 + max(max(e.source, e.target) for e in ordered)
-    tags: list[Optional[Relation]] = [None]
-    for i in range(1, len(ordered)):
-        equal = ordered[i - 1].time == ordered[i].time
-        tags.append(Relation.EQUAL if equal else Relation.STRICT)
-    return PatternGraph(node_count, ordered, tuple(tags))
-
-
-def pattern_from_triples(triples: Sequence[tuple[int, int, int]],
-                         node_count: Optional[int] = None) -> PatternGraph:
-    """Convenience builder from (source, target, time) int triples."""
-    edges = [PatternEdge(u, v, t) for u, v, t in triples]
-    return order_edges(edges, node_count=node_count)
+        node_count = 1 + max(max(e.source, e.target) for e in edges)
+    return PatternGraph(node_count, edges)
 
 
 def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
@@ -105,7 +86,8 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
     violations: list[str] = []
-    dur = duration(p.times())
+    times = p.times()
+    dur = max(times) - min(times) + 1
     if dur > delta:
         violations.append(f"dur(P)={dur} exceeds delta={delta}")
     seen: set[int] = set()

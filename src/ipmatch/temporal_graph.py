@@ -18,7 +18,6 @@ concurrent read access.
 
 from __future__ import annotations
 
-import bisect
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -34,10 +33,6 @@ class GraphBuildError(ValueError):
         super().__init__(f"edge {entry}: {reason}")
         self.entry = entry
         self.reason = reason
-
-
-class DurationUndefinedError(ValueError):
-    """Raised when the duration of an empty edge set is requested."""
 
 
 class TemporalGraph:
@@ -95,10 +90,6 @@ class TemporalGraph:
             return self.label_index[str(label)]
         except KeyError:
             raise ValueError(f"unknown node label {label!r}") from None
-
-    def block_start(self, t: int) -> int:
-        """Position of the first edge with time >= t."""
-        return bisect.bisect_left(self.times, t)
 
     def export_edges(self) -> list[tuple[str, str, int]]:
         """Label triples in list order; rebuilding from them reproduces the graph."""
@@ -170,14 +161,6 @@ def build_graph(edges: Sequence[tuple]) -> TemporalGraph:
         sources, targets, times, labels, label_json, label_index,
         out_positions, in_positions,
     )
-
-
-def duration(obj) -> int:
-    """Latest minus earliest timestamp plus one, over a graph or its times."""
-    times = obj.times if isinstance(obj, TemporalGraph) else list(obj)
-    if not times:
-        raise DurationUndefinedError("duration of an empty edge set is undefined")
-    return max(times) - min(times) + 1
 
 
 def static_projection(g: TemporalGraph) -> frozenset[tuple[int, int]]:

@@ -6,7 +6,6 @@ import pytest
 from ipmatch import (
     BenchPlan,
     QueryGenerationError,
-    Relation,
     build_graph,
     generate_path_query,
     generate_random_query,
@@ -45,7 +44,7 @@ class TestPathQueries:
         p = generate_path_query(6)
         assert len(p.edges) == 6
         assert validate_pattern(p, 6).ok
-        assert all(tag is Relation.STRICT for tag in p.tags[1:])
+        assert p.times() == (1, 2, 3, 4, 5, 6)
 
     def test_any_length_valid_at_delta_length(self):
         for length in (1, 3, 5, 9):
@@ -70,7 +69,6 @@ class TestRandomQueries:
         p = generate_random_query(g, 3, seed=7)
         assert p.node_count == 3
         assert p.times() == (1, 2)
-        assert p.tags[1] is Relation.STRICT
         # both tree edges leave the dense id of the start node
         assert [e.source for e in p.edges] == [0, 0]
 
@@ -184,6 +182,23 @@ class TestRunBench:
             run_bench(plan)
         saved = list(tmp_path.glob("*.mismatch-*.pattern"))
         assert len(saved) == 1
+        assert not out.exists()
+
+    def test_unwritable_output_fails_before_any_cell(self, toy_graph_path, tmp_path,
+                                                     capsys, monkeypatch):
+        import ipmatch.bench as bench_mod
+        from ipmatch.cli import main
+
+        def never(*args):
+            raise AssertionError("a cell ran before the output was opened")
+
+        monkeypatch.setattr(bench_mod, "_run_cell", never)
+        out = str(tmp_path / "absent" / "r.csv")
+        argv = ["bench", "--graph", toy_graph_path, "--family", "path", "--sizes", "2",
+                "--deltas", "100", "--strategies", "simple,index", "--output", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno 2] No such file or directory: '{out}'\n")
 
 
 class TestBenchPlan:

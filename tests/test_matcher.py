@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from ipmatch import (
     InvalidPatternError,
     Match,
+    PatternEdge,
+    PatternGraph,
     SearchStats,
     brute_force,
     build_graph,
-    duration,
     pattern_from_triples,
     run_search,
     stream_search,
     validate_pattern,
     verify_match,
 )
+from ipmatch.io_cli import STRATEGIES
 from ipmatch.matcher import _kernel, _kernel_source
 from _generators import full_span, random_graph, random_pattern
 
@@ -60,6 +62,16 @@ class TestInteractionSearch:
         g_no = build_graph([("a", "b", 5), ("b", "c", 6)])
         assert len(run_search(g_yes, p, 5, "index")[0]) == 1
         assert run_search(g_no, p, 5, "index")[0] == []
+
+    @pytest.mark.parametrize("times, expected", [
+        ((1, 2), Match((0, 1, 2), (0, 2), 1, 2, 2)),
+        ((1, 1), Match((0, 1, 2), (0, 1), 1, 1, 1)),
+    ], ids=["strict", "equal"])
+    def test_time_order_read_from_edge_times(self, times, expected):
+        g = build_graph([("a", "b", 1), ("b", "c", 1), ("b", "c", 2)])
+        p = PatternGraph(3, (PatternEdge(0, 1, times[0]), PatternEdge(1, 2, times[1])))
+        for strategy in STRATEGIES:
+            assert run_search(g, p, 5, strategy)[0] == [expected], strategy
 
     def test_invalid_pattern_raises(self):
         g = build_graph([("a", "b", 1)])
@@ -270,7 +282,7 @@ class TestSearchProperties:
         g, p = random_graph(rng), random_pattern(rng)
         delta = rng.choice([1, 2, 5, full_span(g)])
         if not validate_pattern(p, delta).ok:
-            delta = max(full_span(g), duration(p.times()))
+            delta = max(full_span(g), p.times()[-1] - p.times()[0] + 1)
         simple, s_stats, index, i_stats = both_strategies(g, p, delta)
         assert simple == index
         assert set(simple) == brute_force(g, p, delta)

@@ -3,51 +3,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipmatch import (
-    PatternEdge,
-    Relation,
-    order_edges,
     pattern_from_triples,
     validate_pattern,
 )
+from ipmatch.matcher import _compile
+
+
+def equal_flags(p):
+    """Whether the kernel treats each step as simultaneous with the previous edge."""
+    return [step.equal for step in _compile(p)]
 
 
 class TestOrderEdges:
     def test_two_edges_reordered(self):
         p = pattern_from_triples([(0, 1, 2), (1, 2, 1)])
         assert p.times() == (1, 2)
-        assert p.tags == (None, Relation.STRICT)
+        assert equal_flags(p) == [False, False]
 
     def test_equal_times_tagged_equal(self):
         p = pattern_from_triples([(0, 1, 1), (1, 2, 1)])
-        assert p.tags == (None, Relation.EQUAL)
+        assert equal_flags(p) == [False, True]
 
     def test_path_all_strict(self):
         p = pattern_from_triples([(i, i + 1, i + 1) for i in range(6)])
         assert len(p.edges) == 6
-        assert all(tag is Relation.STRICT for tag in p.tags[1:])
+        assert equal_flags(p) == [False] * 6
 
     def test_stable_among_equal_times(self):
-        edges = [PatternEdge(0, 1, 5), PatternEdge(2, 0, 5), PatternEdge(1, 2, 5)]
-        p = order_edges(edges)
+        p = pattern_from_triples([(0, 1, 5), (2, 0, 5), (1, 2, 5)])
         assert [(e.source, e.target) for e in p.edges] == [(0, 1), (2, 0), (1, 2)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            order_edges([])
+            pattern_from_triples([])
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 6)),
                     min_size=1, max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_idempotent_and_tags_consistent(self, triples):
         p = pattern_from_triples(triples, node_count=5)
-        again = order_edges(p.edges, node_count=5)
+        again = pattern_from_triples([(e.source, e.target, e.time) for e in p.edges],
+                                     node_count=5)
         assert again.edges == p.edges
-        assert again.tags == p.tags
         times = p.times()
         assert list(times) == sorted(times)
-        for i in range(1, len(p.edges)):
-            expected = Relation.EQUAL if times[i - 1] == times[i] else Relation.STRICT
-            assert p.tags[i] is expected
+        assert equal_flags(p) == [i > 0 and times[i - 1] == times[i]
+                                  for i in range(len(times))]
 
 
 class TestValidatePattern:

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipmatch import (
-    DurationUndefinedError,
     EmptyGraphError,
     GraphBuildError,
     build_graph,
-    duration,
     static_projection,
 )
 
@@ -250,22 +248,6 @@ class TestColumnarBuild:
         with pytest.raises(GraphBuildError, match=r"^edge 1: malformed label '#'$"):
             build_graph([("a", "b", 1), ("b", "#", 2)])
         assert build_graph([("a#", "b#c", 1)]).labels == ["a#", "b#c"]
-
-
-class TestDuration:
-    def test_three_times(self):
-        g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
-        assert duration(g) == 9
-
-    def test_single_edge(self):
-        assert duration(build_graph([("a", "b", 7)])) == 1
-
-    def test_empty_set_undefined(self):
-        with pytest.raises(DurationUndefinedError):
-            duration([])
-
-    def test_accepts_plain_times(self):
-        assert duration([6, 9, 14]) == 9
 
 
 class TestStaticProjection:
