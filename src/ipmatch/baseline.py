@@ -23,7 +23,7 @@ import itertools
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
-from .matcher import Match, check_query, verify_match
+from .matcher import Match, verify_match
 from .pattern import PatternGraph
 from .temporal_graph import TemporalGraph, static_projection
 
@@ -111,9 +111,10 @@ def two_phase_search(
 
     Returns the same match set as the interaction search (order may
     differ).  ``temporal_candidates`` counts the complete assignment
-    tuples the product generates after window-only pruning.
+    tuples the product generates after window-only pruning.  It checks
+    nothing: :func:`~ipmatch.matcher.check_query` must accept ``(p,
+    delta, None)`` first, as ``io_cli.stream_search`` does.
     """
-    check_query(p, delta, None)
     stats = BaselineStats()
     matches: list[Match] = []
     times = g.times
@@ -166,13 +167,13 @@ def brute_force(g: TemporalGraph, p: PatternGraph, delta: int) -> set[Match]:
     """Exhaustive oracle: all injective node mappings, then all assignments.
 
     Guarded against explosion; refuses graphs over 14 nodes or patterns
-    over 5 edges.
+    over 5 edges.  It checks nothing else: :func:`~ipmatch.matcher.check_query`
+    must accept ``(p, delta, None)`` first, as ``io_cli.stream_search`` does.
     """
     if g.node_count > 14:
         raise OracleSizeLimitError(f"graph has {g.node_count} nodes, limit is 14")
     if len(p.edges) > 5:
         raise OracleSizeLimitError(f"pattern has {len(p.edges)} edges, limit is 5")
-    check_query(p, delta, None)
     results: set[Match] = set()
     if p.node_count > g.node_count:
         return results

@@ -4,9 +4,10 @@ Pattern edges are matched one by one in their time order: the
 chronological edge-driven search of the paper (also Mackey et al., "A
 Chronological Edge-Driven Approach to Temporal Subgraph Isomorphism",
 IEEE BigData 2018).  Each query first compiles the pattern into one step
-per depth, recording which endpoints earlier edges have bound and which
-structural test applies.  From those steps it writes the search as
-Python source, one nested ``for`` loop per depth, with the bound nodes,
+per depth: the edge's endpoints and whether it is simultaneous with the
+previous edge.  From those steps it writes the search as Python source,
+one nested ``for`` loop per depth, working out which endpoints earlier
+depths have bound as it writes each one, with the bound nodes,
 positions and times and the window deadline as plain locals and each
 depth's time and structural tests written out once, so the loops only
 compare ints (query compilation, as in Neumann, "Efficiently Compiling
@@ -117,46 +118,20 @@ class Match(NamedTuple):
 
 
 class _Step(NamedTuple):
-    """What the pattern fixes about one depth of the search.
-
-    ``last_source`` / ``last_target`` give the depth of the latest earlier
-    pattern edge incident to this edge's source / target, or -1 when this
-    edge binds that node first.  Which nodes are bound at a depth depends
-    only on the pattern's edge order, so this case analysis is done once
-    per pattern shape, when its kernel is written, not once per candidate.
-    """
+    """What the pattern states about one depth of the search: its edge's
+    endpoints, and whether it is an EQUAL step (same time as the previous
+    pattern edge) or a STRICT one.  Which endpoints earlier depths bound
+    is worked out by :func:`_kernel_source` as it writes the loops."""
 
     source: int
     target: int
-    last_source: int
-    last_target: int
-    equal: bool  # EQUAL step: same time as the previous matched edge
-    test: int  # structural test, one of the constants below
-
-
-# Structural tests, named by which endpoints are already bound.
-_SOURCE = 0  # source bound: candidate leaves its node for an unused node
-_FREE = 1  # neither bound: distinct unused endpoints
-_TARGET = 2  # target bound: candidate enters its node from an unused node
-_BOTH = 3  # both bound (a bound self-loop too): exactly between their nodes
-_LOOP = 4  # unbound self-loop: a self-loop on an unused node
+    equal: bool
 
 
 def _compile(p: PatternGraph) -> tuple[_Step, ...]:
-    latest: dict[int, int] = {}
-    steps = []
-    for d, pe in enumerate(p.edges):
-        ls, lt = latest.get(pe.source, -1), latest.get(pe.target, -1)
-        if pe.source == pe.target:
-            test = _BOTH if ls >= 0 else _LOOP
-        elif ls >= 0:
-            test = _BOTH if lt >= 0 else _SOURCE
-        else:
-            test = _TARGET if lt >= 0 else _FREE
-        equal = d > 0 and pe.time == p.edges[d - 1].time
-        steps.append(_Step(pe.source, pe.target, ls, lt, equal, test))
-        latest[pe.source] = latest[pe.target] = d
-    return tuple(steps)
+    edges = p.edges
+    return tuple(_Step(pe.source, pe.target, d > 0 and pe.time == edges[d - 1].time)
+                 for d, pe in enumerate(edges))
 
 
 def check_query(p: PatternGraph, delta: int, limit: Optional[int]) -> None:
@@ -222,11 +197,11 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool) -> str:
     nodes = 1 + max(max(s.source, s.target) for s in steps)
     strict = any(not s.equal for s in steps[1:])
     cols = "sources, targets, times, out_positions, in_positions"
-    bound: set[int] = set()  # pattern nodes bound above the depth being written
+    bound: dict[int, int] = {}  # pattern node -> last depth above that touched it
     src: list[str] = []
 
-    def taken(v: str) -> list[str]:  # tests that graph node v is already bound
-        return [f"{v} == v{i}" for i in sorted(bound)]
+    def taken(i: int) -> list[str]:  # tests that v{i}'s graph node is already bound
+        return [f"v{i} == v{j}" for j in sorted(bound)]
 
     for a in range(0, m, _CHUNK):  # one function for depths a .. b-1
         b = min(a + _CHUNK, m)
@@ -242,21 +217,21 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool) -> str:
         for d in range(a, b):
             s = steps[d]
             ind = "        " + "    " * (d - a)
-            walked = None  # the endpoint the walked position list fixes
+            walked = None  # the column the walked position list fixes
             if d == 0:
                 header = "range(n)"
             else:
                 lo = f"bisect_left(times, t{d - 1}) - 1" if s.equal else f"p{d - 1}"
                 header = f"range({lo} + 1, n)"
-            if d and use_index and (s.last_source >= 0 or s.last_target >= 0):
+            ls, lt = bound.get(s.source, -1), bound.get(s.target, -1)
+            if d and use_index and (ls >= 0 or lt >= 0):
                 # Walk a bound endpoint's position list: with both bound, the
                 # one whose latest matched edge is later (ties: source).  A
                 # STRICT step starts past every matched edge at either end.
-                ls, lt = s.last_source, s.last_target
                 if lt < 0 or ls >= 0 and _later(steps, ls, lt):
-                    walked, seq = "source", f"out_positions[v{s.source}]"
+                    walked, seq = "sources", f"out_positions[v{s.source}]"
                 elif ls < 0 or _later(steps, lt, ls):
-                    walked, seq = "target", f"in_positions[v{s.target}]"
+                    walked, seq = "targets", f"in_positions[v{s.target}]"
                 else:
                     seq = (f"out_positions[v{s.source}] if p{ls} >= p{lt} "
                            f"else in_positions[v{s.target}]")
@@ -280,27 +255,25 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool) -> str:
                 else:
                     src += [f"{ind}if t{d} > deadline: break",
                             f"{ind}if t{d} == t{d - 1}: continue"]
-            vs, vt = f"v{s.source}", f"v{s.target}"
-            on_s = [f"sources[p{d}] != {vs}"] * (walked != "source")
-            on_t = [f"targets[p{d}] != {vt}"] * (walked != "target")
-            if s.test == _SOURCE:
-                src.append(f"{ind}{vt} = targets[p{d}]")
-                tests = on_s + taken(vt)
-            elif s.test == _TARGET:
-                src.append(f"{ind}{vs} = sources[p{d}]")
-                tests = on_t + taken(vs)
-            elif s.test == _BOTH:
-                tests = on_s + on_t
-            elif s.test == _FREE:
-                src.append(f"{ind}{vs}, {vt} = sources[p{d}], targets[p{d}]")
-                tests = [f"{vs} == {vt}"] + taken(vs) + taken(vt)
-            else:  # _LOOP
-                src.append(f"{ind}{vs} = sources[p{d}]")
-                tests = [f"targets[p{d}] != {vs}"] + taken(vs)
+            # A bound endpoint must agree with its node, unless the walked
+            # list fixes it; so must an unbound self-loop's target, whose node
+            # its source binds.  A fresh endpoint is bound here, to a graph
+            # node no other pattern node holds.
+            agree, fresh = [], []
+            for col, node in (("sources", s.source), ("targets", s.target)):
+                if node in bound or col == "targets" and s.source == s.target:
+                    agree += [f"{col}[p{d}] != v{node}"] * (walked != col)
+                else:
+                    fresh.append((col, node))
+            if fresh:
+                src.append(f"{ind}{', '.join(f'v{n}' for _, n in fresh)} = "
+                           f"{', '.join(f'{c}[p{d}]' for c, _ in fresh)}")
+            tests = (agree + [f"v{s.source} == v{s.target}"] * (len(fresh) == 2)
+                     + [t for _, n in fresh for t in taken(n)])
             if tests:
                 src.append(f"{ind}if {' or '.join(tests)}: continue")
             src.append(f"{ind}c{d} += 1")
-            bound |= {s.source, s.target}
+            bound[s.source] = bound[s.target] = d
             if d == 0:
                 src.append(f"{ind}t0 = times[p0]")
                 if strict:

@@ -79,17 +79,20 @@ def pattern_from_triples(triples: Sequence[tuple[int, int, int]],
 def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
     """Check that ``p`` is a usable pattern for window ``delta``.
 
-    Verifies the duration bound dur(P) <= delta, that node ids are dense
-    (every endpoint in [0, node_count) and every id used by some edge),
-    and that the sorted-order invariants hold.
+    Verifies that ``p`` has an edge, the duration bound dur(P) <= delta,
+    that node ids are dense (every endpoint in [0, node_count) and every
+    id used by some edge), and that the sorted-order invariants hold.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
     violations: list[str] = []
     times = p.times()
-    dur = max(times) - min(times) + 1
-    if dur > delta:
-        violations.append(f"dur(P)={dur} exceeds delta={delta}")
+    if not times:
+        violations.append("pattern has no edges")
+    else:
+        dur = max(times) - min(times) + 1
+        if dur > delta:
+            violations.append(f"dur(P)={dur} exceeds delta={delta}")
     seen: set[int] = set()
     for e in p.edges:
         for node in (e.source, e.target):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 
@@ -13,6 +14,7 @@ from ipmatch import (
     SearchStats,
     brute_force,
     build_graph,
+    generate_path_query,
     pattern_from_triples,
     run_search,
     stream_search,
@@ -20,7 +22,7 @@ from ipmatch import (
     verify_match,
 )
 from ipmatch.io_cli import STRATEGIES
-from ipmatch.matcher import _kernel, _kernel_source
+from ipmatch.matcher import _compile, _kernel, _kernel_source
 from _generators import full_span, random_graph, random_pattern
 
 
@@ -78,6 +80,14 @@ class TestInteractionSearch:
         p = pattern_from_triples([(0, 1, 1), (1, 2, 5)])
         with pytest.raises(InvalidPatternError):
             run_search(g, p, 2, "index")
+
+    def test_pattern_without_edges_is_reported(self):
+        p = PatternGraph(1, ())
+        assert "pattern has no edges" in validate_pattern(p, 5).violations
+        g = build_graph([("a", "b", 1)])
+        for strategy in STRATEGIES:
+            with pytest.raises(InvalidPatternError, match="pattern has no edges"):
+                run_search(g, p, 5, strategy)
 
     def test_self_loop_pattern_matches_graph_self_loops(self):
         g = build_graph([("a", "a", 1), ("a", "b", 2), ("b", "b", 3)])
@@ -372,3 +382,67 @@ class TestCompiledKernel:
 
     def test_kernel_source_reads_only_the_compiled_steps(self):
         assert list(inspect.signature(_kernel_source).parameters) == ["steps", "use_index"]
+
+    PINNED_TRIPLES = {
+        "ping-pong": [(0, 1, 1), (1, 0, 2)],
+        "triangle": [(0, 1, 1), (1, 2, 2), (2, 0, 3)],
+        "broadcast-reply": [(0, 1, 1), (0, 2, 1), (1, 0, 2)],
+        "star3-simultaneous": [(0, 1, 1), (0, 2, 1), (0, 3, 1)],
+        "relay-equal": [(0, 1, 1), (1, 2, 1)],
+        "endpoint-cases": [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4), (2, 1, 5)],
+    }
+
+    # sha256 of each shape's kernel source under (simple, index): a change to
+    # the generator that keeps the kernels keeps these.  The paths put chunk
+    # boundaries (16 depths) on both sides; broadcast-reply chooses its
+    # walked list at run time; endpoint-cases steps through an unbound
+    # self-loop, source bound, both bound, a bound self-loop and target bound.
+    PINNED_SOURCE = {
+        1: (
+            "55c8974c49c0c9bdaab7dc6af521fe656ec3954b6e6063999e5f1094237b7966",
+            "55c8974c49c0c9bdaab7dc6af521fe656ec3954b6e6063999e5f1094237b7966"),
+        2: (
+            "0119255d34bbe60ca9856b2625537624db660ff01c66b9f32353cd767dcd31f0",
+            "90941b8a548347ba40b6bb0ac18ff1c7c9afa1b0bf65b0a1a53ed12af0f36705"),
+        3: (
+            "46411209b160cafb0793c9e39466b47bd42922bc7a041dc6de8bc1ee01594e81",
+            "59dcce9ad49871d307e63352173d68fb5435774aa588ec6617ac6224ae7aee07"),
+        4: (
+            "c479eff20cfc85287b8c314aa0e79053198a87f80112f140eed492cf721ce82a",
+            "7349fadc55ac56360e2585f3c81bcc7721f0f077235d509a12900acb3b0b6c98"),
+        16: (
+            "cdf4e03215b5d4da78f7cf53b67b6353e6298e3cd57303924d257a110f7e7ae6",
+            "03106f09459f25de07c08fb4d2fd25f3139b1701a807e3ca0e09ba30bcc19203"),
+        17: (
+            "78965141bc68712eab337b0dc30c01b9ea818e3c12062f6c7553219c565d080f",
+            "ddcb83926d00bb7111b2d5d5af051ec95753261bd43f3bc0fb0357e8fe62b2dc"),
+        25: (
+            "6e47b82c647085fdd958ce1ed4a5a4342678e17b0a765708103bbdacfe51af2f",
+            "ee9d8f66a17145b7183d82d96e24b4a9e45d7266e5b61ba1687425e6e927a9c2"),
+        "ping-pong": (
+            "66f0fd8ca50982e45cce49945560f6b17172034aa83bedb02928977b464b5f4b",
+            "40b7f786af17d964dc4565be53461ca3adb2f1c6eaded03bcc812370f68c085a"),
+        "triangle": (
+            "6974bedf2e7c3d4ad5e606bed24c9a476b8d83ff4dc786be0a3700f9e20e8dac",
+            "3eaae0c511775efc02ec78565d58c48e4cb819aaf4e2ad2d9a9ecb87f929dd54"),
+        "broadcast-reply": (
+            "8e0d3a377451142272205e570f303672a17bcfe9bc01bbc5b4e43fc7d014c9d5",
+            "8affcbd7270a77bb3c6f2177bcb6d833b8d9566f3b0c67911a320cc22b7abb9c"),
+        "star3-simultaneous": (
+            "e9f3c6da9a8353b1aa35ad7f19e21e65e1612568028b4cf92edfd6321899f3ae",
+            "57ea9d5ce5ae9962cd9ec3ad7155ef9dc88d5a78034fe20c3c83a5e392b6034c"),
+        "relay-equal": (
+            "32b9d0aeb80070641f214572d355d73dd772d9c09aa80b65b9b9827f561c136b",
+            "8e2f5b30b05e132f424d32482304cf38f9758e4639191aa05d51bbc688986f35"),
+        "endpoint-cases": (
+            "66532c315553e312364bd3e25e411d50b757a1698a12a2094588768e5fc77599",
+            "c012e1f82273716565aa4cabea0c57494c34882f9a0d2c55ae31e0290508a2ad"),
+    }
+
+    def test_source_is_pinned(self):
+        for shape, digests in self.PINNED_SOURCE.items():
+            p = (generate_path_query(shape) if isinstance(shape, int)
+                 else pattern_from_triples(self.PINNED_TRIPLES[shape]))
+            for use_index, digest in zip((False, True), digests):
+                source = _kernel_source(_compile(p), use_index).encode()
+                assert hashlib.sha256(source).hexdigest() == digest, (shape, use_index)
