@@ -10,8 +10,10 @@ generated and filtered, which is what makes this approach blow up on
 graphs with many parallel edges.
 
 ``brute_force`` is the test oracle: it enumerates every injective node
-mapping outright and filters by the match definition.  It shares no
-search machinery with the main matcher.
+mapping outright, prunes each mapping's edge assignments only by
+distinct positions, consecutive time order and the window, and judges
+every complete one by the match definition (``verify_match``).  It
+shares no search machinery with the main matcher.
 
 Both functions are stateless over immutable inputs and safe to call
 concurrently.
@@ -166,6 +168,10 @@ def two_phase_search(
 def brute_force(g: TemporalGraph, p: PatternGraph, delta: int) -> set[Match]:
     """Exhaustive oracle: all injective node mappings, then all assignments.
 
+    The assignments of a mapping are built edge by edge, and a partial one
+    is dropped as soon as it reuses a position, breaks the time order of
+    two consecutive pattern edges or outgrows the window; every complete
+    one is still judged by :func:`~ipmatch.matcher.verify_match`.
     Guarded against explosion; refuses graphs over 14 nodes or patterns
     over 5 edges.  It checks nothing else: :func:`~ipmatch.matcher.check_query`
     must accept ``(p, delta, None)`` first, as ``io_cli.stream_search`` does.
@@ -179,6 +185,24 @@ def brute_force(g: TemporalGraph, p: PatternGraph, delta: int) -> set[Match]:
         return results
     times = g.times
     pair_positions = _pair_positions(g)
+    equal = [d > 0 and pe.time == p.edges[d - 1].time for d, pe in enumerate(p.edges)]
+
+    def assignments(cand: list[list[int]], chosen: list[int]) -> Iterator[tuple[int, ...]]:
+        d = len(chosen)
+        if d == len(cand):
+            yield tuple(chosen)
+            return
+        for pos in cand[d]:
+            if pos in chosen:
+                continue
+            if d:
+                t, prev = times[pos], times[chosen[-1]]
+                if (t != prev if equal[d] else t <= prev) or t - times[chosen[0]] >= delta:
+                    continue
+            chosen.append(pos)
+            yield from assignments(cand, chosen)
+            chosen.pop()
+
     for perm in itertools.permutations(range(g.node_count), p.node_count):
         cand = []
         feasible = True
@@ -190,10 +214,10 @@ def brute_force(g: TemporalGraph, p: PatternGraph, delta: int) -> set[Match]:
             cand.append(positions)
         if not feasible:
             continue
-        for combo in itertools.product(*cand):
+        for combo in assignments(cand, []):
             ts = [times[c] for c in combo]
             start, end = min(ts), max(ts)
-            m = Match(tuple(perm), tuple(combo), start, end, end - start + 1)
+            m = Match(tuple(perm), combo, start, end, end - start + 1)
             if verify_match(g, p, delta, m).ok:
                 results.add(m)
     return results

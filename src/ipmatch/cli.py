@@ -73,23 +73,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_query(args) -> int:
-    """Write each match as a JSON line as :func:`io_cli.stream_search` yields it."""
+    """Write each match's JSON line as :func:`io_cli.stream_search` yields it."""
     delta = io_cli.effective_delta(args.delta, args.delta_unit)
     g = io_cli.load_graph(args.graph)
     p = io_cli.load_pattern(args.pattern)
     t0 = _time.perf_counter()
-    matches, stats = io_cli.stream_search(g, p, delta, args.strategy, args.limit)
-    # looked up per call: a caller may redirect stdout, a test replace the encoder
-    out, to_line = sys.stdout, io_cli.match_json_line
+    # looked up per call: a caller may redirect stdout, a test replace the engine
+    lines, stats = io_cli.stream_search(g, p, delta, args.strategy, args.limit, True)
+    write = sys.stdout.write
     count = 0
-    for count, m in enumerate(matches, 1):
-        out.write(to_line(m, g) + "\n")
+    for count, line in enumerate(lines, 1):
+        write(line + "\n")
     if args.stats:
         millis = (_time.perf_counter() - t0) * 1000.0
         summary = {"millis": round(millis, 3), "matches": count}
         if stats is not None:
             summary.update(stats.as_dict())
-        out.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+        write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
     return 0
 
 

@@ -7,20 +7,20 @@ skipped.  Pattern files are the same 3-column format preceded by a
 match, so every line is independently parseable.
 
 :func:`stream_search` is the one place a strategy name picks an engine;
-``run_search``, ``bench`` and the ``query`` command take its match stream.
+``run_search`` and ``bench`` take its match stream, and the ``query``
+command its stream of JSON lines.
 Nothing here prints: errors are raised, and ``cli.main`` reports them.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
-from .matcher import Match, SearchStats, check_query, search
+from .matcher import Match, SearchStats, _line_format, check_query, search
 from .pattern import PatternGraph, pattern_from_triples
 from .temporal_graph import GraphBuildError, TemporalGraph, build_graph, static_projection
 
@@ -186,21 +186,6 @@ def match_to_dict(m: Match, g: TemporalGraph) -> dict:
     }
 
 
-@functools.cache
-def _line_format(nodes: int, edges: int) -> tuple[str, tuple[int, ...]]:
-    """%-format of a match line, and the pattern node order of its ``nodes``.
-
-    The keys are in ``json.dumps(sort_keys=True)`` order, which sorts the
-    node keys as strings ("10" before "2").
-    """
-    order = tuple(sorted(range(nodes), key=str))
-    return (
-        '{"dur":%d,"edges":[' + ",".join(["[%s,%s,%d]"] * edges)
-        + '],"end":%d,"nodes":{' + ",".join(f'"{i}":%s' for i in order)
-        + '},"start":%d}'
-    ), order
-
-
 def match_json_line(m: Match, g: TemporalGraph) -> str:
     """``match_to_dict(m, g)`` as one compact, key-sorted JSON line.
 
@@ -270,19 +255,22 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
 
 
 def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
-                  limit: Optional[int] = None):
+                  limit: Optional[int] = None, lines: bool = False):
     """Start one query under any strategy; returns (matches, stats).
 
     ``matches`` is a closeable generator of at most ``limit`` matches in
     emitted order (by assigned edge positions); ``baseline`` and
-    ``oracle`` search and sort in this call.  ``stats`` (``SearchStats``,
+    ``oracle`` search and sort in this call.  With ``lines`` it yields
+    each match as its :func:`match_json_line` instead: ``simple`` and
+    ``index`` run a kernel that formats the line itself, ``baseline`` and
+    ``oracle`` encode their sorted matches.  ``stats`` (``SearchStats``,
     ``BaselineStats`` or None) is complete once the stream ends or is
-    closed.  An invalid pattern, a negative ``limit`` or an unknown
-    strategy raises here."""
+    closed, and is the same in both modes.  An invalid pattern, a negative
+    ``limit`` or an unknown strategy raises here."""
     check_query(p, delta, limit)
     if strategy in ("simple", "index"):
         stats = SearchStats()
-        return search(g, p, delta, strategy == "index", limit, stats), stats
+        return search(g, p, delta, strategy == "index", limit, stats, lines), stats
     if strategy == "baseline":
         found, stats = two_phase_search(g, p, delta)
     elif strategy == "oracle":
@@ -290,6 +278,8 @@ def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     found = sorted(found, key=lambda m: m.edge_assignment)[:limit]
+    if lines:
+        return (match_json_line(m, g) for m in found), stats
     return (m for m in found), stats
 
 

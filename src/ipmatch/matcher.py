@@ -12,8 +12,8 @@ positions and times and the window deadline as plain locals and each
 depth's time and structural tests written out once, so the loops only
 compare ints (query compilation, as in Neumann, "Efficiently Compiling
 Efficient Query Plans for Modern Hardware", VLDB 2011).  The compiled
-code is cached per pattern shape and strategy, and takes the graph's
-columns as arguments, so one kernel serves every graph.  CPython
+code is cached per pattern shape, strategy and emit mode, and takes the
+graph's columns as arguments, so one kernel serves every graph.  CPython
 refuses more than 20 nested blocks in one function, so a pattern of
 more than 16 edges is split into generator functions of 16 depths each,
 chained by ``yield from``.
@@ -57,6 +57,14 @@ The search is a generator that yields each match as it completes it, so
 a caller can stream, count or stop early without holding every match.
 It keeps all of its state in its own locals; one graph may serve any
 number of concurrent searches.
+
+The kernel is compiled in one of two emit modes, which do the same work
+and count the same.  By default its last depth yields a :class:`Match`.
+In line mode it yields the match's JSON line instead: it fills the
+%-format of :func:`_line_format` (the one ``io_cli.match_json_line``
+fills from a ``Match``) with the labels' JSON and the times it holds as
+locals, so the compiled query produces its output itself, as Neumann's
+compiled plans do, and no match is built and read back.
 """
 
 from __future__ import annotations
@@ -145,10 +153,13 @@ def check_query(p: PatternGraph, delta: int, limit: Optional[int]) -> None:
 
 
 def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
-           limit: Optional[int], stats: SearchStats) -> Iterator[Match]:
+           limit: Optional[int], stats: SearchStats,
+           lines: bool = False) -> Iterator[Match] | Iterator[str]:
     """A generator of the matches of ``p`` in ``g`` within ``delta``, at most
     ``limit``, run by the kernel compiled for ``p``'s shape (built by the
-    first call for that shape, then cached).
+    first call for that shape, then cached).  With ``lines`` it yields each
+    match as its JSON line (see :func:`_line_format`) instead of a
+    :class:`Match`, with the same counters.
 
     Depth-first discovery order is lexicographic in the edge assignment
     positions; ``use_index`` (position lists instead of the linear scan)
@@ -158,17 +169,44 @@ def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
     ``limit=k`` run.  It checks nothing: :func:`check_query` must accept
     ``(p, delta, limit)`` first, as ``io_cli.stream_search`` does.
     """
-    kernel = _kernel(_compile(p), use_index)
-    return kernel(g.sources, g.targets, g.times, g.out_positions, g.in_positions,
-                  delta, limit, stats)
+    cols = (g.sources, g.targets, g.times, g.out_positions, g.in_positions)
+    if lines:
+        cols += (g.label_json,)
+    return _kernel(_compile(p), use_index, lines)(*cols, delta, limit, stats)
+
+
+@functools.cache
+def _line_format(nodes: int, edges: int) -> tuple[str, tuple[int, ...]]:
+    """%-format of a match line, and the pattern node order of its ``nodes``.
+
+    The line is ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+    of ``{"nodes": {"<i>": label}, "edges": [[source, target, time], ...],
+    "start", "end", "dur"}`` with each label JSON-encoded already; the
+    format takes dur, each edge's three fields, end, the node labels in
+    key order and start.  The node keys sort as strings ("10" before "2").
+    """
+    order = tuple(sorted(range(nodes), key=str))
+    return (
+        '{"dur":%d,"edges":[' + ",".join(["[%s,%s,%d]"] * edges)
+        + '],"end":%d,"nodes":{' + ",".join(f'"{i}":%s' for i in order)
+        + '},"start":%d}'
+    ), order
+
+
+def _node_count(steps: tuple[_Step, ...]) -> int:
+    return 1 + max(max(s.source, s.target) for s in steps)
 
 
 @functools.lru_cache(maxsize=64)
-def _kernel(steps: tuple[_Step, ...], use_index: bool):
-    """The compiled search of one pattern shape; it serves every graph."""
+def _kernel(steps: tuple[_Step, ...], use_index: bool, lines: bool):
+    """The compiled search of one pattern shape in match or line mode; it
+    serves every graph."""
     namespace = {"bisect_left": bisect.bisect_left, "bisect_right": bisect.bisect_right,
                  "islice": itertools.islice, "new": tuple.__new__, "Match": Match}
-    exec(compile(_kernel_source(steps, use_index), "<ipmatch kernel>", "exec"), namespace)
+    if lines:
+        namespace["fmt"] = _line_format(_node_count(steps), len(steps))[0]
+    source = _kernel_source(steps, use_index, lines)
+    exec(compile(source, "<ipmatch kernel>", "exec"), namespace)
     return namespace["_k0"]
 
 
@@ -183,7 +221,7 @@ def _later(steps: tuple[_Step, ...], x: int, y: int) -> bool:
     return x == y or x > y and not any(s.equal for s in steps[y + 1:x + 1])
 
 
-def _kernel_source(steps: tuple[_Step, ...], use_index: bool) -> str:
+def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = False) -> str:
     """Python source of the search over ``steps``: one nested ``for`` per
     depth, in generator functions ``_k0``, ``_k1``, ... of at most
     ``_CHUNK`` depths, each handing its bound locals to the next through
@@ -192,11 +230,15 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool) -> str:
     adds its per-depth counters ``e{d}`` (examined) and ``c{d}``
     (admitted) into ``stats`` in its ``finally``; ``_k0`` then sets
     ``pops``.  Only ints and fixed names enter the source.
+
+    The last depth yields a :class:`Match`, or with ``lines`` the match's
+    JSON line: the global ``fmt`` (:func:`_line_format`'s) filled from the
+    locals and one more column, ``label_json``.
     """
     m = len(steps)
-    nodes = 1 + max(max(s.source, s.target) for s in steps)
+    nodes = _node_count(steps)
     strict = any(not s.equal for s in steps[1:])
-    cols = "sources, targets, times, out_positions, in_positions"
+    cols = "sources, targets, times, out_positions, in_positions" + ", label_json" * lines
     bound: dict[int, int] = {}  # pattern node -> last depth above that touched it
     src: list[str] = []
 
@@ -279,11 +321,20 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool) -> str:
                 if strict:
                     src.append(f"{ind}deadline = t0 + delta - 1")
             if d == m - 1:
-                node_map = ", ".join(f"v{i}" for i in range(nodes))
-                edges = ", ".join(f"p{k}" for k in range(m))
-                src += [f"{ind}yield new(Match, (({node_map},), ({edges},), t0, t{d}, "
-                        f"t{d} - t0 + 1))",
-                        f"{ind}if found + c{d} == limit: return limit"]
+                if lines:  # this function holds t0, t{a-1} and its own depths' times
+                    t = [f"t{k}" if k == 0 or k >= a - 1 else f"times[p{k}]" for k in range(m)]
+                    fields = [f"t{d} - t0 + 1"]
+                    for k, step in enumerate(steps):
+                        fields += [f"label_json[v{step.source}]", f"label_json[v{step.target}]",
+                                   t[k]]
+                    fields += [f"t{d}"] + [f"label_json[v{i}]" for i in _line_format(nodes, m)[1]]
+                    src.append(f"{ind}yield fmt % ({', '.join(fields)}, t0)")
+                else:
+                    node_map = ", ".join(f"v{i}" for i in range(nodes))
+                    edges = ", ".join(f"p{k}" for k in range(m))
+                    src.append(f"{ind}yield new(Match, (({node_map},), ({edges},), t0, t{d}, "
+                               f"t{d} - t0 + 1))")
+                src.append(f"{ind}if found + c{d} == limit: return limit")
             elif d == b - 1:
                 live = ([f"v{i}" for i in sorted(bound)] + [f"p{k}" for k in range(b)]
                         + ["t0"] + [f"t{d}"] * (d > 0) + ["deadline"] * strict)

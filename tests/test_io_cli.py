@@ -31,6 +31,7 @@ from ipmatch import (
     pattern_from_triples,
     run_search,
     stream_search,
+    validate_pattern,
     verify_match,
 )
 from ipmatch import io_cli
@@ -276,19 +277,29 @@ _LABELS = st.text(_LABEL_CHARS, min_size=1, max_size=5).filter(
     lambda s: s[0] != "#" and not any(ch.isspace() for ch in s))
 
 
+_HOSTILE_PATHS = (
+    st.lists(_LABELS, min_size=12, max_size=16, unique=True),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 20)),
+             max_size=25),
+)
+
+
+def hostile_path(labels, extra):
+    """A time-ordered path through every label plus the ``extra`` edges, and
+    the path pattern of 11 or more nodes that it matches, whose node keys
+    sort as strings."""
+    edges = [(labels[i], labels[i + 1], i + 1) for i in range(len(labels) - 1)]
+    edges += [(labels[u % len(labels)], labels[v % len(labels)], t) for u, v, t in extra]
+    p = generate_path_query(len(labels) - 1)
+    assert p.node_count >= 11
+    return build_graph(edges), p
+
+
 class TestMatchJsonLine:
-    @given(st.lists(_LABELS, min_size=12, max_size=16, unique=True),
-           st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 20)),
-                    max_size=25))
+    @given(*_HOSTILE_PATHS)
     @settings(max_examples=80, deadline=None)
     def test_equals_json_dumps(self, labels, extra):
-        # a time-ordered path through every label, so a path pattern of 11
-        # or more nodes matches and its node keys sort as strings
-        edges = [(labels[i], labels[i + 1], i + 1) for i in range(len(labels) - 1)]
-        edges += [(labels[u % len(labels)], labels[v % len(labels)], t) for u, v, t in extra]
-        g = build_graph(edges)
-        p = generate_path_query(len(labels) - 1)
-        assert p.node_count >= 11
+        g, p = hostile_path(labels, extra)
         matches, _ = run_search(g, p, 10**6, "index")
         assert matches
         for m in matches:
@@ -301,6 +312,64 @@ class TestMatchJsonLine:
         (m,), _ = run_search(g, p, 5, "index")
         expected = json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
         assert match_json_line(m, g) == expected
+
+
+def assert_line_stream_equals_match_stream(g, p, delta, k):
+    """For ``simple`` and ``index``: the line stream is ``match_json_line``
+    over the match stream, with equal counters, at the limits None, 0, 1
+    and ``k``; and a line stream closed after ``k`` lines reports the
+    counters of a ``limit=k`` run."""
+    for strategy in ("simple", "index"):
+        for limit in (None, 0, 1, k):
+            matches, stats = stream_search(g, p, delta, strategy, limit)
+            lines, line_stats = stream_search(g, p, delta, strategy, limit, lines=True)
+            assert list(lines) == [match_json_line(m, g) for m in matches]
+            assert line_stats == stats
+        lines, closed = stream_search(g, p, delta, strategy, lines=True)
+        with closing(lines):
+            prefix = list(itertools.islice(lines, k))
+        cut, cut_stats = run_search(g, p, delta, strategy, k)
+        assert prefix == [match_json_line(m, g) for m in cut]
+        assert closed == cut_stats
+
+
+class TestLineStream:
+    """``stream_search(..., lines=True)`` under ``simple`` and ``index`` runs
+    a kernel that formats each line itself."""
+
+    @given(st.integers(0, 10_000), st.integers(2, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_generated_instances(self, seed, k):
+        # EQUAL steps, self-loops and parallel edges
+        rng = random.Random(seed)
+        g, p = random_graph(rng), random_pattern(rng)
+        delta = full_span(g)
+        if validate_pattern(p, delta).ok:
+            assert_line_stream_equals_match_stream(g, p, delta, k)
+
+    @given(*_HOSTILE_PATHS, st.integers(2, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_hostile_labels(self, labels, extra, k):
+        g, p = hostile_path(labels, extra)
+        assert_line_stream_equals_match_stream(g, p, 10**6, k)
+
+    @pytest.mark.parametrize("edges", [16, 17, 25])
+    def test_paths_across_the_chunk_boundary(self, edges):
+        # a path through 27 hostile labels, hop i at time 2i + 1; hops 1 and
+        # 5 have a later parallel edge and hop 3 an exact duplicate, so
+        # matches differ in the times of the first function's depths
+        labels = [f'n"{i}\\' if i % 2 else f"\u00e9{i}\x01" for i in range(27)]
+        triples = [(labels[i], labels[i + 1], 2 * i + 1) for i in range(26)]
+        triples += [(labels[1], labels[2], 4), (labels[3], labels[4], 7),
+                    (labels[5], labels[6], 12)]
+        g = build_graph(triples)
+        p = generate_path_query(edges)
+        matches, _ = run_search(g, p, 10**6, "index")
+        assert len(matches) >= 8
+        for m in matches:
+            expected = json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
+            assert match_json_line(m, g) == expected
+        assert_line_stream_equals_match_stream(g, p, 10**6, 5)
 
 
 class _FailingSink(io.StringIO):
@@ -725,8 +794,9 @@ class TestErrorContract:
 
 
 class TestCliLooksUpAtCallTime:
-    """``query`` calls the engine and the encoder through ``io_cli`` when it
-    runs, so that replacing either changes what it prints."""
+    """``query`` calls the engine through ``io_cli`` when it runs, and so does
+    the engine the encoder of ``baseline`` and ``oracle`` lines, so that
+    replacing either changes what it prints."""
 
     @pytest.fixture
     def argv(self, toy_graph_file, path2_pattern_file):
@@ -748,6 +818,13 @@ class TestCliLooksUpAtCallTime:
         assert capsys.readouterr().out.splitlines() == lines[:-1]
 
     def test_replaced_encoder(self, argv, capsys, monkeypatch):
-        monkeypatch.setattr(io_cli, "match_json_line", lambda m, g: str(m.edge_assignment))
         assert main(argv) == 0
-        assert capsys.readouterr().out == "(0, 2)\n(0, 3)\n(1, 2)\n(1, 3)\n"
+        lines = capsys.readouterr().out
+        monkeypatch.setattr(io_cli, "match_json_line", lambda m, g: str(m.edge_assignment))
+        for strategy in ("baseline", "oracle"):
+            assert main(argv + ["--strategy", strategy]) == 0
+            assert capsys.readouterr().out == "(0, 2)\n(0, 3)\n(1, 2)\n(1, 3)\n"
+        # the kernel strategies format their lines themselves
+        for strategy in ("simple", "index"):
+            assert main(argv + ["--strategy", strategy]) == 0
+            assert capsys.readouterr().out == lines

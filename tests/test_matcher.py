@@ -381,7 +381,8 @@ class TestCompiledKernel:
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_kernel_source_reads_only_the_compiled_steps(self):
-        assert list(inspect.signature(_kernel_source).parameters) == ["steps", "use_index"]
+        assert list(inspect.signature(_kernel_source).parameters) == [
+            "steps", "use_index", "lines"]
 
     PINNED_TRIPLES = {
         "ping-pong": [(0, 1, 1), (1, 0, 2)],
@@ -446,3 +447,73 @@ class TestCompiledKernel:
             for use_index, digest in zip((False, True), digests):
                 source = _kernel_source(_compile(p), use_index).encode()
                 assert hashlib.sha256(source).hexdigest() == digest, (shape, use_index)
+
+    # the same shapes' kernels in line mode, which yield each match's JSON line
+    PINNED_LINE_SOURCE = {
+        1: (
+            "84ebf3d5316a55bf27e0e73610910c2d959f920e2a904949269f3d32dacaee78",
+            "84ebf3d5316a55bf27e0e73610910c2d959f920e2a904949269f3d32dacaee78"),
+        2: (
+            "d2acb0874b8e4e99c785708981b2ac60c303497d5dfd7093ec4069d6b1fc2451",
+            "f4bb2099690134c45e4abadba61ce4a3f9b0223b260d2c4fc1167107c1917fad"),
+        3: (
+            "c8b19575d660779c6d12f0ac5b2a0a5c91341fd935d18e06ba8ca8584af5d88e",
+            "c7b70946b37f3cdffea5967e5ebeab436acaab5400664a1c877dc105638ce016"),
+        4: (
+            "0ecaebad1054d1469277bc1483d9279c7c2c4b3f479b5bd2e91e08213ac9782b",
+            "6b90f43cc9c2c93453eb5a1b8770a9f04520e0d5b26d033bf0aee73cee417d23"),
+        16: (
+            "fa85821673f8eb3e7dd7067938a4f1071e3e3eb9ddc986584d7ffa9e2cd9bd1a",
+            "3025756fe50caa89bf94fdaf854f9dfbde2b5b9871ea8fb1e3ac872455eb03c9"),
+        17: (
+            "393af359f0f066eac3c3f7dad3ad67474b0a1213ab66c5255e0f104f585e5a25",
+            "345b1b333934e3a992cfb377acb743524168b54151ac139fb8dfe0e7b475d981"),
+        25: (
+            "e7bb71859d292bf5ced4a8ad2c0b576d7a63b02fccb2ac92df4b8e3975fab25d",
+            "a191031a11352d3baa92befae888dbd9f83bdfbebedeed8d5c045a5308d7799e"),
+        "ping-pong": (
+            "5e90c9ef3d1313e52b1f18514b521892e83ac01c8b7107ca99ab4e962bea17c2",
+            "81ecae9e733ceaee1ca357fe1db230e2aa8aed39a628fdc565e49f1e154e5422"),
+        "triangle": (
+            "830c5bda939a0033c20322ea5f467ad71e85299e07b33d92baa85660bfb2e0d1",
+            "2f21c707ed9f3f06308473e1c5f56f079e5a95df95fa29890c3f7a8bb85b29e2"),
+        "broadcast-reply": (
+            "296924b017ab6e660fd5ce22ad0f129f5d8288148bfcf41613fee9fc7c61155c",
+            "78762edbf590f103fa4de7d8e649cbb51b12355ba241eca731881fe1ae02dc11"),
+        "star3-simultaneous": (
+            "c1613c67197e9ba3c067ac4dff99bf5502b544974c026c7a74ff41996e83086b",
+            "08948dc3296f9e1bd470611c3ea8758da67bbe0138a786275dc5cd5bf0da34e8"),
+        "relay-equal": (
+            "cc386057c6aa58038949f78d678066aba94179c7991efe55842206463807db49",
+            "666b855f3da2e63eac17184ae8456db59fc50b32abc2af42fde6d093acf7080f"),
+        "endpoint-cases": (
+            "a63c215d46b14e5a03c1dad29d62fa425b249ddeca41646fff73960223c56c50",
+            "738cd736f132e3bfec287cde5273be89fa60232355d5b4fe4323fee016c4f34d"),
+    }
+
+    def test_line_source_is_pinned(self):
+        for shape, digests in self.PINNED_LINE_SOURCE.items():
+            p = (generate_path_query(shape) if isinstance(shape, int)
+                 else pattern_from_triples(self.PINNED_TRIPLES[shape]))
+            for use_index, digest in zip((False, True), digests):
+                source = _kernel_source(_compile(p), use_index, True).encode()
+                assert hashlib.sha256(source).hexdigest() == digest, (shape, use_index)
+
+    def test_line_mode_changes_only_the_signatures_and_the_yield(self):
+        assert self.PINNED_LINE_SOURCE.keys() == self.PINNED_SOURCE.keys()
+        for shape in self.PINNED_SOURCE:
+            p = (generate_path_query(shape) if isinstance(shape, int)
+                 else pattern_from_triples(self.PINNED_TRIPLES[shape]))
+            for use_index in (False, True):
+                pairs = list(zip(_kernel_source(_compile(p), use_index).splitlines(),
+                                 _kernel_source(_compile(p), use_index, True).splitlines(),
+                                 strict=True))
+                changed = [(a.strip(), b.strip()) for a, b in pairs if a != b]
+                chunks = 1 + (len(p.edges) - 1) // 16
+                # each chunk's signature, the calls of the chunks after the
+                # first, and the yield
+                assert len(changed) == 2 * chunks
+                for a, b in changed[:-1]:
+                    assert b.replace(", label_json", "", 1) == a
+                assert changed[-1][0].startswith("yield new(Match, ")
+                assert changed[-1][1].startswith("yield fmt % (")
