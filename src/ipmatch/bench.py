@@ -3,9 +3,10 @@
 Two query families are supported: fixed-length path queries (edges with
 consecutive timestamps) and random queries grown by a seeded DFS over
 the static projection.  Every (query, delta, strategy) cell records
-wall-clock time, matches found and candidate counts; per-cell match
-counts must agree across strategies or the run aborts with the
-offending instance saved for replay.
+wall-clock time, matches found and candidate counts.  Each cell's
+strategies run back to back and their match counts must agree: the
+first cell that disagrees aborts the run before any later cell, with
+its pattern saved for replay.
 
 Cells run one after another, so each timing is taken with the process
 otherwise idle.
@@ -21,10 +22,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .io_cli import effective_delta, load_graph, save_pattern, stream_search
-from .pattern import PatternGraph, pattern_from_triples, validate_pattern
+from .pattern import MAX_PATTERN_EDGES, PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import TemporalGraph, static_projection
 
 CSV_HEADER = ["family", "size", "delta", "strategy", "query_id", "millis", "matches", "candidates"]
+MAX_RESTARTS = 50  # DFS starts tried per random query
 
 
 class QueryGenerationError(RuntimeError):
@@ -35,7 +37,7 @@ class StrategyMismatchError(RuntimeError):
     """Two strategies disagreed on a bench cell's match count."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchPlan:
     graph_path: str
     family: str  # "path" or "random"
@@ -87,8 +89,7 @@ def generate_path_query(length: int) -> PatternGraph:
     )
 
 
-def generate_random_query(g: TemporalGraph, n: int, seed: int,
-                          max_restarts: int = 50) -> PatternGraph:
+def generate_random_query(g: TemporalGraph, n: int, seed: int) -> PatternGraph:
     """Grow an ``n``-node pattern by seeded DFS over the static projection.
 
     The pattern consists of the DFS tree edges, renamed to dense ids in
@@ -103,7 +104,7 @@ def generate_random_query(g: TemporalGraph, n: int, seed: int,
     for a, b in sorted(static_projection(g)):
         out_adj.setdefault(a, []).append(b)
 
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         start = rng.randrange(g.node_count)
         order = {start: 0}
         tree: list[tuple[int, int]] = []
@@ -124,7 +125,7 @@ def generate_random_query(g: TemporalGraph, n: int, seed: int,
             ]
             return pattern_from_triples(triples, node_count=n)
     raise QueryGenerationError(
-        f"no DFS start reached {n} nodes after {max_restarts} attempts"
+        f"no DFS start reached {n} nodes after {MAX_RESTARTS} attempts"
     )
 
 
@@ -135,6 +136,7 @@ def _shuffled(items, rng: random.Random) -> list:
 
 
 def _queries(plan: BenchPlan, g: TemporalGraph) -> list[tuple[int, str, PatternGraph]]:
+    """The plan's queries; ValueError for one the engines would refuse as too long."""
     queries = []
     sizes = dict.fromkeys(plan.sizes)  # a repeated size adds no cell
     if plan.family == "path":
@@ -145,6 +147,10 @@ def _queries(plan: BenchPlan, g: TemporalGraph) -> list[tuple[int, str, PatternG
             for i in range(plan.count):
                 seed = plan.seed * 1_000_003 + size * 1_009 + i
                 queries.append((size, f"s{size}q{i}", generate_random_query(g, size, seed)))
+    for _, qid, pattern in queries:
+        if len(pattern.edges) > MAX_PATTERN_EDGES:
+            raise ValueError(f"query {qid} has {len(pattern.edges)} edges, "
+                             f"limit is {MAX_PATTERN_EDGES}")
     return queries
 
 
@@ -160,35 +166,38 @@ def _run_cell(g, pattern, delta, strategy) -> tuple[float, int, int]:
 def run_bench(plan: BenchPlan) -> list[BenchRow]:
     """Execute the sweep and return all rows; writes CSV when requested.
 
-    Per-cell match counts must agree across the plan's strategies; the
-    first disagreement aborts the run after saving the offending pattern
-    next to the report for replay.  The report is opened before the first
-    cell runs, so an unwritable path fails fast, and is removed again if
-    the sweep fails.
+    Each cell runs the plan's strategies back to back, and their match
+    counts must agree: the first cell that disagrees aborts the run, before
+    any later cell runs, after saving its pattern next to the report for
+    replay.  The report is opened before the first cell runs, so an
+    unwritable path fails fast, and is removed again if the sweep fails.
     """
     g = load_graph(plan.graph_path)
     # a delta repeated, as given or once converted, adds no cell
     deltas = list(dict.fromkeys(effective_delta(d, plan.delta_unit) for d in plan.deltas))
     queries = _queries(plan, g)
 
-    # a window shorter than the query's own duration admits no matches and
-    # the engines refuse it outright; such cells are skipped, not zeroed
-    cells = [
-        (size, qid, pattern, delta, strategy)
-        for (size, qid, pattern) in queries
-        for delta in deltas
-        if validate_pattern(pattern, delta).ok
-        for strategy in plan.strategies
-    ]
-
     fh = open(plan.output, "w", encoding="ascii", newline="") if plan.output else None
     try:
-        rows = [
-            BenchRow(plan.family, size, delta, strategy, qid,
-                     *_run_cell(g, pattern, delta, strategy))
-            for size, qid, pattern, delta, strategy in cells
-        ]
-        _check_agreement(plan, queries, rows)
+        rows: list[BenchRow] = []
+        for size, qid, pattern in queries:
+            for delta in deltas:
+                # a window shorter than the query's own duration admits no matches
+                # and the engines refuse it outright; such cells are skipped, not zeroed
+                if not validate_pattern(pattern, delta).ok:
+                    continue
+                cell = [BenchRow(plan.family, size, delta, strategy, qid,
+                                 *_run_cell(g, pattern, delta, strategy))
+                        for strategy in plan.strategies]
+                counts = {row.matches for row in cell}
+                if len(counts) > 1:
+                    dump = (plan.output or "bench") + f".mismatch-{qid}-d{delta}.pattern"
+                    save_pattern(pattern, dump)
+                    raise StrategyMismatchError(
+                        f"strategies disagree on query {qid} delta {delta}: "
+                        f"match counts {sorted(counts)}; pattern saved to {dump}"
+                    )
+                rows += cell
         all_rows = rows + _aggregate(plan, rows)
         if fh:
             _write_csv(plan, all_rows, fh)
@@ -199,21 +208,6 @@ def run_bench(plan: BenchPlan) -> list[BenchRow]:
             os.remove(plan.output)
         raise
     return all_rows
-
-
-def _check_agreement(plan: BenchPlan, queries, rows: list[BenchRow]) -> None:
-    by_cell: dict[tuple[str, int], set[int]] = {}
-    for row in rows:
-        by_cell.setdefault((row.query_id, row.delta), set()).add(row.matches)
-    for (qid, delta), counts in sorted(by_cell.items()):
-        if len(counts) > 1:
-            pattern = next(p for (_, q, p) in queries if q == qid)
-            dump = (plan.output or "bench") + f".mismatch-{qid}-d{delta}.pattern"
-            save_pattern(pattern, dump)
-            raise StrategyMismatchError(
-                f"strategies disagree on query {qid} delta {delta}: "
-                f"match counts {sorted(counts)}; pattern saved to {dump}"
-            )
 
 
 def _aggregate(plan: BenchPlan, rows: list[BenchRow]) -> list[BenchRow]:

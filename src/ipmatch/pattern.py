@@ -6,14 +6,22 @@ matters to the matcher.  Rank-valued times 1..k are the recommended
 input, which makes the pattern's duration equal to the number of
 distinct ranks.
 
-Patterns are immutable after :func:`pattern_from_triples` and freely
-shareable.
+Patterns are frozen dataclasses, built by :func:`pattern_from_triples`
+and freely shareable; :func:`validate_pattern` accepts at most
+:data:`MAX_PATTERN_EDGES` edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
+
+# The compiled kernel compares each fresh node with every bound one and
+# hands every bound local to each 16-depth function, so its source and
+# compile time grow with the square of the edge count: 0.14 MB at 100
+# edges, 6 MB at 800.  64 keeps the deepest pinned shape (40 edges).
+MAX_PATTERN_EDGES = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,6 +36,7 @@ class PatternEdge:
     time: int
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PatternGraph:
     """Pattern with its edges sorted by time.
 
@@ -35,11 +44,8 @@ class PatternGraph:
     equal and strictly after it otherwise.
     """
 
-    __slots__ = ("node_count", "edges")
-
-    def __init__(self, node_count: int, edges: tuple[PatternEdge, ...]):
-        self.node_count = node_count
-        self.edges = edges
+    node_count: int
+    edges: tuple[PatternEdge, ...]
 
     def __repr__(self) -> str:
         return f"PatternGraph(nodes={self.node_count}, edges={len(self.edges)})"
@@ -79,9 +85,11 @@ def pattern_from_triples(triples: Sequence[tuple[int, int, int]],
 def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
     """Check that ``p`` is a usable pattern for window ``delta``.
 
-    Verifies that ``p`` has an edge, the duration bound dur(P) <= delta,
-    that node ids are dense (every endpoint in [0, node_count) and every
-    id used by some edge), and that the sorted-order invariants hold.
+    Verifies that ``p`` has between one and :data:`MAX_PATTERN_EDGES`
+    edges, the duration bound dur(P) <= delta, that node ids are dense
+    (every endpoint in [0, node_count) and every id used by some edge),
+    and that the sorted-order invariants hold.  The cost is linear in the
+    edge count, whatever ``node_count`` says.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
@@ -93,6 +101,8 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
         dur = max(times) - min(times) + 1
         if dur > delta:
             violations.append(f"dur(P)={dur} exceeds delta={delta}")
+    if len(times) > MAX_PATTERN_EDGES:
+        violations.append(f"pattern has {len(times)} edges, limit is {MAX_PATTERN_EDGES}")
     seen: set[int] = set()
     for e in p.edges:
         for node in (e.source, e.target):
@@ -100,10 +110,14 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
                 violations.append(
                     f"node id {node} out of range 0..{p.node_count - 1}"
                 )
-            seen.add(node)
-    missing = [n for n in range(p.node_count) if n not in seen]
-    if missing:
-        violations.append(f"nodes without any edge: {missing}")
+            else:
+                seen.add(node)
+    unused = p.node_count - len(seen)
+    if unused > 0:
+        # the scan stops at the 10th unused id, having passed at most len(seen) others
+        shown = list(islice((n for n in range(p.node_count) if n not in seen), 10))
+        more = f" and {unused - len(shown)} more" if unused > len(shown) else ""
+        violations.append(f"nodes without any edge: {shown}{more}")
     for i in range(1, len(p.edges)):
         if p.edges[i - 1].time > p.edges[i].time:
             violations.append(f"edges out of time order at position {i}")

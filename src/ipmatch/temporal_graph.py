@@ -12,12 +12,14 @@ successor of the current position in that node's position list.
 Each node label is also kept in its JSON string form, so that matches
 can be written out without encoding a label per line.
 
-Graphs are immutable after construction and safe for unrestricted
-concurrent read access.
+A graph is a frozen dataclass: no field can be reassigned after
+:func:`build_graph`, and the three edge columns are tuples.  It is safe
+for unrestricted concurrent read access.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -35,6 +37,7 @@ class GraphBuildError(ValueError):
         self.reason = reason
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class TemporalGraph:
     """Flat time-ordered edge columns, per-node position lists, symbol table.
 
@@ -42,41 +45,21 @@ class TemporalGraph:
     list position ``i``; ``out_positions[n]`` / ``in_positions[n]`` are
     the ascending positions of the edges leaving / entering node ``n``.
     ``label_json[n]`` is ``labels[n]`` as ``json.dumps`` writes it.
-    Do not mutate any attribute after construction; use :func:`build_graph`.
+    Build one with :func:`build_graph`.
     """
 
-    __slots__ = (
-        "sources",
-        "targets",
-        "times",
-        "node_count",
-        "labels",
-        "label_json",
-        "label_index",
-        "out_positions",
-        "in_positions",
-    )
+    sources: tuple[int, ...]
+    targets: tuple[int, ...]
+    times: tuple[int, ...]
+    labels: list[str]
+    label_json: tuple[str, ...]
+    label_index: dict[str, int]
+    out_positions: list[list[int]]
+    in_positions: list[list[int]]
 
-    def __init__(
-        self,
-        sources: tuple[int, ...],
-        targets: tuple[int, ...],
-        times: tuple[int, ...],
-        labels: list[str],
-        label_json: tuple[str, ...],
-        label_index: dict[str, int],
-        out_positions: list[list[int]],
-        in_positions: list[list[int]],
-    ):
-        self.sources = sources
-        self.targets = targets
-        self.times = times
-        self.labels = labels
-        self.label_json = label_json
-        self.label_index = label_index
-        self.node_count = len(labels)
-        self.out_positions = out_positions
-        self.in_positions = in_positions
+    @property
+    def node_count(self) -> int:
+        return len(self.labels)
 
     def __len__(self) -> int:
         return len(self.times)

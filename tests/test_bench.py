@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -165,8 +166,10 @@ class TestRunBench:
         from ipmatch import StrategyMismatchError
 
         real = bench_mod.stream_search
+        calls = []
 
         def broken(g, pattern, delta, strategy, limit=None):
+            calls.append(strategy)
             matches, stats = real(g, pattern, delta, strategy, limit)
             if strategy == "index":
                 matches = iter(list(matches)[:-1])  # simulate a lost match
@@ -175,11 +178,12 @@ class TestRunBench:
         monkeypatch.setattr(bench_mod, "stream_search", broken)
         out = tmp_path / "r.csv"
         plan = BenchPlan(
-            graph_path=toy_graph_path, family="path", sizes=[2],
+            graph_path=toy_graph_path, family="path", sizes=[2, 3],
             deltas=[100], strategies=["simple", "index"], output=str(out),
         )
         with pytest.raises(StrategyMismatchError, match="len2"):
             run_bench(plan)
+        assert len(calls) == len(plan.strategies)  # the second query never ran
         saved = list(tmp_path.glob("*.mismatch-*.pattern"))
         assert len(saved) == 1
         assert not out.exists()
@@ -215,7 +219,15 @@ class TestBenchPlan:
         with pytest.raises(ValueError, match=message):
             BenchPlan(**{**plan, field: value})
 
-    @pytest.mark.parametrize("flag, value", [("--sizes", ""), ("--strategies", "index,index")])
+    def test_frozen(self, toy_graph_path):
+        plan = BenchPlan(graph_path=toy_graph_path, family="path", sizes=[2],
+                         deltas=[100], strategies=["simple", "index"])
+        for f in dataclasses.fields(plan):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(plan, f.name, getattr(plan, f.name))
+
+    @pytest.mark.parametrize("flag, value", [("--sizes", ""), ("--sizes", "70"),
+                                             ("--strategies", "index,index")])
     def test_cli_exits_1_and_writes_nothing(self, toy_graph_path, tmp_path, capsys,
                                             flag, value):
         from ipmatch.cli import main

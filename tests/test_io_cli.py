@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -635,6 +636,17 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "out of range" in out
+
+    @pytest.mark.parametrize("command", ["validate", "query"])
+    def test_huge_node_count_exits_1_briefly(self, toy_graph_file, tmp_path, capsys, command):
+        ppath = write(tmp_path / "p.txt", "nodes 1000000000\n0 1 1\n")
+        t0 = time.perf_counter()
+        code = main([command, "--graph", toy_graph_file, "--pattern", ppath, "--delta", "5"])
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len(captured.out) + len(captured.err) < 1024
+        assert "and 999999988 more" in captured.out + captured.err
 
     def test_zero_delta_same_error_as_query(self, toy_graph_file, path2_pattern_file, capsys):
         args = ["--graph", toy_graph_file, "--pattern", path2_pattern_file,

@@ -1,12 +1,21 @@
+import dataclasses
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipmatch import (
+    InvalidPatternError,
+    build_graph,
+    generate_path_query,
     pattern_from_triples,
+    stream_search,
     validate_pattern,
 )
+from ipmatch.io_cli import STRATEGIES
 from ipmatch.matcher import _compile
+from ipmatch.pattern import MAX_PATTERN_EDGES
 
 
 def equal_flags(p):
@@ -28,6 +37,12 @@ class TestOrderEdges:
         p = pattern_from_triples([(i, i + 1, i + 1) for i in range(6)])
         assert len(p.edges) == 6
         assert equal_flags(p) == [False] * 6
+
+    def test_frozen(self):
+        p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
+        for f in dataclasses.fields(p):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, f.name, getattr(p, f.name))
 
     def test_stable_among_equal_times(self):
         p = pattern_from_triples([(0, 1, 5), (2, 0, 5), (1, 2, 5)])
@@ -81,3 +96,40 @@ class TestValidatePattern:
         p = pattern_from_triples([(0, 1, 1)])
         with pytest.raises(ValueError):
             validate_pattern(p, 0)
+
+    @pytest.mark.parametrize("node_count, text", [
+        (12, "nodes without any edge: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"),
+        (13, "nodes without any edge: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 1 more"),
+    ])
+    def test_unused_nodes_listed_up_to_ten(self, node_count, text):
+        p = pattern_from_triples([(0, 1, 1)], node_count=node_count)
+        assert validate_pattern(p, 5).violations == (text,)
+
+    def test_huge_node_count_checked_in_edge_time(self):
+        p = pattern_from_triples([(0, 1, 1)], node_count=10**9)
+        t0 = time.perf_counter()
+        report = validate_pattern(p, 5)
+        assert time.perf_counter() - t0 < 0.1
+        assert not report.ok
+        assert len(str(report)) < 200
+        assert str(report).endswith(" and 999999988 more")
+
+
+class TestEdgeBound:
+    def test_longest_pattern_is_searched(self):
+        # a chain of 66 edges holds 3 runs of 64 consecutive ones
+        g = build_graph([(i, i + 1, i) for i in range(MAX_PATTERN_EDGES + 2)])
+        p = generate_path_query(MAX_PATTERN_EDGES)
+        assert validate_pattern(p, MAX_PATTERN_EDGES).ok
+        for strategy, lines in [("simple", False), ("index", False), ("index", True),
+                                ("baseline", False)]:
+            matches, _ = stream_search(g, p, MAX_PATTERN_EDGES, strategy, None, lines)
+            assert len(list(matches)) == 3
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_edge_more_is_reported_by_every_strategy(self, strategy):
+        g = build_graph([(i, i + 1, i) for i in range(MAX_PATTERN_EDGES + 2)])
+        p = generate_path_query(MAX_PATTERN_EDGES + 1)
+        with pytest.raises(InvalidPatternError,
+                           match=f"pattern has 65 edges, limit is {MAX_PATTERN_EDGES}"):
+            stream_search(g, p, 1000, strategy)

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import random
 
 import pytest
@@ -39,6 +40,13 @@ class TestBuildGraph:
         assert (g.sources, g.targets, g.times) == ((a,), (b,), (5,))
         assert g.out_positions[a] == [0] and g.in_positions[b] == [0]
         assert g.out_positions[b] == [] and g.in_positions[a] == []
+
+    def test_frozen_with_node_count_from_labels(self):
+        g = build_graph([("a", "b", 1), ("b", "c", 2)])
+        assert g.node_count == len(g.labels) == 3
+        for f in dataclasses.fields(g):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, f.name, getattr(g, f.name))
 
     def test_parallel_edge_multiplicity(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
