@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import bench as bench_mod
 from . import io_cli
 from .matcher import InvalidPatternError
-from .pattern import validate_pattern
+from .pattern import MAX_PATTERN_EDGES, validate_pattern
 
 
 def _int_list(text: str) -> list[int]:
@@ -112,6 +112,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # a path of length k has k edges, a random query of n nodes n - 1; every
+    # command that reads a pattern refuses one past the bound, so none is written
+    edges = args.length if args.generator == "path" else args.nodes - 1
+    if edges > MAX_PATTERN_EDGES:
+        raise ValueError(f"pattern would have {edges} edges, limit is {MAX_PATTERN_EDGES}")
     if args.generator == "path":
         pattern = bench_mod.generate_path_query(args.length)
     else:

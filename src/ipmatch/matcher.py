@@ -25,7 +25,16 @@ Two strategies differ only in the candidate sequence of a depth:
   out-edges of the bound source, or the in-edges of the bound target),
   found by one binary search on entering the depth and then stepped one
   entry at a time, so only edges incident to already-mapped nodes are
-  touched.  With no endpoint bound it scans like ``simple``.
+  touched.  The walk is entered only when its first entry is in time
+  (the list is in time order, so that entry decides for the rest): a
+  list with no entry left examines nothing, and one whose first entry is
+  already later than the depth's bound (the deadline on a STRICT step,
+  the previous edge's time on an EQUAL one) counts that entry as
+  examined, as the loop's break would, and goes back up without building
+  the walk.  An EQUAL step whose list holds an edge of its own equal-time
+  run (a star's second edge, walking the centre's list) starts at that
+  run's time, so it is entered untested.  With no endpoint bound it
+  scans like ``simple``.
 
 Both yield identical candidates in identical order; they differ only in
 how many edges they examine.  A depth with no admissible candidate left
@@ -258,6 +267,8 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
         src += ["    " + " = ".join(counters) + " = 0", "    try:"]
         for d in range(a, b):
             s = steps[d]
+            # the earlier depths of this step's equal-time run (none if STRICT)
+            run = range(max(r for r in range(d + 1) if r == 0 or not steps[r].equal), d)
             ind = "        " + "    " * (d - a)
             walked = None  # the column the walked position list fixes
             if d == 0:
@@ -283,16 +294,28 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                         y != x and _later(steps, y, x) for y in deps)]
                     lo = ", ".join(f"p{x}" for x in top)
                     lo = lo if len(top) == 1 else f"max({lo})"
-                src.append(f"{ind}s{d} = {seq}")
-                header = f"islice(s{d}, bisect_right(s{d}, {lo}), None)"
+                src += [f"{ind}s{d} = {seq}", f"{ind}k{d} = bisect_right(s{d}, {lo})"]
+                # Enter the walk only if its first entry is in time; one that is
+                # not is examined, as the loop's break would count it.  A walk
+                # of a list that holds an edge of this equal-time run starts at
+                # time t{d-1}, so it is not tested; nor is a chunk's first
+                # depth, which has no enclosing loop to go on with.
+                outs = any(steps[r].source == s.source for r in run)
+                ins = any(steps[r].target == s.target for r in run)
+                if d > a and not (outs if walked == "sources" else
+                                  ins if walked == "targets" else outs and ins):
+                    src += [f"{ind}if k{d} == len(s{d}): continue",
+                            f"{ind}if times[s{d}[k{d}]] > {f't{d - 1}' if s.equal else 'deadline'}:",
+                            f"{ind}    e{d} += 1",
+                            f"{ind}    continue"]
+                header = f"islice(s{d}, k{d}, None)"
             src.append(f"{ind}for p{d} in {header}:")
             ind += "    "
             src.append(f"{ind}e{d} += 1")
             if d:
                 src.append(f"{ind}t{d} = times[p{d}]")
                 if s.equal:
-                    start = max(r for r in range(d) if r == 0 or not steps[r].equal)
-                    same = " or ".join(f"p{d} == p{r}" for r in range(start, d))
+                    same = " or ".join(f"p{d} == p{r}" for r in run)
                     src += [f"{ind}if t{d} > t{d - 1}: break", f"{ind}if {same}: continue"]
                 else:
                     src += [f"{ind}if t{d} > deadline: break",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 # The compiled kernel compares each fresh node with every bound one and
 # hands every bound local to each 16-depth function, so its source and
@@ -104,21 +104,28 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
     if len(times) > MAX_PATTERN_EDGES:
         violations.append(f"pattern has {len(times)} edges, limit is {MAX_PATTERN_EDGES}")
     seen: set[int] = set()
+    outside: dict[int, None] = {}  # distinct out-of-range ids, in order of first use
     for e in p.edges:
         for node in (e.source, e.target):
             if node < 0 or node >= p.node_count:
-                violations.append(
-                    f"node id {node} out of range 0..{p.node_count - 1}"
-                )
+                outside[node] = None
             else:
                 seen.add(node)
+    if outside:
+        violations.append(f"node ids out of range 0..{p.node_count - 1}: "
+                          f"{_first_ten(outside, len(outside))}")
     unused = p.node_count - len(seen)
     if unused > 0:
         # the scan stops at the 10th unused id, having passed at most len(seen) others
-        shown = list(islice((n for n in range(p.node_count) if n not in seen), 10))
-        more = f" and {unused - len(shown)} more" if unused > len(shown) else ""
-        violations.append(f"nodes without any edge: {shown}{more}")
+        ids = (n for n in range(p.node_count) if n not in seen)
+        violations.append(f"nodes without any edge: {_first_ten(ids, unused)}")
     for i in range(1, len(p.edges)):
         if p.edges[i - 1].time > p.edges[i].time:
             violations.append(f"edges out of time order at position {i}")
-    return ValidationReport(tuple(dict.fromkeys(violations)))
+    return ValidationReport(tuple(violations))
+
+
+def _first_ten(ids: Iterable[int], total: int) -> str:
+    """The first ten of ``total`` ids, then how many more there are."""
+    shown = list(islice(ids, 10))
+    return f"{shown} and {total - len(shown)} more" if total > len(shown) else f"{shown}"

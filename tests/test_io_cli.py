@@ -37,6 +37,7 @@ from ipmatch import (
 )
 from ipmatch import io_cli
 from ipmatch.cli import main
+from ipmatch.pattern import MAX_PATTERN_EDGES
 
 from _generators import full_span, random_graph, random_pattern
 
@@ -677,6 +678,28 @@ class TestGenCommand:
         assert out1.read_text() == out2.read_text()
         p = load_pattern(str(out1))
         assert p.node_count == 3
+
+    @pytest.mark.parametrize("generator", [
+        ["path", "--length", str(MAX_PATTERN_EDGES + 1)],
+        ["random", "--nodes", str(MAX_PATTERN_EDGES + 2), "--graph", "unread.txt"],
+    ])
+    def test_gen_past_the_edge_bound_exits_1_writing_nothing(self, tmp_path, capsys, generator):
+        out = tmp_path / "p.txt"
+        assert main(["gen", *generator, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: pattern would have {MAX_PATTERN_EDGES + 1} edges, "
+            f"limit is {MAX_PATTERN_EDGES}\n")
+        assert not out.exists()
+
+    def test_gen_path_at_the_edge_bound_is_queried(self, tmp_path, capsys):
+        out = tmp_path / "p.txt"
+        assert main(["gen", "path", "--length", str(MAX_PATTERN_EDGES), "--output", str(out)]) == 0
+        gpath = write(tmp_path / "g.txt", "".join(
+            f"{i} {i + 1} {i}\n" for i in range(MAX_PATTERN_EDGES)))
+        capsys.readouterr()
+        assert main(["query", "--graph", gpath, "--pattern", str(out),
+                     "--delta", str(MAX_PATTERN_EDGES)]) == 0
+        assert capsys.readouterr().out.count("\n") == 1
 
     def test_gen_random_unreachable_exit_1(self, tmp_path, capsys):
         gpath = write(tmp_path / "g.txt", "a b 1\n")

@@ -404,40 +404,40 @@ class TestCompiledKernel:
             "55c8974c49c0c9bdaab7dc6af521fe656ec3954b6e6063999e5f1094237b7966"),
         2: (
             "0119255d34bbe60ca9856b2625537624db660ff01c66b9f32353cd767dcd31f0",
-            "90941b8a548347ba40b6bb0ac18ff1c7c9afa1b0bf65b0a1a53ed12af0f36705"),
+            "59a9b82379660b0311118318fc51f2f4d288c1b4473b5b139a52f20e92477179"),
         3: (
             "46411209b160cafb0793c9e39466b47bd42922bc7a041dc6de8bc1ee01594e81",
-            "59dcce9ad49871d307e63352173d68fb5435774aa588ec6617ac6224ae7aee07"),
+            "93d867e4d61cc76c8132b75fd31010efd552081ad6ea2f9643b313d6735641a1"),
         4: (
             "c479eff20cfc85287b8c314aa0e79053198a87f80112f140eed492cf721ce82a",
-            "7349fadc55ac56360e2585f3c81bcc7721f0f077235d509a12900acb3b0b6c98"),
+            "c7de5665a913c06dda5f1073f49fc06b634ffb7b4ebbf8d284ea8348c79796b8"),
         16: (
             "cdf4e03215b5d4da78f7cf53b67b6353e6298e3cd57303924d257a110f7e7ae6",
-            "03106f09459f25de07c08fb4d2fd25f3139b1701a807e3ca0e09ba30bcc19203"),
+            "800c1b12bc4f198206313fbee641ba722ccea5a456a938851cc056e948469a05"),
         17: (
             "78965141bc68712eab337b0dc30c01b9ea818e3c12062f6c7553219c565d080f",
-            "ddcb83926d00bb7111b2d5d5af051ec95753261bd43f3bc0fb0357e8fe62b2dc"),
+            "5d4ae9d28b9310739a790a073a164aafa7c908ca8eabf173a76966acd8c3709d"),
         25: (
             "6e47b82c647085fdd958ce1ed4a5a4342678e17b0a765708103bbdacfe51af2f",
-            "ee9d8f66a17145b7183d82d96e24b4a9e45d7266e5b61ba1687425e6e927a9c2"),
+            "6f75098a07e2a2dd0dd011cd688210a2d0e113fd82ba3fa5d87575bae35f685b"),
         "ping-pong": (
             "66f0fd8ca50982e45cce49945560f6b17172034aa83bedb02928977b464b5f4b",
-            "40b7f786af17d964dc4565be53461ca3adb2f1c6eaded03bcc812370f68c085a"),
+            "27e60315598fd2d157aa089aa0d6bf52c53777b9d53f514d7963fc744fc84ba8"),
         "triangle": (
             "6974bedf2e7c3d4ad5e606bed24c9a476b8d83ff4dc786be0a3700f9e20e8dac",
-            "3eaae0c511775efc02ec78565d58c48e4cb819aaf4e2ad2d9a9ecb87f929dd54"),
+            "9d2858b90d700971711cb338aa188d062c820eff00fc106b13c3ccc4d2487c27"),
         "broadcast-reply": (
             "8e0d3a377451142272205e570f303672a17bcfe9bc01bbc5b4e43fc7d014c9d5",
-            "8affcbd7270a77bb3c6f2177bcb6d833b8d9566f3b0c67911a320cc22b7abb9c"),
+            "eb1db6e7fdc5bce80e902e60b8e8c40dd4d156b4b22527c00f486ba5fb2d03b1"),
         "star3-simultaneous": (
             "e9f3c6da9a8353b1aa35ad7f19e21e65e1612568028b4cf92edfd6321899f3ae",
-            "57ea9d5ce5ae9962cd9ec3ad7155ef9dc88d5a78034fe20c3c83a5e392b6034c"),
+            "44f1ca35e42b0c6c4cd416b978bf846c1eff8261fa1c92910c799ca1125117f3"),
         "relay-equal": (
             "32b9d0aeb80070641f214572d355d73dd772d9c09aa80b65b9b9827f561c136b",
-            "8e2f5b30b05e132f424d32482304cf38f9758e4639191aa05d51bbc688986f35"),
+            "576cb507a2670502d960a3d186da9bcef3beb4912d71bb412b5585de738a39fe"),
         "endpoint-cases": (
             "66532c315553e312364bd3e25e411d50b757a1698a12a2094588768e5fc77599",
-            "c012e1f82273716565aa4cabea0c57494c34882f9a0d2c55ae31e0290508a2ad"),
+            "b9a8fef126d44ea9e6be6fe73849d6afc6cd9fcd46b5c25b3b3dc2f13f8b0dab"),
     }
 
     def test_source_is_pinned(self):
@@ -455,40 +455,40 @@ class TestCompiledKernel:
             "84ebf3d5316a55bf27e0e73610910c2d959f920e2a904949269f3d32dacaee78"),
         2: (
             "d2acb0874b8e4e99c785708981b2ac60c303497d5dfd7093ec4069d6b1fc2451",
-            "f4bb2099690134c45e4abadba61ce4a3f9b0223b260d2c4fc1167107c1917fad"),
+            "6285760cd7ac45d798545ff45ebe8f3ce395d4985fff379170759571827a79c7"),
         3: (
             "c8b19575d660779c6d12f0ac5b2a0a5c91341fd935d18e06ba8ca8584af5d88e",
-            "c7b70946b37f3cdffea5967e5ebeab436acaab5400664a1c877dc105638ce016"),
+            "983cb16fd33e04709d3174846f8f3d7a06d4383821050118a93d2c2d30543fba"),
         4: (
             "0ecaebad1054d1469277bc1483d9279c7c2c4b3f479b5bd2e91e08213ac9782b",
-            "6b90f43cc9c2c93453eb5a1b8770a9f04520e0d5b26d033bf0aee73cee417d23"),
+            "bf98ff6830ce90de8fa10b4203a3396df14b2df4fd4dca1efc90fc6e476bff3c"),
         16: (
             "fa85821673f8eb3e7dd7067938a4f1071e3e3eb9ddc986584d7ffa9e2cd9bd1a",
-            "3025756fe50caa89bf94fdaf854f9dfbde2b5b9871ea8fb1e3ac872455eb03c9"),
+            "119e056cff3b061850df26f5feb34934963a894c4b7f4e9d77e3e7f1df84f28e"),
         17: (
             "393af359f0f066eac3c3f7dad3ad67474b0a1213ab66c5255e0f104f585e5a25",
-            "345b1b333934e3a992cfb377acb743524168b54151ac139fb8dfe0e7b475d981"),
+            "72c97d646e3d06a34ee4ab47e8a2d452d5622846bc5959a1775c27f62d8db852"),
         25: (
             "e7bb71859d292bf5ced4a8ad2c0b576d7a63b02fccb2ac92df4b8e3975fab25d",
-            "a191031a11352d3baa92befae888dbd9f83bdfbebedeed8d5c045a5308d7799e"),
+            "a31d4c6aa1911df4e88834a9509605eec892643cc9edd2b650725a4035804536"),
         "ping-pong": (
             "5e90c9ef3d1313e52b1f18514b521892e83ac01c8b7107ca99ab4e962bea17c2",
-            "81ecae9e733ceaee1ca357fe1db230e2aa8aed39a628fdc565e49f1e154e5422"),
+            "a1ab970d20cd80b52770a2c0c93b64d3b0b7432a0c85ec4e449ead90c4ddf9c3"),
         "triangle": (
             "830c5bda939a0033c20322ea5f467ad71e85299e07b33d92baa85660bfb2e0d1",
-            "2f21c707ed9f3f06308473e1c5f56f079e5a95df95fa29890c3f7a8bb85b29e2"),
+            "f9e05e29d4a81fcbd9b5b297b200ceacb9a2122b7eda919a01c71fc56148eb2f"),
         "broadcast-reply": (
             "296924b017ab6e660fd5ce22ad0f129f5d8288148bfcf41613fee9fc7c61155c",
-            "78762edbf590f103fa4de7d8e649cbb51b12355ba241eca731881fe1ae02dc11"),
+            "32d2c31d4860b51aae89c577338b73862a04c3062121263ffcaacca8f5261047"),
         "star3-simultaneous": (
             "c1613c67197e9ba3c067ac4dff99bf5502b544974c026c7a74ff41996e83086b",
-            "08948dc3296f9e1bd470611c3ea8758da67bbe0138a786275dc5cd5bf0da34e8"),
+            "f15a93f4eb3fb9a951b9f4bd57cbf69356e10674d13f62fd3976434eeaa04ae8"),
         "relay-equal": (
             "cc386057c6aa58038949f78d678066aba94179c7991efe55842206463807db49",
-            "666b855f3da2e63eac17184ae8456db59fc50b32abc2af42fde6d093acf7080f"),
+            "200a39df69146a34960949e40ed5971446dd78d662b1f1785fc0141f40dba43d"),
         "endpoint-cases": (
             "a63c215d46b14e5a03c1dad29d62fa425b249ddeca41646fff73960223c56c50",
-            "738cd736f132e3bfec287cde5273be89fa60232355d5b4fe4323fee016c4f34d"),
+            "789ed7236b0fc14e8d27e0296a6b3a319e22a9576f461d776e65ecac2c644973"),
     }
 
     def test_line_source_is_pinned(self):

@@ -92,6 +92,20 @@ class TestValidatePattern:
         report = validate_pattern(p, 5)
         assert any("out of range" in v for v in report.violations)
 
+    @pytest.mark.parametrize("node_count, text", [
+        (2, "node ids out of range 0..1: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"),
+        (1, "node ids out of range 0..0: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1 more"),
+    ])
+    def test_out_of_range_ids_listed_up_to_ten(self, node_count, text):
+        p = pattern_from_triples([(i, i + 1, 1) for i in range(11)], node_count=node_count)
+        assert text in validate_pattern(p, 5).violations
+
+    def test_many_out_of_range_ids_give_a_short_report(self):
+        p = pattern_from_triples([(i, i + 1, 1) for i in range(100_000)], node_count=2)
+        report = str(validate_pattern(p, 5))
+        assert len(report.encode()) < 1024
+        assert "and 99989 more" in report
+
     def test_delta_below_one_rejected(self):
         p = pattern_from_triples([(0, 1, 1)])
         with pytest.raises(ValueError):

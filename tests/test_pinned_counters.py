@@ -15,6 +15,14 @@ where simultaneous edges exist and the EQUAL step admits matches.
 Paths of 19 to 40 edges on a 60-edge chain are pinned too: they run
 deeper than one generated kernel function (16 depths) and so cross a
 boundary between two of them.
+
+A small hand-built graph pins the three ways an ``index`` walk can end
+before its first step: a position list used up (no entry after the
+previous edge), a first entry past the window's deadline, and, on an
+EQUAL step, a first entry later than the previous edge's time.  Each
+pattern reaches them before its first match as well as after it, so
+they are pinned for the full run, for ``limit=1`` and for a stream
+closed after its first match.
 """
 
 import hashlib
@@ -24,6 +32,7 @@ import pytest
 
 from ipmatch import (
     build_graph, generate_path_query, load_graph, pattern_from_triples, run_search,
+    stream_search,
 )
 
 DATA = Path(__file__).parent / "data" / "synthetic_1000.txt"
@@ -97,6 +106,57 @@ DEEP_PINNED = {
         "index": (200, 5, 40, 200, 160)}),
 }
 
+# At delta 10: "q r 0" leads to r, which sends nothing, and "e b 4" and
+# "d a 3" to nodes whose sends all come earlier (a used-up walk); "s t 0"
+# leads to t, whose first send is at 20 (past the deadline 9), and
+# "z k 1" on path-3 to k's first send at 15; on the EQUAL steps of
+# relay-equal and relay-tail, "a b 1" and "b c 2" lead to nodes whose
+# first send is later than their own time.
+WALK_ENTRY_EDGES = [
+    ("q", "r", 0), ("s", "t", 0), ("y", "z", 0), ("z", "i", 1), ("z", "k", 1),
+    ("a", "b", 1), ("b", "c", 2), ("c", "d", 3), ("d", "a", 3), ("e", "b", 4),
+    ("c", "x", 12), ("x", "m", 12), ("k", "l", 15), ("t", "u", 20), ("u", "v", 21),
+    ("u", "w", 21), ("w", "a", 22), ("v", "w", 35),
+]
+
+WALK_ENTRY_PATTERNS = {
+    "path-2": [(0, 1, 1), (1, 2, 2)],
+    "path-3": [(0, 1, 1), (1, 2, 2), (2, 3, 3)],
+    "relay-equal": [(0, 1, 1), (1, 2, 1)],
+    "relay-tail": [(0, 1, 1), (1, 2, 2), (2, 3, 2)],
+}
+
+# (pattern, how the run ends) -> the same, at delta 10 on WALK_ENTRY_EDGES,
+# recorded from the kernel that entered every walk through its islice:
+# "all" runs out, "limit" stops at limit=1, "closed" closes the stream
+# after its first match
+WALK_ENTRY_PINNED = {
+    ("path-2", "all"): ("8e5a6c4f7c14a160", {
+        "simple": (105, 7, 2, 25, 25), "index": (31, 7, 2, 25, 25)}),
+    ("path-2", "limit"): ("17527547d18b4f26", {
+        "simple": (24, 1, 2, 4, 2), "index": (5, 1, 2, 4, 2)}),
+    ("path-2", "closed"): ("17527547d18b4f26", {
+        "simple": (24, 1, 2, 4, 2), "index": (5, 1, 2, 4, 2)}),
+    ("path-3", "all"): ("06a06431a6d3e2aa", {
+        "simple": (129, 2, 3, 27, 27), "index": (37, 2, 3, 27, 27)}),
+    ("path-3", "limit"): ("5b91b6a7ddbc8226", {
+        "simple": (46, 1, 3, 8, 5), "index": (10, 1, 3, 8, 5)}),
+    ("path-3", "closed"): ("5b91b6a7ddbc8226", {
+        "simple": (46, 1, 3, 8, 5), "index": (10, 1, 3, 8, 5)}),
+    ("relay-equal", "all"): ("5904d020ebab32f3", {
+        "simple": (71, 2, 2, 20, 20), "index": (28, 2, 2, 20, 20)}),
+    ("relay-equal", "limit"): ("77d1eeefc718e7f1", {
+        "simple": (36, 1, 2, 9, 7), "index": (14, 1, 2, 9, 7)}),
+    ("relay-equal", "closed"): ("77d1eeefc718e7f1", {
+        "simple": (36, 1, 2, 9, 7), "index": (14, 1, 2, 9, 7)}),
+    ("relay-tail", "all"): ("8cbf3c0ff50ac468", {
+        "simple": (126, 1, 3, 26, 26), "index": (36, 1, 3, 26, 26)}),
+    ("relay-tail", "limit"): ("8cbf3c0ff50ac468", {
+        "simple": (65, 1, 3, 12, 9), "index": (16, 1, 3, 12, 9)}),
+    ("relay-tail", "closed"): ("8cbf3c0ff50ac468", {
+        "simple": (65, 1, 3, 12, 9), "index": (16, 1, 3, 12, 9)}),
+}
+
 COUNTERS = ("candidates_examined", "matches_found", "max_depth_reached", "pushes", "pops")
 
 
@@ -133,4 +193,20 @@ def test_deep_path_counters_unchanged(case, strategy):
     digest, counters = DEEP_PINNED[case]
     chain = build_graph([(str(i), str(i + 1), i) for i in range(60)])
     matches, stats = run_search(chain, generate_path_query(length), 45, strategy, limit=limit)
+    assert_pinned(matches, stats, digest, counters[strategy])
+
+
+@pytest.mark.parametrize("strategy", ["simple", "index"])
+@pytest.mark.parametrize("case", list(WALK_ENTRY_PINNED), ids=lambda c: "-".join(c))
+def test_walk_entry_counters_unchanged(case, strategy):
+    name, end = case
+    digest, counters = WALK_ENTRY_PINNED[case]
+    g = build_graph(WALK_ENTRY_EDGES)
+    p = pattern_from_triples(WALK_ENTRY_PATTERNS[name])
+    if end == "closed":
+        stream, stats = stream_search(g, p, 10, strategy)
+        matches = [next(stream)]
+        stream.close()
+    else:
+        matches, stats = run_search(g, p, 10, strategy, limit=1 if end == "limit" else None)
     assert_pinned(matches, stats, digest, counters[strategy])
