@@ -114,8 +114,7 @@ def two_phase_search(
     Returns the same match set as the interaction search (order may
     differ).  ``temporal_candidates`` counts the complete assignment
     tuples the product generates after window-only pruning.  It checks
-    nothing: :func:`~ipmatch.matcher.check_query` must accept ``(p,
-    delta, None)`` first, as ``io_cli.stream_search`` does.
+    nothing: ``io_cli.stream_search`` validates the query first.
     """
     stats = BaselineStats()
     matches: list[Match] = []
@@ -173,8 +172,8 @@ def brute_force(g: TemporalGraph, p: PatternGraph, delta: int) -> set[Match]:
     two consecutive pattern edges or outgrows the window; every complete
     one is still judged by :func:`~ipmatch.matcher.verify_match`.
     Guarded against explosion; refuses graphs over 14 nodes or patterns
-    over 5 edges.  It checks nothing else: :func:`~ipmatch.matcher.check_query`
-    must accept ``(p, delta, None)`` first, as ``io_cli.stream_search`` does.
+    over 5 edges.  It checks nothing else: ``io_cli.stream_search``
+    validates the query first.
     """
     if g.node_count > 14:
         raise OracleSizeLimitError(f"graph has {g.node_count} nodes, limit is 14")

@@ -6,22 +6,23 @@ skipped.  Pattern files are the same 3-column format preceded by a
 ``nodes <n>`` header.  Matches are emitted as JSON Lines, one object per
 match, so every line is independently parseable.
 
-:func:`stream_search` is the one place a strategy name picks an engine;
-``run_search`` and ``bench`` take its match stream, and the ``query``
-command its stream of JSON lines.
+:func:`stream_search` is the one place a strategy name picks an engine
+and a stream stops at its limit; ``run_search`` and ``bench`` take its
+match stream, and the ``query`` command its stream of JSON lines.
 Nothing here prints: errors are raised, and ``cli.main`` reports them.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
-from .matcher import Match, SearchStats, _line_format, check_query, search
-from .pattern import PatternGraph, pattern_from_triples
+from .matcher import InvalidPatternError, Match, SearchStats, _line_format, search
+from .pattern import PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import GraphBuildError, TemporalGraph, build_graph, static_projection
 
 DELTA_UNITS = {
@@ -267,20 +268,32 @@ def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
     ``BaselineStats`` or None) is complete once the stream ends or is
     closed, and is the same in both modes.  An invalid pattern, a negative
     ``limit`` or an unknown strategy raises here."""
-    check_query(p, delta, limit)
+    report = validate_pattern(p, delta)
+    if not report.ok:
+        raise InvalidPatternError(report)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     if strategy in ("simple", "index"):
         stats = SearchStats()
-        return search(g, p, delta, strategy == "index", limit, stats, lines), stats
-    if strategy == "baseline":
-        found, stats = two_phase_search(g, p, delta)
-    elif strategy == "oracle":
-        found, stats = brute_force(g, p, delta), None
+        matches = search(g, p, delta, strategy == "index", stats, lines)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    found = sorted(found, key=lambda m: m.edge_assignment)[:limit]
-    if lines:
-        return (match_json_line(m, g) for m in found), stats
-    return (m for m in found), stats
+        if strategy == "baseline":
+            found, stats = two_phase_search(g, p, delta)
+        elif strategy == "oracle":
+            found, stats = brute_force(g, p, delta), None
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        found = sorted(found, key=lambda m: m.edge_assignment)
+        matches = (match_json_line(m, g) for m in found) if lines else (m for m in found)
+    if limit is not None:
+        matches = _limited(matches, limit)
+    return matches, stats
+
+
+def _limited(stream, limit: int):
+    """The first ``limit`` items of ``stream``, which is closed after them."""
+    with contextlib.closing(stream):
+        yield from itertools.islice(stream, limit)
 
 
 def run_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,

@@ -40,9 +40,9 @@ Both yield identical candidates in identical order; they differ only in
 how many edges they examine.  A depth with no admissible candidate left
 backtracks, an admitted one (a push) extends the partial match, and a
 complete assignment is yielded; the loop then moves on to the next
-candidate, which pops the edge it admitted.  A stream stopped at its
-limit or closed at a yield keeps its last match pushed, one edge per
-depth, so then ``pops == pushes - len(p.edges)``.
+candidate, which pops the edge it admitted.  A stream closed at a yield
+keeps its last match pushed, one edge per depth, so then ``pops ==
+pushes - len(p.edges)``.
 
 Candidate admissibility at depth d (pattern edge (u, v)):
 
@@ -82,9 +82,9 @@ import bisect
 import functools
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
-from .pattern import PatternGraph, ValidationReport, validate_pattern
+from .pattern import PatternGraph, ValidationReport
 from .temporal_graph import TemporalGraph
 
 
@@ -104,9 +104,8 @@ class SearchStats:
     the admitted edges given up again; ``matches_found`` is the pushes at
     the last depth and ``max_depth_reached`` the number of depths that
     admitted a candidate.  A search that runs out pops every push.  One
-    stopped at ``limit`` or closed at a yield still holds its last match,
-    one edge per pattern edge, so then ``pops`` is ``pushes`` minus the
-    number of pattern edges.
+    closed at a yield still holds its last match, one edge per pattern
+    edge, so then ``pops`` is ``pushes`` minus the number of pattern edges.
     """
 
     candidates_examined: int = 0
@@ -151,37 +150,26 @@ def _compile(p: PatternGraph) -> tuple[_Step, ...]:
                  for d, pe in enumerate(edges))
 
 
-def check_query(p: PatternGraph, delta: int, limit: Optional[int]) -> None:
-    """InvalidPatternError for a pattern ``delta`` rejects, then ValueError
-    for a negative ``limit``: the checks every strategy makes first."""
-    report = validate_pattern(p, delta)
-    if not report.ok:
-        raise InvalidPatternError(report)
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-
-
 def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
-           limit: Optional[int], stats: SearchStats,
-           lines: bool = False) -> Iterator[Match] | Iterator[str]:
-    """A generator of the matches of ``p`` in ``g`` within ``delta``, at most
-    ``limit``, run by the kernel compiled for ``p``'s shape (built by the
-    first call for that shape, then cached).  With ``lines`` it yields each
-    match as its JSON line (see :func:`_line_format`) instead of a
-    :class:`Match`, with the same counters.
+           stats: SearchStats, lines: bool = False) -> Iterator[Match] | Iterator[str]:
+    """A generator of the matches of ``p`` in ``g`` within ``delta``, run by
+    the kernel compiled for ``p``'s shape (built by the first call for that
+    shape, then cached).  With ``lines`` it yields each match as its JSON
+    line (see :func:`_line_format`) instead of a :class:`Match`, with the
+    same counters.
 
     Depth-first discovery order is lexicographic in the edge assignment
     positions; ``use_index`` (position lists instead of the linear scan)
     changes only the work done.  On finishing or being closed, the
     generator adds its counters into ``stats``, which must be fresh, so a
-    stream closed after its k-th match reports the counters of a
-    ``limit=k`` run.  It checks nothing: :func:`check_query` must accept
-    ``(p, delta, limit)`` first, as ``io_cli.stream_search`` does.
+    stream closed after its k-th match reports the work of its first k
+    matches.  It checks nothing: ``io_cli.stream_search`` validates the
+    pattern against ``delta`` first.
     """
     cols = (g.sources, g.targets, g.times, g.out_positions, g.in_positions)
     if lines:
         cols += (g.label_json,)
-    return _kernel(_compile(p), use_index, lines)(*cols, delta, limit, stats)
+    return _kernel(_compile(p), use_index, lines)(*cols, delta, stats)
 
 
 @functools.cache
@@ -258,12 +246,9 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
         b = min(a + _CHUNK, m)
         counters = [f"e{d}" for d in range(a, b)] + [f"c{d}" for d in range(a, b)]
         if a == 0:
-            src += [f"def _k0({cols}, delta, limit, stats):",
-                    "    if limit == 0: return",
-                    f"    n, found, held = len(times), 0, {m}"]
+            src += [f"def _k0({cols}, delta, stats):", f"    n, held = len(times), {m}"]
         else:  # ``live``: what the previous function's last depth hands on
-            src.append(f"def _k{a // _CHUNK}({cols}, n, delta, limit, stats, found, "
-                       f"{', '.join(live)}):")
+            src.append(f"def _k{a // _CHUNK}({cols}, n, stats, {', '.join(live)}):")
         src += ["    " + " = ".join(counters) + " = 0", "    try:"]
         for d in range(a, b):
             s = steps[d]
@@ -357,17 +342,13 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                     edges = ", ".join(f"p{k}" for k in range(m))
                     src.append(f"{ind}yield new(Match, (({node_map},), ({edges},), t0, t{d}, "
                                f"t{d} - t0 + 1))")
-                src.append(f"{ind}if found + c{d} == limit: return limit")
             elif d == b - 1:
                 live = ([f"v{i}" for i in sorted(bound)] + [f"p{k}" for k in range(b)]
                         + ["t0"] + [f"t{d}"] * (d > 0) + ["deadline"] * strict)
-                src += [f"{ind}found = yield from _k{b // _CHUNK}({cols}, n, delta, limit, "
-                        f"stats, found, {', '.join(live)})",
-                        f"{ind}if found == limit: return limit"]
+                src.append(f"{ind}yield from _k{b // _CHUNK}({cols}, n, stats, {', '.join(live)})")
         if a == 0:
             src.append("        held = 0")
-        src += [f"        return found{f' + c{m - 1}' if b == m else ''}",
-                "    finally:",
+        src += ["    finally:",
                 f"        stats.candidates_examined += {' + '.join(counters[:b - a])}",
                 f"        stats.pushes += {' + '.join(counters[b - a:])}",
                 "        stats.max_depth_reached = max(stats.max_depth_reached, "

@@ -12,16 +12,17 @@ successor of the current position in that node's position list.
 Each node label is also kept in its JSON string form, so that matches
 can be written out without encoding a label per line.
 
-A graph is a frozen dataclass: no field can be reassigned after
-:func:`build_graph`, and the three edge columns are tuples.  It is safe
-for unrestricted concurrent read access.
+A graph is a frozen dataclass of tuples and a read-only label index, so
+nothing in it can change after :func:`build_graph`.  It is safe for
+unrestricted concurrent read access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 
 class EmptyGraphError(ValueError):
@@ -51,11 +52,11 @@ class TemporalGraph:
     sources: tuple[int, ...]
     targets: tuple[int, ...]
     times: tuple[int, ...]
-    labels: list[str]
+    labels: tuple[str, ...]
     label_json: tuple[str, ...]
-    label_index: dict[str, int]
-    out_positions: list[list[int]]
-    in_positions: list[list[int]]
+    label_index: Mapping[str, int]
+    out_positions: tuple[tuple[int, ...], ...]
+    in_positions: tuple[tuple[int, ...], ...]
 
     @property
     def node_count(self) -> int:
@@ -141,8 +142,8 @@ def build_graph(edges: Sequence[tuple]) -> TemporalGraph:
 
     label_json = tuple(map(encode_basestring_ascii, labels))
     return TemporalGraph(
-        sources, targets, times, labels, label_json, label_index,
-        out_positions, in_positions,
+        sources, targets, times, tuple(labels), label_json, MappingProxyType(label_index),
+        tuple(map(tuple, out_positions)), tuple(map(tuple, in_positions)),
     )
 
 

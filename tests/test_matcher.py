@@ -21,7 +21,7 @@ from ipmatch import (
     validate_pattern,
     verify_match,
 )
-from ipmatch.io_cli import STRATEGIES
+from ipmatch.io_cli import STRATEGIES, _limited
 from ipmatch.matcher import _compile, _kernel, _kernel_source
 from _generators import full_span, random_graph, random_pattern
 
@@ -126,6 +126,13 @@ class TestIterMatches:
         with pytest.raises(ValueError):
             stream_search(g, p, 10, "index", limit=-1)
 
+    def test_limit_closes_the_stream(self):
+        # closed on reaching the limit, not left to garbage collection
+        for limit in (0, 2):
+            stream = (i for i in range(5))
+            assert list(_limited(stream, limit)) == list(range(limit))
+            assert stream.gi_frame is None
+
     @pytest.mark.parametrize("strategy", ["simple", "index"])
     def test_lazy(self, strategy):
         g = build_graph([("u", "v", t) for t in range(1, 10)])
@@ -177,6 +184,11 @@ class TestIterMatches:
                     # counters of a run stopped by limit=k: one edge per depth pushed
                     assert stats == cut
                     assert stats.pushes - stats.pops == len(p.edges)
+                    # closing a limited stream before its limit closes the kernel too
+                    stream, stats = stream_search(g, p, delta, strategy, limit=k + 1)
+                    assert [next(stream) for _ in range(k)] == expected
+                    stream.close()
+                    assert stats == cut
 
 
 class TestMatchingEdgeRoutines:
@@ -400,44 +412,44 @@ class TestCompiledKernel:
     # self-loop, source bound, both bound, a bound self-loop and target bound.
     PINNED_SOURCE = {
         1: (
-            "55c8974c49c0c9bdaab7dc6af521fe656ec3954b6e6063999e5f1094237b7966",
-            "55c8974c49c0c9bdaab7dc6af521fe656ec3954b6e6063999e5f1094237b7966"),
+            "30952dcd6b232fd96acbcd7bcc8dc907052f6e1562c46beb4bae3da148a0fc77",
+            "30952dcd6b232fd96acbcd7bcc8dc907052f6e1562c46beb4bae3da148a0fc77"),
         2: (
-            "0119255d34bbe60ca9856b2625537624db660ff01c66b9f32353cd767dcd31f0",
-            "59a9b82379660b0311118318fc51f2f4d288c1b4473b5b139a52f20e92477179"),
+            "ca4f7d9c4956ef48bb3acfa5e4735080aaa2d11a03217c5e8ee221d3ca2de0c6",
+            "1ea537b9a0058f20ddf50fd7b692359d23783e4485da40fb377ed5c6ae211926"),
         3: (
-            "46411209b160cafb0793c9e39466b47bd42922bc7a041dc6de8bc1ee01594e81",
-            "93d867e4d61cc76c8132b75fd31010efd552081ad6ea2f9643b313d6735641a1"),
+            "14bf84a13404e26eadc120e34495c649767c5ff5453a5edd601f9f89088c0ccb",
+            "135be729432e6411f67ecbc11328f509c48403df0a74cd15c825403a724881e3"),
         4: (
-            "c479eff20cfc85287b8c314aa0e79053198a87f80112f140eed492cf721ce82a",
-            "c7de5665a913c06dda5f1073f49fc06b634ffb7b4ebbf8d284ea8348c79796b8"),
+            "dae57715244cff363ba49a6b3e3df9da413d3f652b65ca323acc93395f7d5ea0",
+            "7d37d93ba702b5a950d5460d1b0f149a9167cf1120aba6ffdf4cd8413a5ca540"),
         16: (
-            "cdf4e03215b5d4da78f7cf53b67b6353e6298e3cd57303924d257a110f7e7ae6",
-            "800c1b12bc4f198206313fbee641ba722ccea5a456a938851cc056e948469a05"),
+            "e82a2052bf754b9d13de4d5e203a6086482d56d9be4c8193d22070aac6a8ca9e",
+            "20854e2051024c64ad084090cc2a48ed6cbfd4e9f0c36578af8ceac27cd15bcc"),
         17: (
-            "78965141bc68712eab337b0dc30c01b9ea818e3c12062f6c7553219c565d080f",
-            "5d4ae9d28b9310739a790a073a164aafa7c908ca8eabf173a76966acd8c3709d"),
+            "930820867d5a2aa220d41bc22696ac147d8285f90c446b80c42a7564f3e568e6",
+            "b030e135c969656f4ac3407a74be5260b1d8c1f646c022204cfebea5145c8556"),
         25: (
-            "6e47b82c647085fdd958ce1ed4a5a4342678e17b0a765708103bbdacfe51af2f",
-            "6f75098a07e2a2dd0dd011cd688210a2d0e113fd82ba3fa5d87575bae35f685b"),
+            "c1cbc39d6e5e81d9d3b64f6423e71a9acd4ada530eadd70c4621619b9cdbe0b0",
+            "3fd76709db7f468e33810866402fefcbf7d3ae543b005f64e74bae42d5257c7b"),
         "ping-pong": (
-            "66f0fd8ca50982e45cce49945560f6b17172034aa83bedb02928977b464b5f4b",
-            "27e60315598fd2d157aa089aa0d6bf52c53777b9d53f514d7963fc744fc84ba8"),
+            "99723cc1bc2b4fba09afbcda192386982b14a375e8575e354f2eafd537e03c86",
+            "ffb11ed1ab87b3251b7120fdd791c0e7f62f2bce09367f30f9065465d1b02179"),
         "triangle": (
-            "6974bedf2e7c3d4ad5e606bed24c9a476b8d83ff4dc786be0a3700f9e20e8dac",
-            "9d2858b90d700971711cb338aa188d062c820eff00fc106b13c3ccc4d2487c27"),
+            "1f35cba4acaef33f31740ae502c0b27a597a28d0b0046d1a961db38e29426118",
+            "4d4158f0fde16e2d2d1f99e3e9eaac7ca04d12e4568c5de2855394dbefef17dd"),
         "broadcast-reply": (
-            "8e0d3a377451142272205e570f303672a17bcfe9bc01bbc5b4e43fc7d014c9d5",
-            "eb1db6e7fdc5bce80e902e60b8e8c40dd4d156b4b22527c00f486ba5fb2d03b1"),
+            "c6d02ef5747d4dcf3c1007ca6941721773b10c49e160b281d2d5b859fa801110",
+            "d439114e41ec32bc8a76621559c03b1dad38159f63ce7fbed641a90369871986"),
         "star3-simultaneous": (
-            "e9f3c6da9a8353b1aa35ad7f19e21e65e1612568028b4cf92edfd6321899f3ae",
-            "44f1ca35e42b0c6c4cd416b978bf846c1eff8261fa1c92910c799ca1125117f3"),
+            "5c5fad155cdbc9b105ef9fa76a907e6bbd20c15a7b6a8ee63913ab7b2cdd1202",
+            "995bf243ba9d374dc22a61524e4908c0521feea294b958c0f385dc71dd6cdfa2"),
         "relay-equal": (
-            "32b9d0aeb80070641f214572d355d73dd772d9c09aa80b65b9b9827f561c136b",
-            "576cb507a2670502d960a3d186da9bcef3beb4912d71bb412b5585de738a39fe"),
+            "14bffd32d39763684ff9bb995929ebbdf1dd04ec6f2c692cc6533ffe763836f3",
+            "857d9ad9fbdfe900b248e272643041857042f62fd3005e68c3f04f4623c808fb"),
         "endpoint-cases": (
-            "66532c315553e312364bd3e25e411d50b757a1698a12a2094588768e5fc77599",
-            "b9a8fef126d44ea9e6be6fe73849d6afc6cd9fcd46b5c25b3b3dc2f13f8b0dab"),
+            "08af51c4abc4f5f636abb27e0f9925805f35263392981d098f3548325bf9ad51",
+            "9f50f87a2e429e4b81a7beedde7897814333a5c05e06ad42cc24c8f7a5bdb72c"),
     }
 
     def test_source_is_pinned(self):
@@ -451,44 +463,44 @@ class TestCompiledKernel:
     # the same shapes' kernels in line mode, which yield each match's JSON line
     PINNED_LINE_SOURCE = {
         1: (
-            "84ebf3d5316a55bf27e0e73610910c2d959f920e2a904949269f3d32dacaee78",
-            "84ebf3d5316a55bf27e0e73610910c2d959f920e2a904949269f3d32dacaee78"),
+            "3be37e80ca7d6d851196453b62d9018015f2d5e27503265496e5d7b1f9fffcc1",
+            "3be37e80ca7d6d851196453b62d9018015f2d5e27503265496e5d7b1f9fffcc1"),
         2: (
-            "d2acb0874b8e4e99c785708981b2ac60c303497d5dfd7093ec4069d6b1fc2451",
-            "6285760cd7ac45d798545ff45ebe8f3ce395d4985fff379170759571827a79c7"),
+            "94f40c9aa95ae1da226470be80f13affb2d116b5abf51a6fa3a99e270b72bd62",
+            "5efa79f464da588b3bbc99f900e833e7d296cc5bd8f7b8420787eb808867334e"),
         3: (
-            "c8b19575d660779c6d12f0ac5b2a0a5c91341fd935d18e06ba8ca8584af5d88e",
-            "983cb16fd33e04709d3174846f8f3d7a06d4383821050118a93d2c2d30543fba"),
+            "2c1517254e444e367c6ecf482eb714084812515b128cc97359391bf6ebf1a709",
+            "7b6a9306aa4f1201732b478c4690a1822f911a373b6c23ed546fd33298998742"),
         4: (
-            "0ecaebad1054d1469277bc1483d9279c7c2c4b3f479b5bd2e91e08213ac9782b",
-            "bf98ff6830ce90de8fa10b4203a3396df14b2df4fd4dca1efc90fc6e476bff3c"),
+            "1e7980164a1142132365e7c088320afe5cdcf80a6930a1104b8960839090f063",
+            "355d503cd7c9aff45db08ea896eee4fd5a05c45730dd98d2930410a0efd992fe"),
         16: (
-            "fa85821673f8eb3e7dd7067938a4f1071e3e3eb9ddc986584d7ffa9e2cd9bd1a",
-            "119e056cff3b061850df26f5feb34934963a894c4b7f4e9d77e3e7f1df84f28e"),
+            "7bb8aeda36dcf759f6b42a4cdfabd52ea7e4c17a2dda0fdf8431bec93d87d5e1",
+            "052f028b31f6c2dc59580043471f0380633d64924714f734177304f48b0f5188"),
         17: (
-            "393af359f0f066eac3c3f7dad3ad67474b0a1213ab66c5255e0f104f585e5a25",
-            "72c97d646e3d06a34ee4ab47e8a2d452d5622846bc5959a1775c27f62d8db852"),
+            "dbe27b59a11badee6ab64a0e9705f9a3c7ff0ff0af7f425ecdeaf9313d66b2da",
+            "92706fe5624c40245952e69e613fa16ec1548b5b601fc9e55b22382c6e4f8214"),
         25: (
-            "e7bb71859d292bf5ced4a8ad2c0b576d7a63b02fccb2ac92df4b8e3975fab25d",
-            "a31d4c6aa1911df4e88834a9509605eec892643cc9edd2b650725a4035804536"),
+            "e1cfcffc6c757aa80a160fd613aed7c24c60fb0a2b9eee4bd7bdc0c4a9e9f341",
+            "edd758f5b3a567e8b4a4c6647eb8dbb8e044a7d1b9433f356c27e8f78adbb7ef"),
         "ping-pong": (
-            "5e90c9ef3d1313e52b1f18514b521892e83ac01c8b7107ca99ab4e962bea17c2",
-            "a1ab970d20cd80b52770a2c0c93b64d3b0b7432a0c85ec4e449ead90c4ddf9c3"),
+            "43ac3ac29bbebe7f78d553f921cf4c2426a4d876049057e43d612993e454eef9",
+            "7ee7e6e24b2fa6dc0686c94a09a5243fd38c78b7f5c939387f45c78087c11a41"),
         "triangle": (
-            "830c5bda939a0033c20322ea5f467ad71e85299e07b33d92baa85660bfb2e0d1",
-            "f9e05e29d4a81fcbd9b5b297b200ceacb9a2122b7eda919a01c71fc56148eb2f"),
+            "2260d6c9bebb65d0587576674d9a2ee73fdd8f65473cb2c27e22e4e85e439eb8",
+            "5a52ff519ee45dd1b764cc825134729abec13b700850776bf2bf15e6e161e1e9"),
         "broadcast-reply": (
-            "296924b017ab6e660fd5ce22ad0f129f5d8288148bfcf41613fee9fc7c61155c",
-            "32d2c31d4860b51aae89c577338b73862a04c3062121263ffcaacca8f5261047"),
+            "64379744b1a6091cc3c68fe45275b3714a5a94cb258c1d12b22c7f7bb2006a29",
+            "545b2514cc8927d6ae562e5977782d8b6f91dd98d8fccfb057a9ab6a643c120a"),
         "star3-simultaneous": (
-            "c1613c67197e9ba3c067ac4dff99bf5502b544974c026c7a74ff41996e83086b",
-            "f15a93f4eb3fb9a951b9f4bd57cbf69356e10674d13f62fd3976434eeaa04ae8"),
+            "7ab4dacd7e63e8effdbc3f19c4dc4603275d44ebc802d6c63ccb827f63e9f462",
+            "c55deb97d162d07c4b6c39ba765843efb615392fb44165627d1d18ad21615792"),
         "relay-equal": (
-            "cc386057c6aa58038949f78d678066aba94179c7991efe55842206463807db49",
-            "200a39df69146a34960949e40ed5971446dd78d662b1f1785fc0141f40dba43d"),
+            "e578648315688e05798ac6e78b27fd3d4d598d1772812fededd579c0eabe1f13",
+            "1c4ec9e05881d7fc01ab1814c996500b54a1c28c8039fca980c8aef2af1bcd66"),
         "endpoint-cases": (
-            "a63c215d46b14e5a03c1dad29d62fa425b249ddeca41646fff73960223c56c50",
-            "789ed7236b0fc14e8d27e0296a6b3a319e22a9576f461d776e65ecac2c644973"),
+            "715710dc99f46cc206abebe248aeda96affa9c5c2e8c7d5fdabea32477518862",
+            "696f874d72961eff4e93798f0b3570a116d92000f573bd687f34acdc5411252b"),
     }
 
     def test_line_source_is_pinned(self):

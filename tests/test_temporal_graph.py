@@ -38,8 +38,8 @@ class TestBuildGraph:
         assert len(g) == 1
         a, b = g.node_id("a"), g.node_id("b")
         assert (g.sources, g.targets, g.times) == ((a,), (b,), (5,))
-        assert g.out_positions[a] == [0] and g.in_positions[b] == [0]
-        assert g.out_positions[b] == [] and g.in_positions[a] == []
+        assert g.out_positions[a] == (0,) and g.in_positions[b] == (0,)
+        assert g.out_positions[b] == () and g.in_positions[a] == ()
 
     def test_frozen_with_node_count_from_labels(self):
         g = build_graph([("a", "b", 1), ("b", "c", 2)])
@@ -47,6 +47,16 @@ class TestBuildGraph:
         for f in dataclasses.fields(g):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(g, f.name, getattr(g, f.name))
+
+    def test_fields_cannot_change_in_place(self):
+        g = build_graph([("a", "b", 1), ("b", "c", 2)])
+        with pytest.raises(AttributeError):
+            g.labels.append("zz")
+        with pytest.raises(AttributeError):
+            g.out_positions[0].append(1)
+        with pytest.raises(TypeError):
+            g.label_index["zz"] = 3
+        assert g.node_count == len(g.label_json) == len(g.label_index) == 3
 
     def test_parallel_edge_multiplicity(self):
         g = build_graph([("u1", "u5", 6), ("u1", "u5", 9), ("u1", "u5", 14)])
@@ -62,7 +72,7 @@ class TestBuildGraph:
         labels = [(g.labels[u], g.labels[v], t) for u, v, t in _edges(g)]
         assert labels == [("a", "c", 1), ("a", "b", 3), ("a", "b", 3)]
         # the next out-edge of "a" after each edge is its successor here
-        assert g.out_positions[g.node_id("a")] == [0, 1, 2]
+        assert g.out_positions[g.node_id("a")] == (0, 1, 2)
 
     def test_sort_matches_independent_sort(self):
         rng = random.Random(5)
@@ -105,8 +115,8 @@ class TestBuildGraph:
         # walking a node's position list visits exactly the positions that
         # filtering the source / target column finds, in list order
         for w in range(g.node_count):
-            assert g.out_positions[w] == [i for i, s in enumerate(g.sources) if s == w]
-            assert g.in_positions[w] == [i for i, t in enumerate(g.targets) if t == w]
+            assert g.out_positions[w] == tuple(i for i, s in enumerate(g.sources) if s == w)
+            assert g.in_positions[w] == tuple(i for i, t in enumerate(g.targets) if t == w)
 
     @given(_triples)
     @settings(max_examples=100, deadline=None)
@@ -169,7 +179,7 @@ def _reference_build(edges):
     input order, as a stable sort keeps them.
     """
     keyed = sorted((t, str(u), str(v), seq) for seq, (u, v, t) in enumerate(edges))
-    labels = list(dict.fromkeys(str(x) for u, v, _ in edges for x in (u, v)))
+    labels = tuple(dict.fromkeys(str(x) for u, v, _ in edges for x in (u, v)))
     node = {label: n for n, label in enumerate(labels)}
     positions = range(len(keyed))
     return {
@@ -177,8 +187,10 @@ def _reference_build(edges):
         "sources": tuple(node[k[1]] for k in keyed),
         "targets": tuple(node[k[2]] for k in keyed),
         "times": tuple(k[0] for k in keyed),
-        "out_positions": [[i for i in positions if keyed[i][1] == label] for label in labels],
-        "in_positions": [[i for i in positions if keyed[i][2] == label] for label in labels],
+        "out_positions": tuple(tuple(i for i in positions if keyed[i][1] == label)
+                               for label in labels),
+        "in_positions": tuple(tuple(i for i in positions if keyed[i][2] == label)
+                              for label in labels),
     }
 
 
@@ -255,7 +267,7 @@ class TestColumnarBuild:
             build_graph([("#a", "b", 1), ("b", "c", 2)])
         with pytest.raises(GraphBuildError, match=r"^edge 1: malformed label '#'$"):
             build_graph([("a", "b", 1), ("b", "#", 2)])
-        assert build_graph([("a#", "b#c", 1)]).labels == ["a#", "b#c"]
+        assert build_graph([("a#", "b#c", 1)]).labels == ("a#", "b#c")
 
 
 class TestStaticProjection:
@@ -284,18 +296,18 @@ class TestNextOut:
 
     def test_no_outgoing(self):
         g = build_graph([("a", "b", 1)])
-        assert g.out_positions[g.node_id("b")] == []
+        assert g.out_positions[g.node_id("b")] == ()
 
     def test_walk_matches_filter_sort(self):
         raw = [("a", "b", 3), ("c", "a", 1), ("a", "d", 2), ("b", "a", 2), ("a", "b", 5)]
         g = build_graph(raw)
         a = g.node_id("a")
-        expected = sorted(i for i, (u, _, _) in enumerate(_edges(g)) if u == a)
+        expected = tuple(sorted(i for i, (u, _, _) in enumerate(_edges(g)) if u == a))
         assert g.out_positions[a] == expected
 
     def test_next_in_after_position(self):
         g = build_graph([("a", "b", 1), ("c", "b", 2), ("d", "b", 3)])
         b = g.node_id("b")
         positions = g.in_positions[b]
-        assert positions == [0, 1, 2]
+        assert positions == (0, 1, 2)
         assert [bisect.bisect_right(positions, after) for after in (0, 1, 2)] == [1, 2, 3]
