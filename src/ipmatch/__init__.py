@@ -31,7 +31,6 @@ from .io_cli import (
     load_pattern,
     match_from_dict,
     match_json_line,
-    match_to_dict,
     run_search,
     save_graph,
     save_pattern,
@@ -41,7 +40,6 @@ from .matcher import (
     InvalidPatternError,
     Match,
     SearchStats,
-    VerifyResult,
     verify_match,
 )
 from .pattern import (
@@ -66,11 +64,10 @@ __all__ = [
     "GraphBuildError", "GraphSummary", "InvalidPatternError", "Match",
     "OracleSizeLimitError", "ParseError", "PatternEdge", "PatternGraph",
     "QueryGenerationError", "SearchStats", "StrategyMismatchError",
-    "TemporalGraph", "ValidationReport", "VerifyResult", "brute_force",
-    "build_graph", "generate_path_query", "generate_random_query",
-    "graph_summary", "load_graph", "load_pattern", "match_from_dict",
-    "match_json_line", "match_to_dict", "pattern_from_triples",
-    "run_bench", "run_search", "save_graph", "save_pattern",
-    "static_projection", "stream_search", "two_phase_search",
-    "validate_pattern", "verify_match",
+    "TemporalGraph", "ValidationReport", "brute_force", "build_graph",
+    "generate_path_query", "generate_random_query", "graph_summary",
+    "load_graph", "load_pattern", "match_from_dict", "match_json_line",
+    "pattern_from_triples", "run_bench", "run_search", "save_graph",
+    "save_pattern", "static_projection", "stream_search",
+    "two_phase_search", "validate_pattern", "verify_match",
 ]

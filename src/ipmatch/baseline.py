@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .matcher import Match, verify_match
 from .pattern import PatternGraph
-from .temporal_graph import TemporalGraph, static_projection
+from .temporal_graph import TemporalGraph
 
 
 class OracleSizeLimitError(ValueError):
@@ -52,15 +52,19 @@ def _pair_positions(g: TemporalGraph) -> dict[tuple[int, int], list[int]]:
     return pairs
 
 
-def _static_matches(g: TemporalGraph, p: PatternGraph) -> Iterator[tuple[int, ...]]:
-    """Edge-by-edge DFS over the static projection, yielding injective node maps."""
-    edges = sorted(static_projection(g))
+def _static_matches(pairs: dict[tuple[int, int], list[int]],
+                    p: PatternGraph) -> Iterator[tuple[int, ...]]:
+    """Edge-by-edge DFS over the static projection (the node pairs that key
+    ``pairs``), yielding injective node maps."""
+    edges = sorted(pairs)
+    # not ``pairs`` itself: the recursive closures below form a cycle, which
+    # would keep the whole position index alive until the collector runs
+    edge_set = set(edges)
     out_adj: dict[int, list[int]] = {}
     in_adj: dict[int, list[int]] = {}
     for a, b in edges:
         out_adj.setdefault(a, []).append(b)
         in_adj.setdefault(b, []).append(a)
-    edge_set = set(edges)
 
     f: dict[int, int] = {}
     used: set[int] = set()
@@ -122,7 +126,7 @@ def two_phase_search(
     m = len(p.edges)
 
     pair_positions = _pair_positions(g)
-    for node_map in _static_matches(g, p):
+    for node_map in _static_matches(pair_positions, p):
         stats.static_matches += 1
         cand = [
             pair_positions[(node_map[pe.source], node_map[pe.target])]

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .io_cli import effective_delta, load_graph, save_pattern, stream_search
 from .pattern import MAX_PATTERN_EDGES, PatternGraph, pattern_from_triples, validate_pattern
-from .temporal_graph import TemporalGraph, static_projection
+from .temporal_graph import TemporalGraph
 
 CSV_HEADER = ["family", "size", "delta", "strategy", "query_id", "millis", "matches", "candidates"]
 MAX_RESTARTS = 50  # DFS starts tried per random query
@@ -100,22 +100,18 @@ def generate_random_query(g: TemporalGraph, n: int, seed: int) -> PatternGraph:
     if n < 2:
         raise ValueError(f"random query size must be >= 2, got {n}")
     rng = random.Random(seed)
-    out_adj: dict[int, list[int]] = {}
-    for a, b in sorted(static_projection(g)):
-        out_adj.setdefault(a, []).append(b)
-
     for _ in range(MAX_RESTARTS):
         start = rng.randrange(g.node_count)
         order = {start: 0}
         tree: list[tuple[int, int]] = []
-        stack = [(start, iter(_shuffled(out_adj.get(start, ()), rng)))]
+        stack = [(start, iter(_shuffled_successors(g, start, rng)))]
         while stack and len(order) < n:
             node, neighbors = stack[-1]
             for nbr in neighbors:
                 if nbr not in order:
                     order[nbr] = len(order)
                     tree.append((node, nbr))
-                    stack.append((nbr, iter(_shuffled(out_adj.get(nbr, ()), rng))))
+                    stack.append((nbr, iter(_shuffled_successors(g, nbr, rng))))
                     break
             else:
                 stack.pop()
@@ -129,10 +125,11 @@ def generate_random_query(g: TemporalGraph, n: int, seed: int) -> PatternGraph:
     )
 
 
-def _shuffled(items, rng: random.Random) -> list:
-    copy = list(items)
-    rng.shuffle(copy)
-    return copy
+def _shuffled_successors(g: TemporalGraph, node: int, rng: random.Random) -> list[int]:
+    """The distinct targets of ``node``'s out-edges, ascending, then shuffled."""
+    successors = sorted({g.targets[pos] for pos in g.out_positions[node]})
+    rng.shuffle(successors)
+    return successors
 
 
 def _queries(plan: BenchPlan, g: TemporalGraph) -> list[tuple[int, str, PatternGraph]]:

@@ -172,27 +172,17 @@ def save_pattern(p: PatternGraph, path: str) -> None:
             fh.write(f"{e.source} {e.target} {e.time}\n")
 
 
-def match_to_dict(m: Match, g: TemporalGraph) -> dict:
-    """JSON-ready view of a match, using the original external labels."""
-    labels, sources, targets, times = g.labels, g.sources, g.targets, g.times
-    return {
-        "nodes": {str(i): labels[node] for i, node in enumerate(m.node_map)},
-        "edges": [
-            [labels[sources[pos]], labels[targets[pos]], times[pos]]
-            for pos in m.edge_assignment
-        ],
-        "start": m.start,
-        "end": m.end,
-        "dur": m.dur,
-    }
-
-
 def match_json_line(m: Match, g: TemporalGraph) -> str:
-    """``match_to_dict(m, g)`` as one compact, key-sorted JSON line.
+    """``m`` as one compact JSON object, in the graph's external labels.
 
-    Byte-identical to ``json.dumps(match_to_dict(m, g), sort_keys=True,
-    separators=(",", ":"))``, but formatted straight from the graph's
-    columns and its JSON-encoded labels.
+    The object has the keys ``dur``, ``edges``, ``end``, ``nodes`` and
+    ``start``, in that order, and no whitespace.  ``nodes`` maps each
+    pattern node id, as a string, to the label of its graph node, with
+    the keys sorted as strings ("10" before "2"); ``edges`` lists each
+    pattern edge's assigned graph edge as ``[source label, target label,
+    time]``.  It is what ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))`` writes for that object, but formatted straight
+    from the graph's columns and its JSON-encoded labels.
     """
     node_map, edge_assignment, start, end, dur = m
     fmt, order = _line_format(len(node_map), len(edge_assignment))
@@ -261,7 +251,8 @@ def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
 
     ``matches`` is a closeable generator of at most ``limit`` matches in
     emitted order (by assigned edge positions); ``baseline`` and
-    ``oracle`` search and sort in this call.  With ``lines`` it yields
+    ``oracle`` search and sort every match in this call, so ``limit``
+    bounds their output, not their work.  With ``lines`` it yields
     each match as its :func:`match_json_line` instead: ``simple`` and
     ``index`` run a kernel that formats the line itself, ``baseline`` and
     ``oracle`` encode their sorted matches.  ``stats`` (``SearchStats``,

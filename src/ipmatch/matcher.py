@@ -81,7 +81,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple
 
 from .pattern import PatternGraph, ValidationReport
@@ -360,21 +360,7 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     return "\n".join(src) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyResult:
-    violations: tuple[tuple[int, str], ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "; ".join(f"condition {c}: {msg}" for c, msg in self.violations)
-
-
-def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> VerifyResult:
+def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> ValidationReport:
     """Check a match against the three defining conditions, independently.
 
     1. structural: injective node mapping, one distinct graph edge per
@@ -382,23 +368,25 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Ver
     2. temporal order preservation for every pair of pattern edges;
     3. duration within delta, with ``start``, ``end`` and ``dur`` those of
        the assigned edge times.
+
+    Each violation reads ``"condition N: ..."``, naming the condition it breaks.
     """
     if len(m.node_map) != p.node_count or len(m.edge_assignment) != len(p.edges):
         raise ValueError("match shape does not fit the pattern")
     for pos in m.edge_assignment:
         if pos < 0 or pos >= len(g):
             raise ValueError(f"edge position {pos} out of range")
-    violations: list[tuple[int, str]] = []
+    violations: list[str] = []
 
     if len(set(m.node_map)) != len(m.node_map):
-        violations.append((1, "node mapping is not injective"))
+        violations.append("condition 1: node mapping is not injective")
     if len(set(m.edge_assignment)) != len(m.edge_assignment):
-        violations.append((1, "a graph edge is assigned to two pattern edges"))
+        violations.append("condition 1: a graph edge is assigned to two pattern edges")
     sources, targets = g.sources, g.targets
     for i, pe in enumerate(p.edges):
         pos = m.edge_assignment[i]
         if sources[pos] != m.node_map[pe.source] or targets[pos] != m.node_map[pe.target]:
-            violations.append((1, f"edge {i} endpoints disagree with the node mapping"))
+            violations.append(f"condition 1: edge {i} endpoints disagree with the node mapping")
 
     times = [g.times[pos] for pos in m.edge_assignment]
     for i in range(len(p.edges)):
@@ -406,17 +394,17 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Ver
             ti, tj = p.edges[i].time, p.edges[j].time
             gi, gj = times[i], times[j]
             if ti < tj and not gi < gj:
-                violations.append((2, f"edges {i},{j} must be strictly ordered"))
+                violations.append(f"condition 2: edges {i},{j} must be strictly ordered")
             elif ti == tj and gi != gj:
-                violations.append((2, f"edges {i},{j} must be simultaneous"))
+                violations.append(f"condition 2: edges {i},{j} must be simultaneous")
             elif ti > tj and not gi > gj:
-                violations.append((2, f"edges {i},{j} must be strictly ordered"))
+                violations.append(f"condition 2: edges {i},{j} must be strictly ordered")
 
     start, end = min(times), max(times)
     dur = end - start + 1
     if dur > delta:
-        violations.append((3, f"dur={dur} exceeds delta={delta}"))
+        violations.append(f"condition 3: dur={dur} exceeds delta={delta}")
     if (m.start, m.end, m.dur) != (start, end, dur):
-        violations.append((3, f"start, end, dur {m.start}, {m.end}, {m.dur} are not "
-                              f"the edge times' {start}, {end}, {dur}"))
-    return VerifyResult(tuple(violations))
+        violations.append(f"condition 3: start, end, dur {m.start}, {m.end}, {m.dur} "
+                          f"are not the edge times' {start}, {end}, {dur}")
+    return ValidationReport(tuple(violations))

@@ -56,6 +56,8 @@ class PatternGraph:
 
 @dataclass(frozen=True, slots=True)
 class ValidationReport:
+    """What :func:`validate_pattern` or ``matcher.verify_match`` found wrong."""
+
     violations: tuple[str, ...] = field(default=())
 
     @property

@@ -10,6 +10,7 @@ from ipmatch import (
     build_graph,
     generate_path_query,
     generate_random_query,
+    load_graph,
     run_bench,
     save_graph,
     validate_pattern,
@@ -23,6 +24,14 @@ def read_rows(path):
     with open(path) as fh:
         body = [line for line in fh if not line.startswith("#")]
     return list(csv.DictReader(body))
+
+
+SYNTHETIC = Path(__file__).parent / "data" / "synthetic_1000.txt"
+
+
+@pytest.fixture(scope="module")
+def synthetic_graph():
+    return load_graph(str(SYNTHETIC))
 
 
 @pytest.fixture
@@ -84,6 +93,31 @@ class TestRandomQueries:
         g = build_graph([("a", "b", 1)])
         with pytest.raises(QueryGenerationError, match="50"):
             generate_random_query(g, 6, seed=0)
+
+    # Recorded values: a change to the order in which the DFS sees
+    # neighbours, or in which it draws from the seed, changes them.
+    @pytest.mark.parametrize("size", [2, 3, 5, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_pinned_small_queries(self, synthetic_graph, size, seed):
+        p = generate_random_query(synthetic_graph, size, seed)
+        assert [(e.source, e.target, e.time) for e in p.edges] == \
+            [(i, i + 1, i + 1) for i in range(size - 1)]
+
+    # edge k's source where it is not node k: the DFS backed up before edge k
+    @pytest.mark.parametrize("size, seed, branches", [
+        (60, 0, {51: 50}),
+        (90, 0, {51: 50, 86: 85}),
+        (90, 1, {66: 65, 68: 67, 87: 85}),
+        (90, 2, {69: 68, 86: 85}),
+    ])
+    def test_pinned_branching_queries(self, synthetic_graph, size, seed, branches):
+        p = generate_random_query(synthetic_graph, size, seed)
+        assert [(e.target, e.time) for e in p.edges] == [(k, k) for k in range(1, size)]
+        assert {k: e.source for k, e in enumerate(p.edges) if e.source != k} == branches
+
+    def test_size_past_node_count_errors(self, synthetic_graph):
+        with pytest.raises(QueryGenerationError, match="121 nodes after 50 attempts"):
+            generate_random_query(synthetic_graph, synthetic_graph.node_count + 1, seed=0)
 
     def test_generated_patterns_validate(self):
         g = build_graph([(f"n{i}", f"n{(i * 5 + 2) % 9}", i) for i in range(1, 25)])

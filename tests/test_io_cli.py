@@ -26,7 +26,6 @@ from ipmatch import (
     load_pattern,
     match_from_dict,
     match_json_line,
-    match_to_dict,
     save_graph,
     save_pattern,
     pattern_from_triples,
@@ -42,6 +41,27 @@ from ipmatch.pattern import MAX_PATTERN_EDGES
 from _generators import full_span, random_graph, random_pattern
 
 DATA = Path(__file__).parent / "data"
+
+
+def match_to_dict(m, g) -> dict:
+    """The JSON object of a match, in the graph's external labels: the spec
+    that ``match_json_line`` and the line kernel are checked against."""
+    labels, sources, targets, times = g.labels, g.sources, g.targets, g.times
+    return {
+        "nodes": {str(i): labels[node] for i, node in enumerate(m.node_map)},
+        "edges": [
+            [labels[sources[pos]], labels[targets[pos]], times[pos]]
+            for pos in m.edge_assignment
+        ],
+        "start": m.start,
+        "end": m.end,
+        "dur": m.dur,
+    }
+
+
+def spec_line(m, g) -> str:
+    """``match_to_dict`` as the compact, key-sorted line ``query`` writes."""
+    return json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
 
 
 def write(path: Path, text: str) -> str:
@@ -65,6 +85,11 @@ _FILE_LABELS = st.text(
     st.characters(max_codepoint=127).filter(lambda ch: not ch.isspace()),
     min_size=1, max_size=4,
 ).filter(lambda s: s[0] != "#")
+
+
+def test_every_exported_name_resolves():
+    import ipmatch
+    assert [name for name in ipmatch.__all__ if not hasattr(ipmatch, name)] == []
 
 
 class TestLoadGraph:
@@ -150,6 +175,13 @@ class TestLoadGraph:
             save_graph(g, str(path))
         assert path.read_text() == "x y 7\n"
 
+    def test_int_syntax_timestamps_load_and_save_plain(self, tmp_path):
+        # timestamps are read by int(): digit separators and a sign are accepted
+        g = load_graph(write(tmp_path / "g.txt", "a b 1_000\nb c +5\n"))
+        assert g.times == (5, 1000)
+        save_graph(g, str(tmp_path / "out.txt"))
+        assert (tmp_path / "out.txt").read_text() == "b c 5\na b 1000\n"
+
     def test_bundled_synthetic_file(self):
         g = load_graph(str(DATA / "synthetic_1000.txt"))
         s = graph_summary(g)
@@ -169,6 +201,12 @@ class TestLoadPattern:
         path = write(tmp_path / "p.txt", "0 1 1\n")
         with pytest.raises(ParseError, match="nodes"):
             load_pattern(path)
+
+    def test_int_syntax_loads_and_saves_plain(self, tmp_path):
+        p = load_pattern(write(tmp_path / "p.txt", "nodes +3\n0 1 1_0\n+1 2 2_0\n"))
+        assert [(e.source, e.target, e.time) for e in p.edges] == [(0, 1, 10), (1, 2, 20)]
+        save_pattern(p, str(tmp_path / "out.txt"))
+        assert (tmp_path / "out.txt").read_text() == "nodes 3\n0 1 10\n1 2 20\n"
 
     def test_save_round_trip(self, tmp_path):
         p = pattern_from_triples([(0, 1, 2), (1, 2, 1)])
@@ -305,15 +343,13 @@ class TestMatchJsonLine:
         matches, _ = run_search(g, p, 10**6, "index")
         assert matches
         for m in matches:
-            expected = json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
-            assert match_json_line(m, g) == expected
+            assert match_json_line(m, g) == spec_line(m, g)
 
     def test_small_pattern_on_hostile_labels(self):
         g = build_graph([('a"b', "c\\d", 1), ("c\\d", "\u00e9\x01", 2)])
         p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
         (m,), _ = run_search(g, p, 5, "index")
-        expected = json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
-        assert match_json_line(m, g) == expected
+        assert match_json_line(m, g) == spec_line(m, g)
 
 
 def assert_line_stream_equals_match_stream(g, p, delta, k):
@@ -369,8 +405,7 @@ class TestLineStream:
         matches, _ = run_search(g, p, 10**6, "index")
         assert len(matches) >= 8
         for m in matches:
-            expected = json.dumps(match_to_dict(m, g), sort_keys=True, separators=(",", ":"))
-            assert match_json_line(m, g) == expected
+            assert match_json_line(m, g) == spec_line(m, g)
         assert_line_stream_equals_match_stream(g, p, 10**6, 5)
 
 
@@ -488,6 +523,17 @@ class TestQueryCommand:
         assert len(lines) == 6  # 5 matches + summary
         assert "summary" in lines[-1]
         assert json.loads(lines[-1])["summary"]["matches"] == 5
+
+    def test_baseline_limit_bounds_output_not_search(self, tmp_path, capsys):
+        # the README's example: the baseline's counters cover all 4 matches
+        gpath = write(tmp_path / "g.txt", "u v 1\nu v 2\nu v 3\nu v 4\n")
+        ppath = write(tmp_path / "p.txt", "nodes 2\n0 1 1\n")
+        assert main(["query", "--graph", gpath, "--pattern", ppath, "--delta", "10",
+                     "--strategy", "baseline", "--limit", "2", "--stats"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        summary = json.loads(lines[-1])["summary"]
+        assert (summary["matches"], summary["matches_found"]) == (2, 4)
 
     @pytest.mark.parametrize("strategy", ["simple", "index", "baseline", "oracle"])
     def test_negative_limit_rejected(self, tmp_path, capsys, strategy):

@@ -252,6 +252,11 @@ class TestMatchingEdgeRoutines:
             }
 
 
+def conditions(result):
+    """The condition number that each violation of a verify_match report names."""
+    return [int(v.removeprefix("condition ").partition(":")[0]) for v in result.violations]
+
+
 class TestVerifyMatch:
     def setup_method(self):
         self.g = build_graph([("a", "b", 1), ("b", "c", 3)])
@@ -264,13 +269,13 @@ class TestVerifyMatch:
     def test_non_injective_mapping_violates_condition_1(self):
         m = Match((0, 1, 0), (0, 1), 1, 3, 3)
         result = verify_match(self.g, self.p, 3, m)
-        assert 1 in {c for c, _ in result.violations}
+        assert 1 in conditions(result)
 
     def test_duration_violates_condition_3_only(self):
         good, _ = run_search(self.g, self.p, 3, "index")
         m = good[0]
         result = verify_match(self.g, self.p, 2, m)
-        assert {c for c, _ in result.violations} == {3}
+        assert set(conditions(result)) == {3}
 
     def test_wrong_start_end_or_dur_violates_condition_3(self):
         g = build_graph([("a", "b", 5), ("b", "c", 7)])
@@ -280,20 +285,54 @@ class TestVerifyMatch:
         for fields in ({"start": 1}, {"end": 99}, {"dur": 1},
                        {"start": 1, "end": 99, "dur": 1}):
             result = verify_match(g, self.p, 200, good._replace(**fields))
-            assert [c for c, _ in result.violations] == [3], fields
+            assert conditions(result) == [3], fields
 
     def test_order_violation_condition_2(self):
         g = build_graph([("a", "b", 5), ("b", "c", 3)])
         m = Match((g.node_id("a"), g.node_id("b"), g.node_id("c")), (1, 0), 3, 5, 3)
         result = verify_match(g, self.p, 5, m)
-        assert 2 in {c for c, _ in result.violations}
+        assert 2 in conditions(result)
 
     def test_reused_edge_position_condition_1(self):
         g = build_graph([("a", "b", 2), ("b", "a", 2)])
         p = pattern_from_triples([(0, 1, 1), (0, 1, 1)])
         m = Match((g.node_id("a"), g.node_id("b")), (0, 0), 2, 2, 1)
         result = verify_match(g, p, 5, m)
-        assert 1 in {c for c, _ in result.violations}
+        assert 1 in conditions(result)
+
+    @pytest.mark.parametrize("graph, triples, delta, match, text", [
+        ([("a", "b", 1), ("b", "c", 3)], [(0, 1, 1), (1, 2, 2)], 3,
+         Match((0, 1, 2), (0, 1), 1, 3, 3), "ok"),
+        ([("a", "b", 1), ("b", "c", 3)], [(0, 1, 1), (1, 2, 2)], 3,
+         Match((0, 1, 0), (0, 1), 1, 3, 3),
+         "condition 1: node mapping is not injective; "
+         "condition 1: edge 1 endpoints disagree with the node mapping"),
+        ([("a", "b", 2), ("b", "a", 2)], [(0, 1, 1), (0, 1, 1)], 5,
+         Match((0, 1), (0, 0), 2, 2, 1),
+         "condition 1: a graph edge is assigned to two pattern edges"),
+        ([("a", "b", 5), ("b", "c", 3)], [(0, 1, 1), (1, 2, 2)], 5,
+         Match((0, 1, 2), (1, 0), 3, 5, 3),
+         "condition 2: edges 0,1 must be strictly ordered"),
+        ([("a", "b", 1), ("a", "c", 2)], [(0, 1, 1), (0, 2, 1)], 5,
+         Match((0, 1, 2), (0, 1), 1, 2, 2),
+         "condition 2: edges 0,1 must be simultaneous"),
+        ([("a", "b", 1), ("b", "c", 3)], [(0, 1, 1), (1, 2, 2)], 2,
+         Match((0, 1, 2), (0, 1), 1, 3, 3),
+         "condition 3: dur=3 exceeds delta=2"),
+        ([("a", "b", 1), ("b", "c", 3)], [(0, 1, 1), (1, 2, 2)], 3,
+         Match((0, 1, 2), (0, 1), 2, 4, 1),
+         "condition 3: start, end, dur 2, 4, 1 are not the edge times' 1, 3, 3"),
+        ([("a", "b", 5), ("b", "c", 3)], [(0, 1, 1), (1, 2, 2)], 2,
+         Match((0, 1, 0), (1, 0), 3, 5, 9),
+         "condition 1: node mapping is not injective; "
+         "condition 1: edge 1 endpoints disagree with the node mapping; "
+         "condition 2: edges 0,1 must be strictly ordered; "
+         "condition 3: dur=3 exceeds delta=2; "
+         "condition 3: start, end, dur 3, 5, 9 are not the edge times' 3, 5, 3"),
+    ])
+    def test_report_text(self, graph, triples, delta, match, text):
+        result = verify_match(build_graph(graph), pattern_from_triples(triples), delta, match)
+        assert str(result) == text
 
 
 class TestSearchProperties:
