@@ -57,9 +57,6 @@ def _static_matches(pairs: dict[tuple[int, int], list[int]],
     """Edge-by-edge DFS over the static projection (the node pairs that key
     ``pairs``), yielding injective node maps."""
     edges = sorted(pairs)
-    # not ``pairs`` itself: the recursive closures below form a cycle, which
-    # would keep the whole position index alive until the collector runs
-    edge_set = set(edges)
     out_adj: dict[int, list[int]] = {}
     in_adj: dict[int, list[int]] = {}
     for a, b in edges:
@@ -85,10 +82,10 @@ def _static_matches(pairs: dict[tuple[int, int], list[int]],
         fu, fv = f.get(pe.source), f.get(pe.target)
         if pe.source == pe.target:
             if fu is not None:
-                return [(fu, fu)] if (fu, fu) in edge_set else []
+                return [(fu, fu)] if (fu, fu) in pairs else []
             return [(a, a) for a, b in edges if a == b and a not in used]
         if fu is not None and fv is not None:
-            return [(fu, fv)] if (fu, fv) in edge_set else []
+            return [(fu, fv)] if (fu, fv) in pairs else []
         if fu is not None:
             return [(fu, w) for w in out_adj.get(fu, ()) if w not in used]
         if fv is not None:
@@ -107,7 +104,10 @@ def _static_matches(pairs: dict[tuple[int, int], list[int]],
             unassign(pe.target, fresh_v)
             unassign(pe.source, fresh_u)
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:  # ``rec`` refers to itself through its cell; clearing it breaks the cycle
+        del rec
 
 
 def two_phase_search(
@@ -163,6 +163,7 @@ def two_phase_search(
                 chosen.pop()
 
         product(0, 0, 0)
+        del product  # as ``rec`` in _static_matches: no cycle is left behind
 
     stats.matches_found = len(matches)
     return matches, stats
@@ -223,4 +224,5 @@ def brute_force(g: TemporalGraph, p: PatternGraph, delta: int) -> set[Match]:
             m = Match(tuple(perm), combo, start, end, end - start + 1)
             if verify_match(g, p, delta, m).ok:
                 results.add(m)
+    del assignments  # as ``rec`` in _static_matches: no cycle is left behind
     return results

@@ -44,6 +44,16 @@ candidate, which pops the edge it admitted.  A stream closed at a yield
 keeps its last match pushed, one edge per depth, so then ``pops ==
 pushes - len(p.edges)``.
 
+The counters are exact but cost no work per scanned candidate.  A scan
+(the root's, every depth of ``simple`` and an ``index`` depth with no
+endpoint bound) is counted from its loop position when the loop exits:
+it has examined the positions from its start up to the one it stopped
+at.  The root's admissions are its
+examined edges less those it rejected by structure, the only count its
+loop keeps.  A walk counts each entry it steps to, and every depth below
+the root counts its admissions one by one.  A stream closed at a yield
+leaves its scans live, so the kernel settles them as it is closed.
+
 Candidate admissibility at depth d (pattern edge (u, v)):
 
 * time order - strictly after the previous matched edge when the
@@ -106,6 +116,11 @@ class SearchStats:
     admitted a candidate.  A search that runs out pops every push.  One
     closed at a yield still holds its last match, one edge per pattern
     edge, so then ``pops`` is ``pushes`` minus the number of pattern edges.
+
+    The kernel writes them once, when its stream finishes or is closed.  A
+    scan's ``candidates_examined`` is settled from its loop position as
+    the loop exits, and a scan still live when the stream is closed is
+    settled then, so each count is the same as one added per candidate.
     """
 
     candidates_examined: int = 0
@@ -223,10 +238,19 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     depth, in generator functions ``_k0``, ``_k1``, ... of at most
     ``_CHUNK`` depths, each handing its bound locals to the next through
     ``yield from``.  Pattern node i is bound to graph node ``v{i}``, and
-    depth d to edge position ``p{d}`` at time ``t{d}``.  Each function
-    adds its per-depth counters ``e{d}`` (examined) and ``c{d}``
-    (admitted) into ``stats`` in its ``finally``; ``_k0`` then sets
-    ``pops``.  Only ints and fixed names enter the source.
+    depth d to edge position ``p{d}`` at time ``t{d}``.  Only ints and
+    fixed names enter the source.
+
+    Each function keeps per-depth counters ``e{d}`` (examined) and
+    ``c{d}`` (admitted) and adds them into ``stats`` in its ``finally``;
+    ``_k0`` then sets ``pops``.  A scan counts what it examined from its
+    loop position, not per candidate: the root scan has examined
+    ``p0 + 1`` edges and admitted those less ``r0``, its structural
+    rejections, and a deeper scan binds its start as ``q{d}`` and adds
+    ``p{d} - q{d}`` when its loop exits.  A walk adds one per entry it
+    steps to.  A stream closed at a yield leaves every scan of each
+    function live, so each function settles them as ``GeneratorExit``
+    passes through it, before its ``finally`` runs.
 
     The last depth yields a :class:`Match`, or with ``lines`` the match's
     JSON line: the global ``fmt`` (:func:`_line_format`'s) filled from the
@@ -245,24 +269,30 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     for a in range(0, m, _CHUNK):  # one function for depths a .. b-1
         b = min(a + _CHUNK, m)
         counters = [f"e{d}" for d in range(a, b)] + [f"c{d}" for d in range(a, b)]
+        scans: list[int] = []  # this function's scans below the root, outermost first
         if a == 0:
-            src += [f"def _k0({cols}, delta, stats):", f"    n, held = len(times), {m}"]
+            src += [f"def _k0({cols}, delta, stats):",
+                    f"    n, held, p0 = len(times), {m}, -1"]
+            if strict:
+                src.append("    span = delta - 1")
         else:  # ``live``: what the previous function's last depth hands on
             src.append(f"def _k{a // _CHUNK}({cols}, n, stats, {', '.join(live)}):")
-        src += ["    " + " = ".join(counters) + " = 0", "    try:"]
+        # the root's e0 and c0 are worked out from p0 and r0 in ``finally``
+        zeroed = [c for c in counters if c not in ("e0", "c0")] + ["r0"] * (a == 0)
+        src += ["    " + " = ".join(zeroed) + " = 0", "    try:"]
         for d in range(a, b):
             s = steps[d]
             # the earlier depths of this step's equal-time run (none if STRICT)
             run = range(max(r for r in range(d + 1) if r == 0 or not steps[r].equal), d)
             ind = "        " + "    " * (d - a)
             walked = None  # the column the walked position list fixes
+            ls, lt = bound.get(s.source, -1), bound.get(s.target, -1)
+            walk = d > 0 and use_index and (ls >= 0 or lt >= 0)
             if d == 0:
                 header = "range(n)"
             else:
                 lo = f"bisect_left(times, t{d - 1}) - 1" if s.equal else f"p{d - 1}"
-                header = f"range({lo} + 1, n)"
-            ls, lt = bound.get(s.source, -1), bound.get(s.target, -1)
-            if d and use_index and (ls >= 0 or lt >= 0):
+            if walk:
                 # Walk a bound endpoint's position list: with both bound, the
                 # one whose latest matched edge is later (ties: source).  A
                 # STRICT step starts past every matched edge at either end.
@@ -294,9 +324,14 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                             f"{ind}    e{d} += 1",
                             f"{ind}    continue"]
                 header = f"islice(s{d}, k{d}, None)"
+            elif d:  # scan the edge list from the depth's start, counted on exit
+                src.append(f"{ind}q{d} = p{d} = {lo}")
+                header = f"range(q{d} + 1, n)"
+                scans.append(d)
             src.append(f"{ind}for p{d} in {header}:")
             ind += "    "
-            src.append(f"{ind}e{d} += 1")
+            if walk:
+                src.append(f"{ind}e{d} += 1")
             if d:
                 src.append(f"{ind}t{d} = times[p{d}]")
                 if s.equal:
@@ -320,14 +355,18 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                            f"{', '.join(f'{c}[p{d}]' for c, _ in fresh)}")
             tests = (agree + [f"v{s.source} == v{s.target}"] * (len(fresh) == 2)
                      + [t for _, n in fresh for t in taken(n)])
-            if tests:
+            if d == 0:  # the root admits every edge it does not reject here
+                src += [f"{ind}if {' or '.join(tests)}:", f"{ind}    r0 += 1",
+                        f"{ind}    continue"]
+            elif tests:
                 src.append(f"{ind}if {' or '.join(tests)}: continue")
-            src.append(f"{ind}c{d} += 1")
+            if d:
+                src.append(f"{ind}c{d} += 1")
             bound[s.source] = bound[s.target] = d
             if d == 0:
                 src.append(f"{ind}t0 = times[p0]")
                 if strict:
-                    src.append(f"{ind}deadline = t0 + delta - 1")
+                    src.append(f"{ind}deadline = t0 + span")
             if d == m - 1:
                 if lines:  # this function holds t0, t{a-1} and its own depths' times
                     t = [f"t{k}" if k == 0 or k >= a - 1 else f"times[p{k}]" for k in range(m)]
@@ -346,10 +385,16 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                 live = ([f"v{i}" for i in sorted(bound)] + [f"p{k}" for k in range(b)]
                         + ["t0"] + [f"t{d}"] * (d > 0) + ["deadline"] * strict)
                 src.append(f"{ind}yield from _k{b // _CHUNK}({cols}, n, stats, {', '.join(live)})")
+        src += [f"{'    ' * (2 + d - a)}e{d} += p{d} - q{d}" for d in reversed(scans)]
         if a == 0:
             src.append("        held = 0")
-        src += ["    finally:",
-                f"        stats.candidates_examined += {' + '.join(counters[:b - a])}",
+        if scans:  # closed at a yield: every scan of this function is live
+            src += (["    except GeneratorExit:"]
+                    + [f"        e{d} += p{d} - q{d}" for d in scans] + ["        raise"])
+        src.append("    finally:")
+        if a == 0:
+            src += ["        e0 = p0 + 1", "        c0 = e0 - r0"]
+        src += [f"        stats.candidates_examined += {' + '.join(counters[:b - a])}",
                 f"        stats.pushes += {' + '.join(counters[b - a:])}",
                 "        stats.max_depth_reached = max(stats.max_depth_reached, "
                 f"{a} + {' + '.join(f'({c} > 0)' for c in counters[b - a:])})"]

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -11,8 +12,20 @@ from ipmatch import (
     two_phase_search,
     validate_pattern,
 )
+from ipmatch.baseline import _pair_positions, _static_matches
 
 from _generators import full_span, parallel_family, random_graph, random_pattern
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector stopped, with nothing left for it to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class TestTwoPhaseSearch:
@@ -57,6 +70,21 @@ class TestTwoPhaseSearch:
             assert set(via_search) == set(via_phases)
             checked += 1
 
+    def test_leaves_no_reference_cycle(self, collector_off):
+        # a cycle would hold the call's adjacency and positions until the
+        # collector ran; with it stopped, gc.collect() counts what is left
+        g = build_graph([("a", "b", 1), ("b", "c", 2), ("a", "b", 3), ("b", "c", 4),
+                         ("c", "a", 5)])
+        p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
+        matches, stats = two_phase_search(g, p, 10)
+        assert len(matches) == 5 and stats.static_matches == 3
+        assert gc.collect() == 0
+        static = _static_matches(_pair_positions(g), p)
+        assert next(static) == (0, 1, 2)
+        static.close()
+        del static
+        assert gc.collect() == 0
+
 
 class TestBruteForce:
     def test_single_edge_identity(self):
@@ -79,6 +107,11 @@ class TestBruteForce:
         assert len(found) == 1
         (m,) = found
         assert m.node_map == (g.node_id("a"), g.node_id("b"), g.node_id("c"))
+
+    def test_leaves_no_reference_cycle(self, collector_off):
+        g = build_graph([("a", "b", 1), ("b", "c", 2), ("c", "a", 3)])
+        assert len(brute_force(g, pattern_from_triples([(0, 1, 1), (1, 2, 2)]), 10)) == 2
+        assert gc.collect() == 0
 
     def test_size_guard(self):
         g = build_graph([(f"n{i}", f"n{i+1}", i) for i in range(15)])

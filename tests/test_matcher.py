@@ -32,6 +32,17 @@ def both_strategies(g, p, delta, **kw):
     return simple, s_stats, index, i_stats
 
 
+def admitted(stats):
+    """The counters simple and index share: they admit the same candidates
+    and differ only in how many they examine."""
+    return stats.pushes, stats.pops, stats.matches_found, stats.max_depth_reached
+
+
+def assert_same_admissions(s_stats, i_stats):
+    assert admitted(i_stats) == admitted(s_stats)
+    assert i_stats.candidates_examined <= s_stats.candidates_examined
+
+
 class TestInteractionSearch:
     def test_identity_case(self):
         g = build_graph([("a", "b", 1)])
@@ -163,12 +174,14 @@ class TestIterMatches:
             return
         everything = run_search(g, p, delta, "index")[0]
         n = len(everything)
+        counted = {}  # (strategy, k or None for a full run) -> stats
         for strategy in ("simple", "index", "baseline", "oracle"):
             kernel = strategy in ("simple", "index")
             stream, stats = stream_search(g, p, delta, strategy)
             assert list(stream) == everything
             if kernel:
                 assert stats == run_search(g, p, delta, strategy)[1]
+                counted[strategy, None] = stats
             # every k up to 64 keeps the quadratic cost bounded on the rare
             # instance with thousands of matches; baseline and oracle redo
             # their whole search for every k, so they try one k
@@ -184,9 +197,43 @@ class TestIterMatches:
                     # counters of a run stopped by limit=k: one edge per depth pushed
                     assert stats == cut
                     assert stats.pushes - stats.pops == len(p.edges)
+                    counted[strategy, k] = stats
                     # closing a limited stream before its limit closes the kernel too
                     stream, stats = stream_search(g, p, delta, strategy, limit=k + 1)
                     assert [next(stream) for _ in range(k)] == expected
+                    stream.close()
+                    assert stats == cut
+        # simple counts a scan by its loop position, index a walk per entry
+        for (strategy, k), stats in counted.items():
+            if strategy == "index":
+                assert_same_admissions(counted["simple", k], stats)
+
+    # the counters one added per examined candidate gives this case, under
+    # each strategy
+    LIVE_SCANS = {
+        None: {"simple": (241, 2, 17, 39, 39), "index": (59, 2, 17, 39, 39)},
+        1: {"simple": (21, 1, 17, 17, 0), "index": (17, 1, 17, 17, 0)},
+    }
+
+    def test_closed_stream_settles_its_live_scans(self):
+        # a 17-edge path whose second edge is simultaneous with its first:
+        # closed at its first match, simple has a scan live at the EQUAL
+        # depth 1, three candidates into it, and one at depth 16, the first
+        # depth of the second generated function
+        chain = [f"n{i}" for i in range(18)]
+        g = build_graph([("x", "y", 1), (chain[0], chain[1], 1), (chain[1], chain[2], 1),
+                         ("y", "x", 1)]
+                        + [(chain[i], chain[i + 1], i) for i in range(2, 17)]
+                        + [("y", "x", 9), (chain[16], "z", 17), ("x", "z", 17)])
+        p = pattern_from_triples([(0, 1, 1), (1, 2, 1)] + [(i, i + 1, i) for i in range(2, 17)])
+        for k, expected in self.LIVE_SCANS.items():
+            for strategy in ("simple", "index"):
+                matches, cut = run_search(g, p, 30, strategy, limit=k)
+                assert len(matches) == (k or 2)
+                assert tuple(cut.as_dict().values()) == expected[strategy], (k, strategy)
+                if k:
+                    stream, stats = stream_search(g, p, 30, strategy)
+                    assert [next(stream) for _ in range(k)] == matches
                     stream.close()
                     assert stats == cut
 
@@ -347,7 +394,7 @@ class TestSearchProperties:
         simple, s_stats, index, i_stats = both_strategies(g, p, delta)
         assert simple == index
         assert set(simple) == brute_force(g, p, delta)
-        assert i_stats.candidates_examined <= s_stats.candidates_examined
+        assert_same_admissions(s_stats, i_stats)
         assert len(set(simple)) == len(simple)
         assert all(verify_match(g, p, delta, m).ok for m in simple)
 
@@ -451,44 +498,44 @@ class TestCompiledKernel:
     # self-loop, source bound, both bound, a bound self-loop and target bound.
     PINNED_SOURCE = {
         1: (
-            "30952dcd6b232fd96acbcd7bcc8dc907052f6e1562c46beb4bae3da148a0fc77",
-            "30952dcd6b232fd96acbcd7bcc8dc907052f6e1562c46beb4bae3da148a0fc77"),
+            "e3979ebd158d51be64353fb167a77fddcd4118a3eb2525ca8f269ab38540cb36",
+            "e3979ebd158d51be64353fb167a77fddcd4118a3eb2525ca8f269ab38540cb36"),
         2: (
-            "ca4f7d9c4956ef48bb3acfa5e4735080aaa2d11a03217c5e8ee221d3ca2de0c6",
-            "1ea537b9a0058f20ddf50fd7b692359d23783e4485da40fb377ed5c6ae211926"),
+            "4e5ab1d9df27574f148ff08d6d9af3022ff4284e33e67e879b756fdcfc99e5ac",
+            "1c2816facfd1facf7a62ec3730a2d7a98e5a418eaac114c8f5f4c193e03364a7"),
         3: (
-            "14bf84a13404e26eadc120e34495c649767c5ff5453a5edd601f9f89088c0ccb",
-            "135be729432e6411f67ecbc11328f509c48403df0a74cd15c825403a724881e3"),
+            "6920085487714d0f896e8cf215654d59098bc062ecab4508a8055a03695610b0",
+            "f1c488fdd44aa573c86a9637cb084cedaa4610144f4698960b9baad9d85d2892"),
         4: (
-            "dae57715244cff363ba49a6b3e3df9da413d3f652b65ca323acc93395f7d5ea0",
-            "7d37d93ba702b5a950d5460d1b0f149a9167cf1120aba6ffdf4cd8413a5ca540"),
+            "517f438fc1a764ce12cb0d83cf9baf93215048ed4161bbb4918d5f25b4ba64f2",
+            "59ebbbce39c03af614236704ffc63e2a9e410f90cd069c9563558d70204fbdd3"),
         16: (
-            "e82a2052bf754b9d13de4d5e203a6086482d56d9be4c8193d22070aac6a8ca9e",
-            "20854e2051024c64ad084090cc2a48ed6cbfd4e9f0c36578af8ceac27cd15bcc"),
+            "5046aeabefbe8110b91de03ec5c26220619dfb853a4ab4eefe875accbf4f5d43",
+            "cbde15dc1e064a1b5d25088c193a0415680773f981009673237fd1b77d78821f"),
         17: (
-            "930820867d5a2aa220d41bc22696ac147d8285f90c446b80c42a7564f3e568e6",
-            "b030e135c969656f4ac3407a74be5260b1d8c1f646c022204cfebea5145c8556"),
+            "13ea809391fc9dc32281c198e1c17836ca44da267d5104e79abe4796f5d3b8f8",
+            "718b792246b0ac4b614a622b3003984279c5263ba72d8c42b8f30b5a42a7678f"),
         25: (
-            "c1cbc39d6e5e81d9d3b64f6423e71a9acd4ada530eadd70c4621619b9cdbe0b0",
-            "3fd76709db7f468e33810866402fefcbf7d3ae543b005f64e74bae42d5257c7b"),
+            "f07576366956c894a7bbfb82abb6dfe8f68d55b9ab59e420f360bd1f09777fd5",
+            "df66dac8f17df74604f1966aba19dac605b09053d0c7fc62ebe7922eb9af5ad0"),
         "ping-pong": (
-            "99723cc1bc2b4fba09afbcda192386982b14a375e8575e354f2eafd537e03c86",
-            "ffb11ed1ab87b3251b7120fdd791c0e7f62f2bce09367f30f9065465d1b02179"),
+            "36694ac17b1668dcf7344b3bd82094cdea1ef13fce64a5b5b6b6e9437b84ce6d",
+            "5abf1c688bb461df4ee53a721e9e83f3aa9e7c6c674890d8b0887699c9298ede"),
         "triangle": (
-            "1f35cba4acaef33f31740ae502c0b27a597a28d0b0046d1a961db38e29426118",
-            "4d4158f0fde16e2d2d1f99e3e9eaac7ca04d12e4568c5de2855394dbefef17dd"),
+            "cd623ebb0efc22a9a86f954b3b46ad5b9b2492b480710a0f03a50ee48196329b",
+            "950983f06adbff2300cd1febee8d5d372e70b5bb40531df009ecbd608b360f9a"),
         "broadcast-reply": (
-            "c6d02ef5747d4dcf3c1007ca6941721773b10c49e160b281d2d5b859fa801110",
-            "d439114e41ec32bc8a76621559c03b1dad38159f63ce7fbed641a90369871986"),
+            "5f8d4f5fa77c736814ed1cc7ffdd62dd2730a6b23fe920c4cbba568b7e46882e",
+            "253060816b9251e2f05acc0e3571af6ee34ca073361d41b74d574a6ac568ebe5"),
         "star3-simultaneous": (
-            "5c5fad155cdbc9b105ef9fa76a907e6bbd20c15a7b6a8ee63913ab7b2cdd1202",
-            "995bf243ba9d374dc22a61524e4908c0521feea294b958c0f385dc71dd6cdfa2"),
+            "15fbb3f0ec17c6694b53e2555bde84843e20d924a006117db3d487afc7db563a",
+            "9c604bf338e2a8a7981c339bdb6c179854b5004e5d9052a463d93973a41b1c42"),
         "relay-equal": (
-            "14bffd32d39763684ff9bb995929ebbdf1dd04ec6f2c692cc6533ffe763836f3",
-            "857d9ad9fbdfe900b248e272643041857042f62fd3005e68c3f04f4623c808fb"),
+            "25e92086666806cf2dc4d50b8dffcd1e6099fcc898a3f932c5862e1c611d4c57",
+            "442f0606eeb1f5f3d746c7447af6e7a1dbe469152991a69874fd9f66cb2190f8"),
         "endpoint-cases": (
-            "08af51c4abc4f5f636abb27e0f9925805f35263392981d098f3548325bf9ad51",
-            "9f50f87a2e429e4b81a7beedde7897814333a5c05e06ad42cc24c8f7a5bdb72c"),
+            "6c7ccb4068666c2f3bbcc98b3e8734e13502667700648e79deebca66649890e2",
+            "9db36288a0762a30ec4e745f1893acf8f0a2b1dd7d722ddfa807358a3ddbde46"),
     }
 
     def test_source_is_pinned(self):
@@ -502,44 +549,44 @@ class TestCompiledKernel:
     # the same shapes' kernels in line mode, which yield each match's JSON line
     PINNED_LINE_SOURCE = {
         1: (
-            "3be37e80ca7d6d851196453b62d9018015f2d5e27503265496e5d7b1f9fffcc1",
-            "3be37e80ca7d6d851196453b62d9018015f2d5e27503265496e5d7b1f9fffcc1"),
+            "e51629999f34aeeb161bee63a33b4c8fd92ce174e57050043674375b1453194d",
+            "e51629999f34aeeb161bee63a33b4c8fd92ce174e57050043674375b1453194d"),
         2: (
-            "94f40c9aa95ae1da226470be80f13affb2d116b5abf51a6fa3a99e270b72bd62",
-            "5efa79f464da588b3bbc99f900e833e7d296cc5bd8f7b8420787eb808867334e"),
+            "19987c8f149ee9bbf21494dde2c0343afc8e941d22c61cf7defaee7c32ad47ff",
+            "d33f16afcc1209f71b6c41986dcb57be12a821fa84b9cf3dabeb0b8a16001546"),
         3: (
-            "2c1517254e444e367c6ecf482eb714084812515b128cc97359391bf6ebf1a709",
-            "7b6a9306aa4f1201732b478c4690a1822f911a373b6c23ed546fd33298998742"),
+            "eab832dee3a0564d82d84523dc431d38c4b864bd48aae81d08c8b648343c07cf",
+            "9dc6b0b148743b010def534434d65b9d14eb93d931a1948570439cf03ae8cb09"),
         4: (
-            "1e7980164a1142132365e7c088320afe5cdcf80a6930a1104b8960839090f063",
-            "355d503cd7c9aff45db08ea896eee4fd5a05c45730dd98d2930410a0efd992fe"),
+            "1ed6dc5453eb47ef0ff4241aecc4b8bda12ff7ec249c6b2826c0ed9cb21d59eb",
+            "d5d889f99d642815efb48dedbe9eaf348364e1a420e9bd14324af0f5edb2971b"),
         16: (
-            "7bb8aeda36dcf759f6b42a4cdfabd52ea7e4c17a2dda0fdf8431bec93d87d5e1",
-            "052f028b31f6c2dc59580043471f0380633d64924714f734177304f48b0f5188"),
+            "c1601205dadf9fa8f3381057a62419bf7d9acafb20069942bd591f2c977fc332",
+            "7cf174cd5281ee230254b3a4bbc2f1793584ddf94d676b0db4b4e3818c244c32"),
         17: (
-            "dbe27b59a11badee6ab64a0e9705f9a3c7ff0ff0af7f425ecdeaf9313d66b2da",
-            "92706fe5624c40245952e69e613fa16ec1548b5b601fc9e55b22382c6e4f8214"),
+            "c18ee3a1d86a077f7734259ad5ec1c620b78f0b3a730c1e43d6653cfca5d4359",
+            "df4f087c4f5efb2e5044756a563411397f20a87ca25ffe710d7ca662814f6064"),
         25: (
-            "e1cfcffc6c757aa80a160fd613aed7c24c60fb0a2b9eee4bd7bdc0c4a9e9f341",
-            "edd758f5b3a567e8b4a4c6647eb8dbb8e044a7d1b9433f356c27e8f78adbb7ef"),
+            "2b037122f27130a9fa6e49e3deecd985b42230258de8d55b0c6677608ebb65fb",
+            "f999e40b0ef8dd5e449aa78d50b1684c1f0d55712a09143dd43f7d33563308bf"),
         "ping-pong": (
-            "43ac3ac29bbebe7f78d553f921cf4c2426a4d876049057e43d612993e454eef9",
-            "7ee7e6e24b2fa6dc0686c94a09a5243fd38c78b7f5c939387f45c78087c11a41"),
+            "80cbded597247627aff4f40ceed69e4aacca908b6c0b24c6f9f5cc083d11f558",
+            "7de826c546b511453a845a46109c64ac7f90f36e2ae3afa1bb6ec1f07faf4e33"),
         "triangle": (
-            "2260d6c9bebb65d0587576674d9a2ee73fdd8f65473cb2c27e22e4e85e439eb8",
-            "5a52ff519ee45dd1b764cc825134729abec13b700850776bf2bf15e6e161e1e9"),
+            "e052b8321692f6783821f96f5dd54af4d17d12ad4542bab9e35504ebd902d634",
+            "d74b9dde0fcd6f6a2091356c27b77d7a41305c36dda72b08ee89dd4268ddbfac"),
         "broadcast-reply": (
-            "64379744b1a6091cc3c68fe45275b3714a5a94cb258c1d12b22c7f7bb2006a29",
-            "545b2514cc8927d6ae562e5977782d8b6f91dd98d8fccfb057a9ab6a643c120a"),
+            "5a9d9d6b2ed948794a773302ad53a2a5ab0773da4553d6ec5b2ee57edad42121",
+            "3637bd76b57fbc8b5dcfa4027639c120c313aee44332a3a87ca29f0109e3c20b"),
         "star3-simultaneous": (
-            "7ab4dacd7e63e8effdbc3f19c4dc4603275d44ebc802d6c63ccb827f63e9f462",
-            "c55deb97d162d07c4b6c39ba765843efb615392fb44165627d1d18ad21615792"),
+            "4ee817f6d4c6313dba9c726e0fdf3be6e9195558e0bb1c23a8a4d7c207316bd4",
+            "cba8cff45e33e6d5f8e9430544a3043294529c83d070286221e2384821a61f99"),
         "relay-equal": (
-            "e578648315688e05798ac6e78b27fd3d4d598d1772812fededd579c0eabe1f13",
-            "1c4ec9e05881d7fc01ab1814c996500b54a1c28c8039fca980c8aef2af1bcd66"),
+            "76589e0554b469ab0baf4fc75f572e0e28ed46f4af4d405213e26b50484f91eb",
+            "a64dff3fca569c7121534a1830725953f3bc34ef2e85273b14c6b598b622bb4a"),
         "endpoint-cases": (
-            "715710dc99f46cc206abebe248aeda96affa9c5c2e8c7d5fdabea32477518862",
-            "696f874d72961eff4e93798f0b3570a116d92000f573bd687f34acdc5411252b"),
+            "8ce8fa1a659e06fbc0cf3b0c8cb4be661ec0f4e8c4ef5fc75f139873f0cb2521",
+            "88edda4f0a19e874d425a3643de5c2d9c6528c08756b44c46e4492bd2be3a2c8"),
     }
 
     def test_line_source_is_pinned(self):
