@@ -1,12 +1,12 @@
 """Benchmark harness: query generators, delta/size sweeps, CSV reports.
 
 Two query families are supported: fixed-length path queries (edges with
-consecutive timestamps) and random queries grown by a seeded DFS over
-the static projection.  Every (query, delta, strategy) cell records
-wall-clock time, matches found and candidate counts.  Each cell's
-strategies run back to back and their match counts must agree: the
-first cell that disagrees aborts the run before any later cell, with
-its pattern saved for replay.
+consecutive timestamps) and random out-tree queries grown by seeded
+draws from a frontier over the static projection.  Every (query, delta,
+strategy) cell records wall-clock time, matches found and candidate
+counts.  Each cell's strategies run back to back and their match counts
+must agree: the first cell that disagrees aborts the run before any
+later cell, with its pattern saved for replay.
 
 Cells run one after another, so each timing is taken with the process
 otherwise idle.
@@ -26,7 +26,7 @@ from .pattern import MAX_PATTERN_EDGES, PatternGraph, pattern_from_triples, vali
 from .temporal_graph import TemporalGraph
 
 CSV_HEADER = ["family", "size", "delta", "strategy", "query_id", "millis", "matches", "candidates"]
-MAX_RESTARTS = 50  # DFS starts tried per random query
+MAX_RESTARTS = 50  # random starts tried per random query
 
 
 class QueryGenerationError(RuntimeError):
@@ -90,12 +90,14 @@ def generate_path_query(length: int) -> PatternGraph:
 
 
 def generate_random_query(g: TemporalGraph, n: int, seed: int) -> PatternGraph:
-    """Grow an ``n``-node pattern by seeded DFS over the static projection.
+    """Grow an ``n``-node pattern by seeded draws over the static projection.
 
-    The pattern consists of the DFS tree edges, renamed to dense ids in
-    discovery order; edge times are the ranks 1..n-1 of the traversal,
-    which is a topological order of the tree.  Deterministic for a given
-    (graph, n, seed).
+    From a random start, each step pops a uniformly drawn pair from the
+    frontier, the distinct (reached node, successor) pairs; a pair whose
+    target is new adds that target, its edge and the target's own pairs.
+    Nodes are renamed to dense ids in draw order and edge times are the
+    ranks 1..n-1 of the draws, which is a topological order of the tree.
+    Deterministic for a given (graph, n, seed).
     """
     if n < 2:
         raise ValueError(f"random query size must be >= 2, got {n}")
@@ -103,33 +105,24 @@ def generate_random_query(g: TemporalGraph, n: int, seed: int) -> PatternGraph:
     for _ in range(MAX_RESTARTS):
         start = rng.randrange(g.node_count)
         order = {start: 0}
-        tree: list[tuple[int, int]] = []
-        stack = [(start, iter(_shuffled_successors(g, start, rng)))]
-        while stack and len(order) < n:
-            node, neighbors = stack[-1]
-            for nbr in neighbors:
-                if nbr not in order:
-                    order[nbr] = len(order)
-                    tree.append((node, nbr))
-                    stack.append((nbr, iter(_shuffled_successors(g, nbr, rng))))
-                    break
-            else:
-                stack.pop()
+        triples: list[tuple[int, int, int]] = []
+        frontier = _out_pairs(g, start)
+        while frontier and len(order) < n:
+            u, v = frontier.pop(rng.randrange(len(frontier)))
+            if v not in order:
+                k = order[v] = len(order)  # the k-th edge enters node k at time k
+                triples.append((order[u], k, k))
+                frontier += _out_pairs(g, v)
         if len(order) == n:
-            triples = [
-                (order[u], order[v], rank) for rank, (u, v) in enumerate(tree, start=1)
-            ]
             return pattern_from_triples(triples, node_count=n)
     raise QueryGenerationError(
-        f"no DFS start reached {n} nodes after {MAX_RESTARTS} attempts"
+        f"no start reached {n} nodes after {MAX_RESTARTS} attempts"
     )
 
 
-def _shuffled_successors(g: TemporalGraph, node: int, rng: random.Random) -> list[int]:
-    """The distinct targets of ``node``'s out-edges, ascending, then shuffled."""
-    successors = sorted({g.targets[pos] for pos in g.out_positions[node]})
-    rng.shuffle(successors)
-    return successors
+def _out_pairs(g: TemporalGraph, node: int) -> list[tuple[int, int]]:
+    """The distinct (node, target) pairs of ``node``'s out-edges, by ascending target."""
+    return [(node, v) for v in sorted({g.targets[pos] for pos in g.out_positions[node]})]
 
 
 def _queries(plan: BenchPlan, g: TemporalGraph) -> list[tuple[int, str, PatternGraph]]:
@@ -227,7 +220,7 @@ def _write_csv(plan: BenchPlan, rows: list[BenchRow], fh) -> None:
     fh.write("# wall-clock per query call, graph load excluded\n")
     fh.write(f"# family={plan.family} seed={plan.seed} "
              f"delta_unit={plan.delta_unit} count={plan.count}\n")
-    fh.write("# random-query edge order: DFS discovery order, rank times\n")
+    fh.write("# random-query edge order: draw order, rank times\n")
     writer = csv.writer(fh)
     writer.writerow(CSV_HEADER)
     for row in rows:

@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp = gen_sub.add_parser("path", help="path query with consecutive timestamps")
     gp.add_argument("--length", type=int, required=True)
     gp.add_argument("--output", required=True)
-    gr = gen_sub.add_parser("random", help="seeded DFS query over a graph")
+    gr = gen_sub.add_parser("random", help="seeded random out-tree query over a graph")
     gr.add_argument("--graph", required=True)
     gr.add_argument("--nodes", type=int, required=True)
     gr.add_argument("--seed", type=int, default=0)

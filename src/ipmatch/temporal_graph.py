@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 class EmptyGraphError(ValueError):
@@ -83,17 +83,13 @@ class TemporalGraph:
         ]
 
 
-def build_graph(edges: Sequence[tuple]) -> TemporalGraph:
+def build_graph(edges: Iterable[tuple]) -> TemporalGraph:
     """Build a :class:`TemporalGraph` from (source, target, time) triples.
 
     Duplicate triples are retained as distinct parallel edges.  Labels may
     be strings or integers; they are interned into dense node ids in order
     of first appearance.
     """
-    edges = list(edges)
-    if not edges:
-        raise EmptyGraphError("cannot build a graph from an empty edge list")
-
     label_index: dict[str, int] = {}
     labels: list[str] = []
 
@@ -125,6 +121,8 @@ def build_graph(edges: Sequence[tuple]) -> TemporalGraph:
         if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)):
             raise GraphBuildError(seq, f"timestamp {t!r} is not an integer")
         keyed.append((t, u, v))
+    if not keyed:
+        raise EmptyGraphError("cannot build a graph from an empty edge list")
 
     keyed.sort()
 

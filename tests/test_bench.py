@@ -94,26 +94,87 @@ class TestRandomQueries:
         with pytest.raises(QueryGenerationError, match="50"):
             generate_random_query(g, 6, seed=0)
 
-    # Recorded values: a change to the order in which the DFS sees
-    # neighbours, or in which it draws from the seed, changes them.
+    # Recorded values: edge k enters node k + 1 at time k + 1 and leaves the
+    # node listed here (node k where none is).  A change to the order of the
+    # frontier, or to the order of draws from the seed, changes them.
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_pinned_small_queries(self, synthetic_graph, size, seed):
+        sources = {
+            (5, 0): [0, 1, 2, 0], (5, 1): [0, 1, 0, 3], (5, 7): [0, 1, 2, 0],
+            (8, 0): [0, 1, 2, 0, 3, 4, 4], (8, 1): [0, 1, 0, 3, 3, 3, 5],
+            (8, 7): [0, 1, 2, 0, 0, 1, 3],
+        }.get((size, seed), range(size - 1))
         p = generate_random_query(synthetic_graph, size, seed)
         assert [(e.source, e.target, e.time) for e in p.edges] == \
-            [(i, i + 1, i + 1) for i in range(size - 1)]
+            [(u, k + 1, k + 1) for k, u in enumerate(sources)]
 
-    # edge k's source where it is not node k: the DFS backed up before edge k
+    # edge k's source where it is not node k: the tree leaves the path there.
+    # Recorded values, which the frontier order or the draw order changes.
     @pytest.mark.parametrize("size, seed, branches", [
-        (60, 0, {51: 50}),
-        (90, 0, {51: 50, 86: 85}),
-        (90, 1, {66: 65, 68: 67, 87: 85}),
-        (90, 2, {69: 68, 86: 85}),
+        (60, 0, {
+            3: 0, 4: 3, 5: 4, 6: 4, 7: 3, 8: 7, 9: 6, 10: 9, 11: 7, 13: 11, 14: 3, 15: 6,
+            16: 3, 17: 2, 18: 11, 19: 7, 20: 13, 21: 4, 22: 3, 23: 14, 24: 18, 25: 21,
+            26: 5, 27: 15, 28: 14, 29: 23, 30: 24, 31: 10, 32: 19, 33: 18, 34: 20, 35: 6,
+            36: 0, 37: 30, 38: 0, 39: 35, 40: 26, 41: 19, 42: 16, 43: 18, 44: 14, 45: 39,
+            46: 34, 47: 9, 48: 8, 49: 26, 50: 12, 51: 25, 52: 24, 53: 52, 54: 41, 55: 10,
+            56: 46, 57: 27, 58: 45,
+        }),
+        (90, 0, {
+            3: 0, 4: 3, 5: 4, 6: 4, 7: 3, 8: 7, 9: 6, 10: 9, 11: 7, 13: 11, 14: 3, 15: 6,
+            16: 3, 17: 2, 18: 11, 19: 7, 20: 13, 21: 4, 22: 3, 23: 14, 24: 18, 25: 21,
+            26: 5, 27: 15, 28: 14, 29: 23, 30: 24, 31: 10, 32: 19, 33: 18, 34: 20, 35: 6,
+            36: 0, 37: 30, 38: 0, 39: 35, 40: 26, 41: 19, 42: 16, 43: 18, 44: 14, 45: 39,
+            46: 34, 47: 9, 48: 8, 49: 26, 50: 12, 51: 25, 52: 24, 53: 52, 54: 41, 55: 10,
+            56: 46, 57: 27, 58: 45, 59: 22, 60: 25, 61: 18, 62: 17, 63: 52, 64: 38, 65: 8,
+            66: 11, 67: 54, 68: 14, 70: 9, 71: 33, 72: 66, 73: 23, 74: 69, 75: 72, 76: 50,
+            77: 42, 78: 59, 79: 75, 81: 60, 82: 17, 83: 58, 84: 42, 85: 3, 86: 31, 87: 14,
+            88: 20,
+        }),
+        (90, 1, {
+            2: 0, 4: 3, 5: 3, 6: 5, 7: 2, 8: 7, 9: 1, 10: 9, 11: 0, 12: 8, 13: 9, 14: 11,
+            15: 14, 16: 14, 17: 0, 18: 10, 19: 9, 20: 4, 21: 12, 22: 1, 23: 1, 24: 1,
+            25: 20, 26: 0, 27: 15, 28: 25, 29: 9, 30: 16, 31: 27, 32: 1, 33: 9, 34: 29,
+            35: 17, 36: 22, 37: 15, 38: 19, 39: 36, 40: 24, 41: 2, 42: 9, 43: 25, 44: 11,
+            45: 40, 46: 33, 47: 41, 48: 25, 49: 47, 50: 41, 51: 41, 52: 3, 53: 39, 54: 21,
+            55: 34, 56: 53, 57: 16, 58: 45, 59: 57, 60: 54, 61: 15, 62: 44, 63: 2, 64: 41,
+            65: 4, 66: 34, 67: 16, 68: 21, 69: 1, 70: 49, 71: 49, 72: 47, 73: 70, 74: 31,
+            75: 74, 76: 63, 77: 67, 78: 72, 79: 65, 80: 68, 81: 25, 82: 38, 83: 11, 84: 82,
+            85: 71, 86: 0, 87: 43, 88: 32,
+        }),
+        (90, 2, {
+            1: 0, 2: 0, 3: 2, 4: 1, 5: 2, 6: 2, 7: 5, 8: 2, 9: 1, 10: 3, 11: 8, 12: 11,
+            13: 8, 15: 13, 16: 15, 18: 14, 20: 16, 21: 18, 22: 10, 23: 1, 24: 1, 25: 14,
+            26: 18, 27: 12, 28: 15, 29: 17, 30: 7, 31: 21, 32: 10, 33: 1, 34: 14, 35: 8,
+            36: 15, 37: 28, 38: 24, 39: 9, 40: 31, 41: 38, 42: 14, 43: 34, 44: 39, 45: 21,
+            46: 40, 47: 24, 48: 41, 49: 42, 50: 43, 51: 31, 52: 39, 53: 39, 54: 30, 55: 39,
+            56: 41, 57: 23, 58: 42, 59: 28, 60: 47, 61: 45, 62: 51, 63: 18, 64: 43, 65: 58,
+            66: 7, 67: 64, 68: 67, 69: 61, 70: 67, 71: 62, 72: 10, 73: 60, 74: 72, 76: 64,
+            77: 71, 78: 25, 79: 74, 80: 63, 81: 2, 82: 22, 83: 14, 84: 4, 85: 10, 86: 49,
+            87: 9, 88: 1,
+        }),
     ])
     def test_pinned_branching_queries(self, synthetic_graph, size, seed, branches):
         p = generate_random_query(synthetic_graph, size, seed)
         assert [(e.target, e.time) for e in p.edges] == [(k, k) for k in range(1, size)]
         assert {k: e.source for k, e in enumerate(p.edges) if e.source != k} == branches
+
+    @pytest.mark.parametrize("size", [5, 8])
+    def test_draws_vary_the_out_tree(self, synthetic_graph, size):
+        patterns = set()
+        for seed in range(50):
+            p = generate_random_query(synthetic_graph, size, seed)
+            edges = tuple((e.source, e.target, e.time) for e in p.edges)
+            for k, (u, v, t) in enumerate(edges):
+                assert (v, t) == (k + 1, k + 1) and u <= k
+            patterns.add(edges)
+        path = tuple((e.source, e.target, e.time) for e in generate_path_query(size - 1).edges)
+        assert len(patterns) > 1
+        assert patterns - {path}
+
+    def test_size_below_two_rejected(self, synthetic_graph):
+        with pytest.raises(ValueError, match="random query size must be >= 2, got 1"):
+            generate_random_query(synthetic_graph, 1, 0)
 
     def test_size_past_node_count_errors(self, synthetic_graph):
         with pytest.raises(QueryGenerationError, match="121 nodes after 50 attempts"):
@@ -246,7 +307,10 @@ class TestBenchPlan:
         ("strategies", [], "no strategies given"),
         ("strategies", ["index", "simple", "index"], "strategy 'index' given twice"),
         ("strategies", ["index", "oracle"], "unknown bench strategy 'oracle'"),
-    ], ids=["no-sizes", "no-deltas", "no-strategies", "strategy-twice", "unknown-strategy"])
+        ("family", "tree", "unknown query family 'tree'"),
+        ("count", 0, "count must be >= 1"),
+    ], ids=["no-sizes", "no-deltas", "no-strategies", "strategy-twice", "unknown-strategy",
+            "unknown-family", "no-count"])
     def test_rejected(self, toy_graph_path, field, value, message):
         plan = dict(graph_path=toy_graph_path, family="path", sizes=[2],
                     deltas=[100], strategies=["simple", "index"])

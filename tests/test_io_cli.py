@@ -202,6 +202,21 @@ class TestLoadPattern:
         with pytest.raises(ParseError, match="nodes"):
             load_pattern(path)
 
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("# only a comment\n\n", 0, "missing 'nodes <n>' header"),
+        ("nodes 2\n", 0, "pattern has no edges"),
+        ("nodes 2\n0 1\n", 2, "expected 3 fields, got 2"),
+    ], ids=["no-header", "no-edges", "two-fields"])
+    def test_malformed_file_names_the_line(self, tmp_path, text, line_no, message):
+        path = write(tmp_path / "p.txt", text)
+        with pytest.raises(ParseError) as info:
+            load_pattern(path)
+        assert str(info.value) == f"{path}:{line_no}: {message}"
+
+    def test_comment_and_blank_line_between_edges(self, tmp_path):
+        p = load_pattern(write(tmp_path / "p.txt", "nodes 3\n0 1 1\n# note\n\n1 2 2\n"))
+        assert [(e.source, e.target, e.time) for e in p.edges] == [(0, 1, 1), (1, 2, 2)]
+
     def test_int_syntax_loads_and_saves_plain(self, tmp_path):
         p = load_pattern(write(tmp_path / "p.txt", "nodes +3\n0 1 1_0\n+1 2 2_0\n"))
         assert [(e.source, e.target, e.time) for e in p.edges] == [(0, 1, 10), (1, 2, 20)]
@@ -588,6 +603,10 @@ class TestQueryCommand:
         ])
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+    def test_unknown_delta_unit_rejected(self):
+        with pytest.raises(ValueError, match="unknown delta unit 'weeks'"):
+            io_cli.effective_delta(5, "weeks")
 
     def test_missing_file_exit_2(self, path2_pattern_file, capsys):
         code = main([

@@ -381,6 +381,22 @@ class TestVerifyMatch:
         result = verify_match(build_graph(graph), pattern_from_triples(triples), delta, match)
         assert str(result) == text
 
+    @pytest.mark.parametrize("match, message", [
+        (Match((0, 1), (0, 1), 1, 3, 3), "match shape does not fit the pattern"),
+        (Match((0, 1, 2), (0, 2), 1, 3, 3), "edge position 2 out of range"),
+    ], ids=["short-node-map", "position-past-the-end"])
+    def test_malformed_match_rejected(self, match, message):
+        with pytest.raises(ValueError, match=message):
+            verify_match(self.g, self.p, 3, match)
+
+    def test_hand_built_pattern_out_of_time_order(self):
+        # pattern_from_triples sorts its edges, so only a hand-built pattern is unsorted
+        p = PatternGraph(3, (PatternEdge(0, 1, 2), PatternEdge(1, 2, 1)))
+        assert str(validate_pattern(p, 5)) == "edges out of time order at position 1"
+        m = Match((0, 1, 2), (0, 1), 1, 3, 3)
+        assert str(verify_match(self.g, p, 3, m)) == \
+            "condition 2: edges 0,1 must be strictly ordered"
+
 
 class TestSearchProperties:
     @given(st.integers(0, 10_000))

@@ -93,6 +93,16 @@ class TestBuildGraph:
         with pytest.raises(EmptyGraphError):
             build_graph([])
 
+    def test_empty_iterator_rejected(self):
+        with pytest.raises(EmptyGraphError):
+            build_graph(iter([]))
+
+    def test_generator_input_builds_the_same_graph(self):
+        triples = [("b", "c", 2), ("a", "b", 1), ("a", "b", 1)]
+        g = build_graph(triple for triple in triples)
+        assert g.export_edges() == build_graph(triples).export_edges()
+        assert g.labels == ("b", "c", "a")
+
     def test_malformed_label_rejected(self):
         with pytest.raises(GraphBuildError, match="edge 1"):
             build_graph([("a", "b", 1), ("bad label", "c", 2)])
