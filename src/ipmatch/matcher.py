@@ -13,10 +13,10 @@ depth's time and structural tests written out once, so the loops only
 compare ints (query compilation, as in Neumann, "Efficiently Compiling
 Efficient Query Plans for Modern Hardware", VLDB 2011).  The compiled
 code is cached per pattern shape, strategy and emit mode, and takes the
-graph's columns as arguments, so one kernel serves every graph.  CPython
-refuses more than 20 nested blocks in one function, so a pattern of
-more than 16 edges is split into generator functions of 16 depths each,
-chained by ``yield from``.
+graph's columns it reads as arguments, so one kernel serves every graph.
+CPython refuses more than 20 nested blocks in one function, so a pattern
+of more than 16 edges is split into generator functions of 16 depths
+each, chained by ``yield from``.
 
 Two strategies differ only in the candidate sequence of a depth:
 
@@ -33,8 +33,13 @@ Two strategies differ only in the candidate sequence of a depth:
   examined, as the loop's break would, and goes back up without building
   the walk.  An EQUAL step whose list holds an edge of its own equal-time
   run (a star's second edge, walking the centre's list) starts at that
-  run's time, so it is entered untested.  With no endpoint bound it
-  scans like ``simple``.
+  run's time, so it is entered untested.  A STRICT step that walks the
+  out-edges of the previous edge's target from after that edge (the
+  next edge of a chain) reads its first entry's time from the graph's
+  ``next_out_time`` column instead, and binary-searches the list only
+  once that time is in the window, with the same decisions and counts;
+  every other walk entry still searches first.  With no endpoint bound
+  it scans like ``simple``.
 
 Both yield identical candidates in identical order; they differ only in
 how many edges they examine.  A depth with no admissible candidate left
@@ -181,10 +186,8 @@ def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
     matches.  It checks nothing: ``io_cli.stream_search`` validates the
     pattern against ``delta`` first.
     """
-    cols = (g.sources, g.targets, g.times, g.out_positions, g.in_positions)
-    if lines:
-        cols += (g.label_json,)
-    return _kernel(_compile(p), use_index, lines)(*cols, delta, stats)
+    kernel, columns = _kernel(_compile(p), use_index, lines)
+    return kernel(*[getattr(g, c) for c in columns], delta, stats)
 
 
 @functools.cache
@@ -211,15 +214,18 @@ def _node_count(steps: tuple[_Step, ...]) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _kernel(steps: tuple[_Step, ...], use_index: bool, lines: bool):
-    """The compiled search of one pattern shape in match or line mode; it
-    serves every graph."""
+    """The compiled search of one pattern shape in match or line mode, and
+    the names of the graph columns it takes, in order; it serves every
+    graph."""
     namespace = {"bisect_left": bisect.bisect_left, "bisect_right": bisect.bisect_right,
                  "islice": itertools.islice, "new": tuple.__new__, "Match": Match}
     if lines:
         namespace["fmt"] = _line_format(_node_count(steps), len(steps))[0]
     source = _kernel_source(steps, use_index, lines)
     exec(compile(source, "<ipmatch kernel>", "exec"), namespace)
-    return namespace["_k0"]
+    k0 = namespace["_k0"]
+    code = k0.__code__  # its arguments are the columns, then ``delta, stats``
+    return k0, code.co_varnames[:code.co_argcount - 2]
 
 
 # Depths per generated function: CPython refuses more than 20 statically
@@ -254,12 +260,16 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
 
     The last depth yields a :class:`Match`, or with ``lines`` the match's
     JSON line: the global ``fmt`` (:func:`_line_format`'s) filled from the
-    locals and one more column, ``label_json``.
+    locals and one more column, ``label_json``.  A kernel whose walk
+    entries read ``next_out_time`` (a chain step's first entry time, as
+    ``x{d}``) takes that column too; the others do not name it.
     """
     m = len(steps)
     nodes = _node_count(steps)
     strict = any(not s.equal for s in steps[1:])
-    cols = "sources, targets, times, out_positions, in_positions" + ", label_json" * lines
+    # whether a walk entry reads ``next_out_time``; that is known only once
+    # every depth is written, so the signatures say COLUMNS until then
+    reads_next = False
     bound: dict[int, int] = {}  # pattern node -> last depth above that touched it
     src: list[str] = []
 
@@ -271,12 +281,12 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
         counters = [f"e{d}" for d in range(a, b)] + [f"c{d}" for d in range(a, b)]
         scans: list[int] = []  # this function's scans below the root, outermost first
         if a == 0:
-            src += [f"def _k0({cols}, delta, stats):",
+            src += ["def _k0(COLUMNS, delta, stats):",
                     f"    n, held, p0 = len(times), {m}, -1"]
             if strict:
                 src.append("    span = delta - 1")
         else:  # ``live``: what the previous function's last depth hands on
-            src.append(f"def _k{a // _CHUNK}({cols}, n, stats, {', '.join(live)}):")
+            src.append(f"def _k{a // _CHUNK}(COLUMNS, n, stats, {', '.join(live)}):")
         # the root's e0 and c0 are worked out from p0 and r0 in ``finally``
         zeroed = [c for c in counters if c not in ("e0", "c0")] + ["r0"] * (a == 0)
         src += ["    " + " = ".join(zeroed) + " = 0", "    try:"]
@@ -309,7 +319,7 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                         y != x and _later(steps, y, x) for y in deps)]
                     lo = ", ".join(f"p{x}" for x in top)
                     lo = lo if len(top) == 1 else f"max({lo})"
-                src += [f"{ind}s{d} = {seq}", f"{ind}k{d} = bisect_right(s{d}, {lo})"]
+                entry = [f"{ind}s{d} = {seq}", f"{ind}k{d} = bisect_right(s{d}, {lo})"]
                 # Enter the walk only if its first entry is in time; one that is
                 # not is examined, as the loop's break would count it.  A walk
                 # of a list that holds an edge of this equal-time run starts at
@@ -319,10 +329,22 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                 ins = any(steps[r].target == s.target for r in run)
                 if d > a and not (outs if walked == "sources" else
                                   ins if walked == "targets" else outs and ins):
-                    src += [f"{ind}if k{d} == len(s{d}): continue",
-                            f"{ind}if times[s{d}[k{d}]] > {f't{d - 1}' if s.equal else 'deadline'}:",
+                    if (not s.equal and walked == "sources" and lo == f"p{d - 1}"
+                            and s.source == steps[d - 1].target):
+                        # The first entry is the first edge leaving p{d-1}'s
+                        # target after it, whose time the graph keeps: the
+                        # walk is found only once that time is in the window.
+                        reads_next, first = True, f"x{d}"
+                        src += [f"{ind}x{d} = next_out_time[p{d - 1}]",
+                                f"{ind}if x{d} is None: continue"]
+                    else:
+                        first = f"times[s{d}[k{d}]]"
+                        src += entry + [f"{ind}if k{d} == len(s{d}): continue"]
+                        entry = []
+                    src += [f"{ind}if {first} > {f't{d - 1}' if s.equal else 'deadline'}:",
                             f"{ind}    e{d} += 1",
                             f"{ind}    continue"]
+                src += entry
                 header = f"islice(s{d}, k{d}, None)"
             elif d:  # scan the edge list from the depth's start, counted on exit
                 src.append(f"{ind}q{d} = p{d} = {lo}")
@@ -384,7 +406,7 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             elif d == b - 1:
                 live = ([f"v{i}" for i in sorted(bound)] + [f"p{k}" for k in range(b)]
                         + ["t0"] + [f"t{d}"] * (d > 0) + ["deadline"] * strict)
-                src.append(f"{ind}yield from _k{b // _CHUNK}({cols}, n, stats, {', '.join(live)})")
+                src.append(f"{ind}yield from _k{b // _CHUNK}(COLUMNS, n, stats, {', '.join(live)})")
         src += [f"{'    ' * (2 + d - a)}e{d} += p{d} - q{d}" for d in reversed(scans)]
         if a == 0:
             src.append("        held = 0")
@@ -402,7 +424,9 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             src.append(f"        stats.matches_found += c{m - 1}")
         if a == 0:
             src.append("        stats.pops = stats.pushes - held")
-    return "\n".join(src) + "\n"
+    cols = ("sources, targets, times, out_positions, in_positions"
+            + ", next_out_time" * reads_next + ", label_json" * lines)
+    return "\n".join(src).replace("COLUMNS", cols) + "\n"
 
 
 def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> ValidationReport:

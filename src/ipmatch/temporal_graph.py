@@ -8,7 +8,11 @@ position: an edge is its position, and no object is kept per edge.  Per
 node, the sorted positions of its out-edges and of its in-edges are kept
 as well, so all in- or out-edges of a node can be visited in time order
 without scanning the full list: the next-in-time edge of a node is the
-successor of the current position in that node's position list.
+successor of the current position in that node's position list.  One of
+those successors is also kept as a column, by time: ``next_out_time[i]``
+is the time of the first edge leaving edge i's target after position i,
+the link the chronological search follows from a matched edge to the
+next edge of a path.
 Each node label is also kept in its JSON string form, so that matches
 can be written out without encoding a label per line.
 
@@ -46,6 +50,9 @@ class TemporalGraph:
     list position ``i``; ``out_positions[n]`` / ``in_positions[n]`` are
     the ascending positions of the edges leaving / entering node ``n``.
     ``label_json[n]`` is ``labels[n]`` as ``json.dumps`` writes it.
+    ``next_out_time[i]`` is the time of the first out-edge of
+    ``targets[i]`` at a position after ``i``, or None when there is none:
+    the first entry after ``i`` in ``out_positions[targets[i]]``, by time.
     Build one with :func:`build_graph`.
     """
 
@@ -57,6 +64,7 @@ class TemporalGraph:
     label_index: Mapping[str, int]
     out_positions: tuple[tuple[int, ...], ...]
     in_positions: tuple[tuple[int, ...], ...]
+    next_out_time: tuple[int | None, ...]
 
     @property
     def node_count(self) -> int:
@@ -138,10 +146,21 @@ def build_graph(edges: Iterable[tuple]) -> TemporalGraph:
         out_positions[u].append(i)
         in_positions[v].append(i)
 
+    # One pass from the end: ``nxt[w]`` is the time of w's first out-edge
+    # after the current position.  Edge i reads its target's before its
+    # source's is moved to i, so a self-loop does not see itself.
+    nxt: list[int | None] = [None] * len(labels)
+    next_out_time = []
+    for u, v, t in zip(reversed(sources), reversed(targets), reversed(times)):
+        next_out_time.append(nxt[v])
+        nxt[u] = t
+    next_out_time.reverse()
+
     label_json = tuple(map(encode_basestring_ascii, labels))
     return TemporalGraph(
         sources, targets, times, tuple(labels), label_json, MappingProxyType(label_index),
         tuple(map(tuple, out_positions)), tuple(map(tuple, in_positions)),
+        tuple(next_out_time),
     )
 
 

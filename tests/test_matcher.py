@@ -518,28 +518,28 @@ class TestCompiledKernel:
             "e3979ebd158d51be64353fb167a77fddcd4118a3eb2525ca8f269ab38540cb36"),
         2: (
             "4e5ab1d9df27574f148ff08d6d9af3022ff4284e33e67e879b756fdcfc99e5ac",
-            "1c2816facfd1facf7a62ec3730a2d7a98e5a418eaac114c8f5f4c193e03364a7"),
+            "304637a0662c4c7dedb5fa1177fe162d8ef22d209ab42f64845999f81ec91baa"),
         3: (
             "6920085487714d0f896e8cf215654d59098bc062ecab4508a8055a03695610b0",
-            "f1c488fdd44aa573c86a9637cb084cedaa4610144f4698960b9baad9d85d2892"),
+            "32c2c8b34a1f99c1f7ca51491fb45fe70ec32e55a4e1bf36deb02a5714a07b91"),
         4: (
             "517f438fc1a764ce12cb0d83cf9baf93215048ed4161bbb4918d5f25b4ba64f2",
-            "59ebbbce39c03af614236704ffc63e2a9e410f90cd069c9563558d70204fbdd3"),
+            "f2cbf830377ecfce3fe753c60d7b386e8d0cd0cb58f31ca208d79f05b60b4cb7"),
         16: (
             "5046aeabefbe8110b91de03ec5c26220619dfb853a4ab4eefe875accbf4f5d43",
-            "cbde15dc1e064a1b5d25088c193a0415680773f981009673237fd1b77d78821f"),
+            "e33b359ad51f17f4f18ca04e91804704d3c00255009f1045ded34c98df71924f"),
         17: (
             "13ea809391fc9dc32281c198e1c17836ca44da267d5104e79abe4796f5d3b8f8",
-            "718b792246b0ac4b614a622b3003984279c5263ba72d8c42b8f30b5a42a7678f"),
+            "af15f125c2abbdaad1de1af3f3fa15e037a91de9954419ceb9a00176c81099d6"),
         25: (
             "f07576366956c894a7bbfb82abb6dfe8f68d55b9ab59e420f360bd1f09777fd5",
-            "df66dac8f17df74604f1966aba19dac605b09053d0c7fc62ebe7922eb9af5ad0"),
+            "e3587a8b3179d35adcdf06260b0c327612d2ef8ebfc04531ca5d162ae67f5c3d"),
         "ping-pong": (
             "36694ac17b1668dcf7344b3bd82094cdea1ef13fce64a5b5b6b6e9437b84ce6d",
-            "5abf1c688bb461df4ee53a721e9e83f3aa9e7c6c674890d8b0887699c9298ede"),
+            "70484f5d54c7e462530473131d99ac5490cba98f6ef6e3bbdaed7af9ad3089c8"),
         "triangle": (
             "cd623ebb0efc22a9a86f954b3b46ad5b9b2492b480710a0f03a50ee48196329b",
-            "950983f06adbff2300cd1febee8d5d372e70b5bb40531df009ecbd608b360f9a"),
+            "6bb669789cb505bdcfb02dbc1be378bc6bd7048f0c60c4e858d50a37144021d7"),
         "broadcast-reply": (
             "5f8d4f5fa77c736814ed1cc7ffdd62dd2730a6b23fe920c4cbba568b7e46882e",
             "253060816b9251e2f05acc0e3571af6ee34ca073361d41b74d574a6ac568ebe5"),
@@ -551,7 +551,7 @@ class TestCompiledKernel:
             "442f0606eeb1f5f3d746c7447af6e7a1dbe469152991a69874fd9f66cb2190f8"),
         "endpoint-cases": (
             "6c7ccb4068666c2f3bbcc98b3e8734e13502667700648e79deebca66649890e2",
-            "9db36288a0762a30ec4e745f1893acf8f0a2b1dd7d722ddfa807358a3ddbde46"),
+            "a6e82f0067d128e30f67b6f5e495397bedf2a7de6c2de9e211a86ff152dcc00e"),
     }
 
     def test_source_is_pinned(self):
@@ -569,28 +569,28 @@ class TestCompiledKernel:
             "e51629999f34aeeb161bee63a33b4c8fd92ce174e57050043674375b1453194d"),
         2: (
             "19987c8f149ee9bbf21494dde2c0343afc8e941d22c61cf7defaee7c32ad47ff",
-            "d33f16afcc1209f71b6c41986dcb57be12a821fa84b9cf3dabeb0b8a16001546"),
+            "c59387352004c0bf065b854ef54981cac71d772e90417e1f018390860c8b1859"),
         3: (
             "eab832dee3a0564d82d84523dc431d38c4b864bd48aae81d08c8b648343c07cf",
-            "9dc6b0b148743b010def534434d65b9d14eb93d931a1948570439cf03ae8cb09"),
+            "3504547278e442134b42ffa07de9e0e602bc083f9c59b78192e870ac5ddcdeea"),
         4: (
             "1ed6dc5453eb47ef0ff4241aecc4b8bda12ff7ec249c6b2826c0ed9cb21d59eb",
-            "d5d889f99d642815efb48dedbe9eaf348364e1a420e9bd14324af0f5edb2971b"),
+            "93c81fc866e8db672fe92080e4a5b2fd367c499fca09dce0559dd748c05ccb0a"),
         16: (
             "c1601205dadf9fa8f3381057a62419bf7d9acafb20069942bd591f2c977fc332",
-            "7cf174cd5281ee230254b3a4bbc2f1793584ddf94d676b0db4b4e3818c244c32"),
+            "838068e9e1a0b7db194d827bc1eea0c458e6e3c30bf55b862162ca0bcb84e0c9"),
         17: (
             "c18ee3a1d86a077f7734259ad5ec1c620b78f0b3a730c1e43d6653cfca5d4359",
-            "df4f087c4f5efb2e5044756a563411397f20a87ca25ffe710d7ca662814f6064"),
+            "75785a56a0f760f4ca02cf2ec531c61679156d1288e1e70813307ae0dff29bf5"),
         25: (
             "2b037122f27130a9fa6e49e3deecd985b42230258de8d55b0c6677608ebb65fb",
-            "f999e40b0ef8dd5e449aa78d50b1684c1f0d55712a09143dd43f7d33563308bf"),
+            "14911c9acd1b9df89761a52e847102437b6832b37460d0e1b6ef3e838b38f99a"),
         "ping-pong": (
             "80cbded597247627aff4f40ceed69e4aacca908b6c0b24c6f9f5cc083d11f558",
-            "7de826c546b511453a845a46109c64ac7f90f36e2ae3afa1bb6ec1f07faf4e33"),
+            "58fed30c4d7aa5be96140b9760450c0178a6160f29d66d4c7342c524c61f476e"),
         "triangle": (
             "e052b8321692f6783821f96f5dd54af4d17d12ad4542bab9e35504ebd902d634",
-            "d74b9dde0fcd6f6a2091356c27b77d7a41305c36dda72b08ee89dd4268ddbfac"),
+            "7133f1133c4cb6d153c8f4dade17c8b26cca66a0da50c1ff82bc41b2976a83e4"),
         "broadcast-reply": (
             "5a9d9d6b2ed948794a773302ad53a2a5ab0773da4553d6ec5b2ee57edad42121",
             "3637bd76b57fbc8b5dcfa4027639c120c313aee44332a3a87ca29f0109e3c20b"),
@@ -602,7 +602,7 @@ class TestCompiledKernel:
             "a64dff3fca569c7121534a1830725953f3bc34ef2e85273b14c6b598b622bb4a"),
         "endpoint-cases": (
             "8ce8fa1a659e06fbc0cf3b0c8cb4be661ec0f4e8c4ef5fc75f139873f0cb2521",
-            "88edda4f0a19e874d425a3643de5c2d9c6528c08756b44c46e4492bd2be3a2c8"),
+            "79deba7545f25361e6e645b26a946c6944fdf75e5126e48e5ed00ca20f53b8a5"),
     }
 
     def test_line_source_is_pinned(self):
@@ -612,6 +612,28 @@ class TestCompiledKernel:
             for use_index, digest in zip((False, True), digests):
                 source = _kernel_source(_compile(p), use_index, True).encode()
                 assert hashlib.sha256(source).hexdigest() == digest, (shape, use_index)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_source_reads_next_out_time_exactly_at_a_chain_entry(self, seed):
+        # A depth enters its walk from the column when it is STRICT, is not
+        # its chunk's first, and walks the out-edges of the node that the
+        # previous step's target bound, from after the previous edge.
+        rng = random.Random(seed)
+        p = (generate_path_query(rng.choice([2, 3, 17, 33])) if seed % 4 == 0
+             else random_pattern(rng, max_edges=6))
+        steps = _compile(p)
+        for use_index, lines in ((False, False), (True, False), (True, True)):
+            source = _kernel_source(steps, use_index, lines)
+            chained = []
+            for d in range(1, len(steps)):
+                walk = (f"s{d} = out_positions[v{steps[d - 1].target}]\n" in source
+                        and f"k{d} = bisect_right(s{d}, p{d - 1})\n" in source)
+                if not steps[d].equal and d % 16 and walk:
+                    chained.append(d)
+            for d in range(1, len(steps)):
+                assert (f"x{d} = next_out_time[p{d - 1}]" in source) == (d in chained)
+            assert ("next_out_time" in source) == bool(chained)
+            assert not chained or use_index
 
     def test_line_mode_changes_only_the_signatures_and_the_yield(self):
         assert self.PINNED_LINE_SOURCE.keys() == self.PINNED_SOURCE.keys()

@@ -23,6 +23,13 @@ EQUAL step, a first entry later than the previous edge's time.  Each
 pattern reaches them before its first match as well as after it, so
 they are pinned for the full run, for ``limit=1`` and for a stream
 closed after its first match.
+
+Ping-pong and triangle are pinned on the same graph with a few edges
+added, before the kernel read a walk's first entry time from the
+``next_out_time`` column: both walk the out-edges of the previous edge's
+target at a depth where both endpoints are bound.  One added edge's next
+out-edge has that edge's own time, so it passes the deadline test and is
+then skipped as not strictly later.
 """
 
 import hashlib
@@ -157,6 +164,36 @@ WALK_ENTRY_PINNED = {
         "simple": (65, 1, 3, 12, 9), "index": (16, 1, 3, 12, 9)}),
 }
 
+# WALK_ENTRY_EDGES and, at delta 10: "g h 5" is followed by "h g 5" and
+# "h j 5" at its own time, then "h g 6" and "h j 7" in time; "j g 8" and
+# "g h 9" close a second ping-pong and a triangle.
+NEXT_OUT_EDGES = WALK_ENTRY_EDGES + [
+    ("g", "h", 5), ("h", "g", 5), ("h", "j", 5), ("h", "g", 6), ("h", "j", 7),
+    ("j", "g", 8), ("g", "h", 9),
+]
+
+NEXT_OUT_PATTERNS = {
+    "ping-pong": [(0, 1, 1), (1, 0, 2)],
+    "triangle": [(0, 1, 1), (1, 2, 2), (2, 0, 3)],
+}
+
+# (pattern, how the run ends) -> the same, at delta 10 on NEXT_OUT_EDGES,
+# recorded from the kernel that bisected every walk's first entry
+NEXT_OUT_PINNED = {
+    ("ping-pong", "all"): ("d184d1503e3ba99c", {
+        "simple": (228, 3, 2, 28, 28), "index": (47, 3, 2, 28, 28)}),
+    ("ping-pong", "limit"): ("7f2a8acb764dd41e", {
+        "simple": (145, 1, 2, 12, 10), "index": (22, 1, 2, 12, 10)}),
+    ("ping-pong", "closed"): ("7f2a8acb764dd41e", {
+        "simple": (145, 1, 2, 12, 10), "index": (22, 1, 2, 12, 10)}),
+    ("triangle", "all"): ("79d6dc72d3ba1ba8", {
+        "simple": (298, 3, 3, 39, 39), "index": (56, 3, 3, 39, 39)}),
+    ("triangle", "limit"): ("d659649aac4145e7", {
+        "simple": (193, 1, 3, 17, 14), "index": (28, 1, 3, 17, 14)}),
+    ("triangle", "closed"): ("d659649aac4145e7", {
+        "simple": (193, 1, 3, 17, 14), "index": (28, 1, 3, 17, 14)}),
+}
+
 COUNTERS = ("candidates_examined", "matches_found", "max_depth_reached", "pushes", "pops")
 
 
@@ -165,6 +202,16 @@ def assert_pinned(matches, stats, digest, counters):
     assert len(matches) == stats.matches_found
     listing = repr([(m.node_map, m.edge_assignment) for m in matches]).encode()
     assert hashlib.sha256(listing).hexdigest()[:16] == digest
+
+
+def run_to_end(g, p, end, strategy):
+    """The matches and stats at delta 10 of a run that ends as ``end`` says."""
+    if end == "closed":
+        stream, stats = stream_search(g, p, 10, strategy)
+        matches = [next(stream)]
+        stream.close()
+        return matches, stats
+    return run_search(g, p, 10, strategy, limit=1 if end == "limit" else None)
 
 
 @pytest.fixture(scope="module")
@@ -203,10 +250,14 @@ def test_walk_entry_counters_unchanged(case, strategy):
     digest, counters = WALK_ENTRY_PINNED[case]
     g = build_graph(WALK_ENTRY_EDGES)
     p = pattern_from_triples(WALK_ENTRY_PATTERNS[name])
-    if end == "closed":
-        stream, stats = stream_search(g, p, 10, strategy)
-        matches = [next(stream)]
-        stream.close()
-    else:
-        matches, stats = run_search(g, p, 10, strategy, limit=1 if end == "limit" else None)
-    assert_pinned(matches, stats, digest, counters[strategy])
+    assert_pinned(*run_to_end(g, p, end, strategy), digest, counters[strategy])
+
+
+@pytest.mark.parametrize("strategy", ["simple", "index"])
+@pytest.mark.parametrize("case", list(NEXT_OUT_PINNED), ids=lambda c: "-".join(c))
+def test_next_out_counters_unchanged(case, strategy):
+    name, end = case
+    digest, counters = NEXT_OUT_PINNED[case]
+    g = build_graph(NEXT_OUT_EDGES)
+    p = pattern_from_triples(NEXT_OUT_PATTERNS[name])
+    assert_pinned(*run_to_end(g, p, end, strategy), digest, counters[strategy])

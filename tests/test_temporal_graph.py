@@ -56,6 +56,9 @@ class TestBuildGraph:
             g.out_positions[0].append(1)
         with pytest.raises(TypeError):
             g.label_index["zz"] = 3
+        assert type(g.next_out_time) is tuple
+        with pytest.raises(AttributeError):
+            g.next_out_time.append(None)
         assert g.node_count == len(g.label_json) == len(g.label_index) == 3
 
     def test_parallel_edge_multiplicity(self):
@@ -169,15 +172,17 @@ class TestBuildGraph:
         assert g.times == g2.times
 
 
-# Mixed str and int labels whose str forms collide (3 and "3"), exact
-# duplicate triples and many equal times.
+# Mixed str and int labels whose str forms collide (3 and "3"), self-loops,
+# exact duplicate triples, many equal times, negative times and times
+# above 2**63.
 _mixed_label = st.one_of(st.sampled_from(["a", "b", "3", "10", "x#"]), st.integers(0, 12))
+_mixed_time = st.one_of(st.integers(-3, 3), st.sampled_from([2**63, 2**63 + 1, 2**64]))
 
 
 @st.composite
 def _mixed_inputs(draw):
     edges = draw(st.lists(
-        st.tuples(_mixed_label, _mixed_label, st.integers(-3, 3)), min_size=1, max_size=25))
+        st.tuples(_mixed_label, _mixed_label, _mixed_time), min_size=1, max_size=25))
     edges += draw(st.lists(st.sampled_from(edges), max_size=6))
     return draw(st.permutations(edges))
 
@@ -201,6 +206,9 @@ def _reference_build(edges):
                                for label in labels),
         "in_positions": tuple(tuple(i for i in positions if keyed[i][2] == label)
                               for label in labels),
+        "next_out_time": tuple(
+            next((keyed[j][0] for j in positions if j > i and keyed[j][1] == keyed[i][2]), None)
+            for i in positions),
     }
 
 
@@ -243,10 +251,25 @@ class TestColumnarBuild:
         assert g.labels == ref["labels"]
         assert g.node_count == len(ref["labels"])
         assert g.label_index == {label: n for n, label in enumerate(ref["labels"])}
-        for column in ("sources", "targets", "times", "out_positions", "in_positions"):
+        for column in ("sources", "targets", "times", "out_positions", "in_positions",
+                       "next_out_time"):
             assert getattr(g, column) == ref[column], column
         assert len(g) == len(edges)
         assert static_projection(g) == frozenset(zip(ref["sources"], ref["targets"]))
+
+    @given(_mixed_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_next_out_time_is_the_next_send_of_the_target(self, edges):
+        g = build_graph(edges)
+        for i, v in enumerate(g.targets):
+            later = [j for j in range(i + 1, len(g)) if g.sources[j] == v]
+            assert g.next_out_time[i] == (g.times[later[0]] if later else None)
+
+    def test_next_out_time_of_a_self_loop_skips_itself(self):
+        g = build_graph([("a", "a", 1), ("a", "a", 2), ("b", "a", 2**64)])
+        assert g.next_out_time == (2, None, None)
+        g = build_graph([("a", "a", -1), ("a", "b", 2**63), ("b", "a", 2**63)])
+        assert g.next_out_time == (2**63, 2**63, None)
 
     def test_columns_only(self):
         g = build_graph([("a", "b", 1)])
