@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
-from .matcher import InvalidPatternError, Match, SearchStats, _line_format, search
+from .matcher import (InvalidPatternError, Match, SearchStats, _line_fill, _line_format,
+                      _line_layout, search)
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
 from .temporal_graph import GraphBuildError, TemporalGraph, build_graph, static_projection
 
@@ -181,19 +183,37 @@ def match_json_line(m: Match, g: TemporalGraph) -> str:
     the keys sorted as strings ("10" before "2"); ``edges`` lists each
     pattern edge's assigned graph edge as ``[source label, target label,
     time]``.  It is what ``json.dumps(obj, sort_keys=True,
-    separators=(",", ":"))`` writes for that object, but formatted straight
-    from the graph's columns and its JSON-encoded labels.
+    separators=(",", ":"))`` writes for that object, but filled straight
+    from the graph's columns and its JSON-encoded labels by a writer
+    compiled once per match shape (see :func:`_writer_source`).
     """
-    node_map, edge_assignment, start, end, dur = m
-    fmt, order = _line_format(len(node_map), len(edge_assignment))
-    label_json, sources, targets, times = g.label_json, g.sources, g.targets, g.times
-    args = [dur]
-    for pos in edge_assignment:
-        args += (label_json[sources[pos]], label_json[targets[pos]], times[pos])
-    args.append(end)
-    args += [label_json[node_map[i]] for i in order]
-    args.append(start)
-    return fmt % tuple(args)
+    write = _writer(len(m[0]), len(m[1]))
+    return write(m, g.label_json, g.sources, g.targets, g.times)
+
+
+def _writer_source(nodes: int, edges: int) -> str:
+    """Python source of the line writer of a match of ``nodes`` pattern
+    nodes and ``edges`` pattern edges: it unpacks the match once, as
+    ``v{i}`` and ``p{k}``, and fills the global ``fmt``, the format of
+    ``matcher._line_layout``, once.  Only ints and fixed names enter it."""
+    expr = {"dur": lambda _: "dur", "end": lambda _: "end", "start": lambda _: "start",
+            "node": lambda i: f"label_json[v{i}]",
+            "source": lambda k: f"label_json[sources[p{k}]]",
+            "target": lambda k: f"label_json[targets[p{k}]]",
+            "time": lambda k: f"times[p{k}]"}
+    return (
+        "def _w(m, label_json, sources, targets, times):\n"
+        f"    ({', '.join(f'v{i}' for i in range(nodes))},), "
+        f"({', '.join(f'p{k}' for k in range(edges))},), start, end, dur = m\n"
+        f"    return {_line_fill('fmt', _line_layout(nodes, edges), expr)}\n")
+
+
+@functools.lru_cache(maxsize=64)
+def _writer(nodes: int, edges: int):
+    """The compiled :func:`_writer_source` of one match shape."""
+    namespace = {"fmt": _line_format(_line_layout(nodes, edges))}
+    exec(compile(_writer_source(nodes, edges), "<ipmatch line writer>", "exec"), namespace)
+    return namespace["_w"]
 
 
 def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:

@@ -84,11 +84,15 @@ number of concurrent searches.
 
 The kernel is compiled in one of two emit modes, which do the same work
 and count the same.  By default its last depth yields a :class:`Match`.
-In line mode it yields the match's JSON line instead: it fills the
-%-format of :func:`_line_format` (the one ``io_cli.match_json_line``
-fills from a ``Match``) with the labels' JSON and the times it holds as
-locals, so the compiled query produces its output itself, as Neumann's
-compiled plans do, and no match is built and read back.
+In line mode it yields the match's JSON line instead, laid out by
+:func:`_line_layout` (the layout ``io_cli.match_json_line`` fills from a
+``Match``) from the labels' JSON and the times it holds as locals, so
+the compiled query produces its output itself, as Neumann's compiled
+plans do, and no match is built and read back.  Most of a line does not
+change with the last edge: the kernel formats those parts once per
+binding of the depth above, at its first match, and each match fills
+in only what its last depth set (loop-invariant code motion, done as the
+kernel is written).
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
     """A generator of the matches of ``p`` in ``g`` within ``delta``, run by
     the kernel compiled for ``p``'s shape (built by the first call for that
     shape, then cached).  With ``lines`` it yields each match as its JSON
-    line (see :func:`_line_format`) instead of a :class:`Match`, with the
+    line (see :func:`_line_layout`) instead of a :class:`Match`, with the
     same counters.
 
     Depth-first discovery order is lexicographic in the edge assignment
@@ -190,22 +194,86 @@ def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
     return kernel(*[getattr(g, c) for c in columns], delta, stats)
 
 
+_LineItem = str | tuple[str, int]
+
+
 @functools.cache
-def _line_format(nodes: int, edges: int) -> tuple[str, tuple[int, ...]]:
-    """%-format of a match line, and the pattern node order of its ``nodes``.
+def _line_layout(nodes: int, edges: int) -> tuple[_LineItem, ...]:
+    """The one layout of a match line: its literal text and its fields, in
+    order.  A field is a role and an index: ``("dur", 0)``, ``("source",
+    k)``, ``("target", k)`` and ``("time", k)`` of pattern edge k,
+    ``("end", 0)``, ``("node", i)`` for pattern node i and ``("start", 0)``.
 
     The line is ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
     of ``{"nodes": {"<i>": label}, "edges": [[source, target, time], ...],
-    "start", "end", "dur"}`` with each label JSON-encoded already; the
-    format takes dur, each edge's three fields, end, the node labels in
-    key order and start.  The node keys sort as strings ("10" before "2").
+    "start", "end", "dur"}``, with each label JSON-encoded already.  The
+    node keys sort as strings ("10" before "2").  No literal holds ``%``.
     """
-    order = tuple(sorted(range(nodes), key=str))
-    return (
-        '{"dur":%d,"edges":[' + ",".join(["[%s,%s,%d]"] * edges)
-        + '],"end":%d,"nodes":{' + ",".join(f'"{i}":%s' for i in order)
-        + '},"start":%d}'
-    ), order
+    items: list[_LineItem] = ['{"dur":', ("dur", 0), ',"edges":[']
+    for k in range(edges):
+        items += ["," * (k > 0) + "[", ("source", k), ",", ("target", k), ",", ("time", k), "]"]
+    items += ['],"end":', ("end", 0), ',"nodes":{']
+    for j, i in enumerate(sorted(range(nodes), key=str)):
+        items += [f'{"," * (j > 0)}"{i}":', ("node", i)]
+    return tuple(items + ['},"start":', ("start", 0), "}"])
+
+
+def _line_format(items: tuple[_LineItem, ...]) -> str:
+    """The %-format of ``items``: each literal as it is, each field ``%d``
+    if it is a time and ``%s`` if it is a label or a ``("run", j)`` of
+    text already formatted."""
+    return "".join(x if isinstance(x, str) else "%d" if x[0] in ("dur", "time", "end", "start")
+                   else "%s" for x in items)
+
+
+def _line_fields(items: tuple[_LineItem, ...]) -> list[tuple[str, int]]:
+    return [x for x in items if not isinstance(x, str)]
+
+
+def _line_fill(fmt: str, items: tuple[_LineItem, ...], expr: dict) -> str:
+    """Source of ``fmt % (...)``, the %-format of ``items`` filled with
+    each field's ``expr[role](index)``."""
+    args = [expr[role](k) for role, k in _line_fields(items)]
+    return f"{fmt} % ({', '.join(args)}{',' * (len(args) == 1)})"
+
+
+def _line_split(steps: tuple[_Step, ...]) -> tuple[tuple[_LineItem, ...],
+                                                   tuple[tuple[_LineItem, ...], ...]]:
+    """The line kernel's layout: the items its yield formats, and its runs.
+
+    The last depth sets ``dur``, ``end``, its own edge's time and the
+    labels of the nodes it binds first; every other field is known once
+    the depth above has bound its edge.  Each stretch of the layout
+    between two last-depth fields that holds such an earlier field is one
+    run, which the kernel formats once per binding of the depth above and
+    the yield takes as a ``("run", j)`` field.  A single-edge pattern has
+    no depth above, so its yield formats the whole layout.
+    """
+    m = len(steps)
+    items = _line_layout(_node_count(steps), m)
+    if m == 1:
+        return items, ()
+    earlier = {s.source for s in steps[:-1]} | {s.target for s in steps[:-1]}
+
+    def last(x: _LineItem) -> bool:
+        if isinstance(x, str):
+            return False
+        role, k = x
+        return (role in ("dur", "end") or x == ("time", m - 1)
+                or role == "source" and steps[k].source not in earlier
+                or role == "target" and steps[k].target not in earlier
+                or role == "node" and k not in earlier)
+
+    out: list[_LineItem] = []
+    runs: list[tuple[_LineItem, ...]] = []
+    for is_last, group in itertools.groupby(items, last):
+        stretch = tuple(group)
+        if is_last or not _line_fields(stretch):
+            out += stretch
+        else:
+            out.append(("run", len(runs)))
+            runs.append(stretch)
+    return tuple(out), tuple(runs)
 
 
 def _node_count(steps: tuple[_Step, ...]) -> int:
@@ -220,7 +288,9 @@ def _kernel(steps: tuple[_Step, ...], use_index: bool, lines: bool):
     namespace = {"bisect_left": bisect.bisect_left, "bisect_right": bisect.bisect_right,
                  "islice": itertools.islice, "new": tuple.__new__, "Match": Match}
     if lines:
-        namespace["fmt"] = _line_format(_node_count(steps), len(steps))[0]
+        out, runs = _line_split(steps)
+        namespace["fmt"] = _line_format(out)
+        namespace.update((f"f{j}", _line_format(run)) for j, run in enumerate(runs))
     source = _kernel_source(steps, use_index, lines)
     exec(compile(source, "<ipmatch kernel>", "exec"), namespace)
     k0 = namespace["_k0"]
@@ -259,8 +329,16 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     passes through it, before its ``finally`` runs.
 
     The last depth yields a :class:`Match`, or with ``lines`` the match's
-    JSON line: the global ``fmt`` (:func:`_line_format`'s) filled from the
-    locals and one more column, ``label_json``.  A kernel whose walk
+    JSON line, filled from the locals and one more column, ``label_json``.
+    For a pattern of two or more edges the line is split by
+    :func:`_line_split`: the code writes ``h0 = None`` just before the last
+    depth, and that depth's first match under a binding of the depth above
+    fills each run ``h{j}`` from the global format ``f{j}`` (``if h0 is
+    None:``).  The yield fills the global ``fmt`` with the runs, each as
+    one ``%s``, and the fields the last depth set, so a run is never read
+    as a format again and a label holding ``%`` is safe.  A last depth that
+    opens a new function resets its runs once per call.  A single-edge
+    pattern's yield fills the whole line.  A kernel whose walk
     entries read ``next_out_time`` (a chain step's first entry time, as
     ``x{d}``) takes that column too; the others do not name it.
     """
@@ -298,6 +376,8 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             walked = None  # the column the walked position list fixes
             ls, lt = bound.get(s.source, -1), bound.get(s.target, -1)
             walk = d > 0 and use_index and (ls >= 0 or lt >= 0)
+            if lines and d == m - 1 > 0:  # the runs of a new binding of the depth above
+                src.append(f"{ind}h0 = None")
             if d == 0:
                 header = "range(n)"
             else:
@@ -391,13 +471,19 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                     src.append(f"{ind}deadline = t0 + span")
             if d == m - 1:
                 if lines:  # this function holds t0, t{a-1} and its own depths' times
-                    t = [f"t{k}" if k == 0 or k >= a - 1 else f"times[p{k}]" for k in range(m)]
-                    fields = [f"t{d} - t0 + 1"]
-                    for k, step in enumerate(steps):
-                        fields += [f"label_json[v{step.source}]", f"label_json[v{step.target}]",
-                                   t[k]]
-                    fields += [f"t{d}"] + [f"label_json[v{i}]" for i in _line_format(nodes, m)[1]]
-                    src.append(f"{ind}yield fmt % ({', '.join(fields)}, t0)")
+                    expr = {
+                        "dur": lambda _: f"t{d} - t0 + 1", "end": lambda _: f"t{d}",
+                        "start": lambda _: "t0", "node": lambda i: f"label_json[v{i}]",
+                        "source": lambda k: f"label_json[v{steps[k].source}]",
+                        "target": lambda k: f"label_json[v{steps[k].target}]",
+                        "time": lambda k: f"t{k}" if k == 0 or k >= a - 1 else f"times[p{k}]",
+                        "run": lambda j: f"h{j}"}
+                    out, runs = _line_split(steps)
+                    if runs:
+                        src.append(f"{ind}if h0 is None:")
+                        src += [f"{ind}    h{j} = {_line_fill(f'f{j}', run, expr)}"
+                                for j, run in enumerate(runs)]
+                    src.append(f"{ind}yield {_line_fill('fmt', out, expr)}")
                 else:
                     node_map = ", ".join(f"v{i}" for i in range(nodes))
                     edges = ", ".join(f"p{k}" for k in range(m))

@@ -5,10 +5,12 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from contextlib import closing
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from ipmatch import (
     InvalidPatternError,
+    Match,
     ParseError,
     build_graph,
     generate_path_query,
@@ -323,9 +326,10 @@ class TestMatchSerialization:
 
 
 # Labels may hold anything but whitespace and a leading "#": quotes,
-# backslashes, control characters and non-ASCII text all need escaping in JSON.
+# backslashes, control characters and non-ASCII text all need escaping in
+# JSON, and "%" must not be read as a format.
 _LABEL_CHARS = st.one_of(
-    st.sampled_from('"\\/\x00\x01\x08\x1b\x7f\x80\u00e9\u2028\ufeff\U0001f600'),
+    st.sampled_from('"\\/%\x00\x01\x08\x1b\x7f\x80\u00e9\u2028\ufeff\U0001f600'),
     st.characters(),
 )
 _LABELS = st.text(_LABEL_CHARS, min_size=1, max_size=5).filter(
@@ -365,6 +369,33 @@ class TestMatchJsonLine:
         p = pattern_from_triples([(0, 1, 1), (1, 2, 2)])
         (m,), _ = run_search(g, p, 5, "index")
         assert match_json_line(m, g) == spec_line(m, g)
+
+    @pytest.mark.parametrize("edges", [1, MAX_PATTERN_EDGES])
+    def test_shortest_and_longest_match(self, edges):
+        labels = [f'%{i}"\\' for i in range(edges + 1)]
+        g = build_graph([(labels[i], labels[i + 1], i) for i in range(edges)])
+        (m,), _ = run_search(g, generate_path_query(edges), edges, "index")
+        assert match_json_line(m, g) == spec_line(m, g)
+
+    @pytest.mark.parametrize("nodes, edges", [(1, 1), (2, 1), (11, 10), (65, 64), (3, 5)])
+    def test_writer_source_holds_only_ints_and_fixed_names(self, nodes, edges):
+        source = io_cli._writer_source(nodes, edges)
+        fixed = {"def", "return", "_w", "m", "fmt", "label_json", "sources", "targets",
+                 "times", "start", "end", "dur"}
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert token.type != tokenize.STRING
+            if token.type == tokenize.NAME:
+                assert token.string in fixed or re.fullmatch(r"[vp]\d+", token.string)
+            if token.type == tokenize.NUMBER:
+                assert token.string.isdigit()
+
+    def test_writer_cache_is_bounded(self):
+        g = build_graph([("a", "b", 1)])
+        bound = io_cli._writer.cache_info().maxsize
+        for nodes in range(1, bound + 10):
+            m = Match((0,) * nodes, (0, 0), 1, 1, 1)
+            assert match_json_line(m, g) == spec_line(m, g)
+        assert io_cli._writer.cache_info().currsize == bound
 
 
 def assert_line_stream_equals_match_stream(g, p, delta, k):
@@ -422,6 +453,43 @@ class TestLineStream:
         for m in matches:
             assert match_json_line(m, g) == spec_line(m, g)
         assert_line_stream_equals_match_stream(g, p, 10**6, 5)
+
+    @pytest.mark.parametrize("edges", [1, 2, 3, 17])
+    def test_labels_with_percent(self, edges):
+        # a path through labels a format would read; the first, middle and
+        # last hops have a later parallel edge
+        labels = ["%s", "%d", "50%", "%%"] + [f"%{i}%s" for i in range(4, edges + 1)]
+        triples = [(labels[i], labels[i + 1], 2 * i + 1) for i in range(edges)]
+        triples += [(labels[i], labels[i + 1], 2 * i + 2) for i in {0, edges // 2, edges - 1}]
+        g = build_graph(triples)
+        p = generate_path_query(edges)
+        for strategy in ("simple", "index"):
+            matches, _ = run_search(g, p, 10**6, strategy)
+            lines, _ = stream_search(g, p, 10**6, strategy, lines=True)
+            assert len(matches) >= 2
+            assert list(lines) == [spec_line(m, g) for m in matches]
+            assert [match_json_line(m, g) for m in matches] == [spec_line(m, g) for m in matches]
+
+    @pytest.mark.parametrize("edges", [2, 3])
+    def test_runs_follow_the_depth_above(self, edges):
+        # consecutive matches share their last edge "c d" and differ in the
+        # parallel edge bound at the depth above, so a line that kept the
+        # runs of the previous binding would repeat its time
+        above = [("b", "c", t) for t in (2, 3, 4)]
+        g = build_graph([("a", "b", 1)] * (edges == 3) + above + [("c", "d", 9)])
+        p = generate_path_query(edges)
+        matches, _ = run_search(g, p, 100, "index")
+        assert len(matches) == 3
+        assert len({m.edge_assignment[-1] for m in matches}) == 1
+        assert len({m.edge_assignment[-2] for m in matches}) == 3
+        for strategy in ("simple", "index"):
+            lines, _ = stream_search(g, p, 100, strategy, lines=True)
+            assert list(lines) == [spec_line(m, g) for m in matches]
+            for k in range(1, 4):
+                lines, _ = stream_search(g, p, 100, strategy, lines=True)
+                with closing(lines):
+                    prefix = list(itertools.islice(lines, k))
+                assert prefix == [spec_line(m, g) for m in matches[:k]]
 
 
 class _FailingSink(io.StringIO):

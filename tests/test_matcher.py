@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from ipmatch import (
     verify_match,
 )
 from ipmatch.io_cli import STRATEGIES, _limited
-from ipmatch.matcher import _compile, _kernel, _kernel_source
+from ipmatch.matcher import _compile, _kernel, _kernel_source, _line_split
 from _generators import full_span, random_graph, random_pattern
 
 
@@ -568,41 +569,41 @@ class TestCompiledKernel:
             "e51629999f34aeeb161bee63a33b4c8fd92ce174e57050043674375b1453194d",
             "e51629999f34aeeb161bee63a33b4c8fd92ce174e57050043674375b1453194d"),
         2: (
-            "19987c8f149ee9bbf21494dde2c0343afc8e941d22c61cf7defaee7c32ad47ff",
-            "c59387352004c0bf065b854ef54981cac71d772e90417e1f018390860c8b1859"),
+            "f11e711d37d57a8764cc22d80ebde176edbe5bb9a746b1083b461d683f449bdb",
+            "2581a6a688991f238bdeab306de89f7a3771e5b018df798aa945702cc697711a"),
         3: (
-            "eab832dee3a0564d82d84523dc431d38c4b864bd48aae81d08c8b648343c07cf",
-            "3504547278e442134b42ffa07de9e0e602bc083f9c59b78192e870ac5ddcdeea"),
+            "347d71cd1ab51599ef6b23109623c88876e0056a6a199c6e03e2a5778936bbcf",
+            "0f1b7cf9ecca18f7b4a9be3725476e127fd35fa600de33a4396cf72862207113"),
         4: (
-            "1ed6dc5453eb47ef0ff4241aecc4b8bda12ff7ec249c6b2826c0ed9cb21d59eb",
-            "93c81fc866e8db672fe92080e4a5b2fd367c499fca09dce0559dd748c05ccb0a"),
+            "586a69446054d6cd755f45d3601e8c4f58501cbd5da6a3ca21263826984e4ba1",
+            "a3edd03269f2042a1123c26b81479fbabd91f4912b0f995cd50ea50805a433a4"),
         16: (
-            "c1601205dadf9fa8f3381057a62419bf7d9acafb20069942bd591f2c977fc332",
-            "838068e9e1a0b7db194d827bc1eea0c458e6e3c30bf55b862162ca0bcb84e0c9"),
+            "5dc7d6740d17996b669fa19722aefe5a0c475ce00656725216b90b61b6a620f1",
+            "967983c6249ae6008ffb465e7b3c3e549b605b6951bed13e8b3b3c0c20e8563e"),
         17: (
-            "c18ee3a1d86a077f7734259ad5ec1c620b78f0b3a730c1e43d6653cfca5d4359",
-            "75785a56a0f760f4ca02cf2ec531c61679156d1288e1e70813307ae0dff29bf5"),
+            "27c83e84ccf511d6ab998151b5459c2cb89784902e74c6af1ee7469568d5c942",
+            "c8b32c1dfc8b3d9e4a2d46d31a9bac856d22082f0b9f263ac03c62261247e873"),
         25: (
-            "2b037122f27130a9fa6e49e3deecd985b42230258de8d55b0c6677608ebb65fb",
-            "14911c9acd1b9df89761a52e847102437b6832b37460d0e1b6ef3e838b38f99a"),
+            "773687413800dad1b00e23d898ead435c3162a4c67c87d8b93816c41d6874881",
+            "a55dd04288a4a559394c25b5a178672888ed49034aeae3687ef376fa24e98247"),
         "ping-pong": (
-            "80cbded597247627aff4f40ceed69e4aacca908b6c0b24c6f9f5cc083d11f558",
-            "58fed30c4d7aa5be96140b9760450c0178a6160f29d66d4c7342c524c61f476e"),
+            "1da9379968119d794d54c9acd561c9582838b0b51e5cc629e9c349cdf0d5998a",
+            "6c3b0dffc4015db7365c58e9c41d07b8c3f7319ebbc74752add1fa76d4f6a35a"),
         "triangle": (
-            "e052b8321692f6783821f96f5dd54af4d17d12ad4542bab9e35504ebd902d634",
-            "7133f1133c4cb6d153c8f4dade17c8b26cca66a0da50c1ff82bc41b2976a83e4"),
+            "ee34604885b2da907c84a98969244efda785c9e65473adac49f6b91061324ae5",
+            "cb365a2a34db56d595ba2f68773dd3ff6821ff8240fbd832736d2ff115b75a1b"),
         "broadcast-reply": (
-            "5a9d9d6b2ed948794a773302ad53a2a5ab0773da4553d6ec5b2ee57edad42121",
-            "3637bd76b57fbc8b5dcfa4027639c120c313aee44332a3a87ca29f0109e3c20b"),
+            "c268871222261f3a2d78d4687c4415c27d6b7c6c9c7ba23c036e6ad0928b0a49",
+            "aa3bd79289142922efb34f0816f25671744071298dee37865e55faf44b3deeab"),
         "star3-simultaneous": (
-            "4ee817f6d4c6313dba9c726e0fdf3be6e9195558e0bb1c23a8a4d7c207316bd4",
-            "cba8cff45e33e6d5f8e9430544a3043294529c83d070286221e2384821a61f99"),
+            "366070dc16e068df39574861fc9459f6c1ccf59a4d6254f5f058227ef812dac2",
+            "149a93a94588cfc133c5d944a4ffb45a978e03a91d5db6781666cf358cdb27cc"),
         "relay-equal": (
-            "76589e0554b469ab0baf4fc75f572e0e28ed46f4af4d405213e26b50484f91eb",
-            "a64dff3fca569c7121534a1830725953f3bc34ef2e85273b14c6b598b622bb4a"),
+            "90e9ad8fdb59601cc2811391c705bd8bc03ff18ab4b183f3ec8bc32cbe58e63b",
+            "95858e6d7d2903b0dd6e627b0e0b48d70c5ff88aeb483d69c812550bfe2b0dba"),
         "endpoint-cases": (
-            "8ce8fa1a659e06fbc0cf3b0c8cb4be661ec0f4e8c4ef5fc75f139873f0cb2521",
-            "79deba7545f25361e6e645b26a946c6944fdf75e5126e48e5ed00ca20f53b8a5"),
+            "b768bf3924df03e07deb13eae4f1a7307eaff8ec26ba36204cfdce8208f72f64",
+            "17b8157d9eb9f8cc96d583c734b751de1ccab3f0683a0c6e33ae4947b7db06d2"),
     }
 
     def test_line_source_is_pinned(self):
@@ -636,16 +637,29 @@ class TestCompiledKernel:
             assert not chained or use_index
 
     def test_line_mode_changes_only_the_signatures_and_the_yield(self):
+        # Line mode adds one "h0 = None" before the last depth and, for a
+        # pattern of two or more edges, a block that formats the runs of
+        # the line the last depth does not set; the yield names only what
+        # the last depth binds, t0 and those runs.
         assert self.PINNED_LINE_SOURCE.keys() == self.PINNED_SOURCE.keys()
         for shape in self.PINNED_SOURCE:
             p = (generate_path_query(shape) if isinstance(shape, int)
                  else pattern_from_triples(self.PINNED_TRIPLES[shape]))
+            steps, m = _compile(p), len(p.edges)
+            runs = len(_line_split(steps)[1])
+            hoist = re.compile(r"h0 = None|if h0 is None:|h(\d+) = f\1 % \(.*\)")
             for use_index in (False, True):
-                pairs = list(zip(_kernel_source(_compile(p), use_index).splitlines(),
-                                 _kernel_source(_compile(p), use_index, True).splitlines(),
-                                 strict=True))
+                match_lines = _kernel_source(steps, use_index).splitlines()
+                line_lines = _kernel_source(steps, use_index, True).splitlines()
+                added = [k for k, line in enumerate(line_lines) if hoist.fullmatch(line.strip())]
+                assert [line_lines[k].strip().split(" % ")[0] for k in added] == (m > 1) * (
+                    ["h0 = None", "if h0 is None:"] + [f"h{j} = f{j}" for j in range(runs)])
+                # the run block comes just before the yield
+                assert m == 1 or "yield fmt % (" in line_lines[added[-1] + 1]
+                line_lines = [line for k, line in enumerate(line_lines) if k not in added]
+                pairs = list(zip(match_lines, line_lines, strict=True))
                 changed = [(a.strip(), b.strip()) for a, b in pairs if a != b]
-                chunks = 1 + (len(p.edges) - 1) // 16
+                chunks = 1 + (m - 1) // 16
                 # each chunk's signature, the calls of the chunks after the
                 # first, and the yield
                 assert len(changed) == 2 * chunks
@@ -653,3 +667,10 @@ class TestCompiledKernel:
                     assert b.replace(", label_json", "", 1) == a
                 assert changed[-1][0].startswith("yield new(Match, ")
                 assert changed[-1][1].startswith("yield fmt % (")
+                earlier = {n for step in steps[:-1] for n in (step.source, step.target)}
+                last = {f"t{m - 1}"} | {f"v{n}" for n in (steps[-1].source, steps[-1].target)
+                                        if n not in earlier}
+                named = set(re.findall(r"[A-Za-z_]\w*", changed[-1][1]))
+                hoisted = {f"h{j}" for j in range(runs)}
+                assert named <= {"yield", "fmt", "label_json", "t0"} | last | hoisted
+                assert hoisted <= named
