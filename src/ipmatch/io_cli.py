@@ -25,7 +25,8 @@ from .baseline import brute_force, two_phase_search
 from .matcher import (InvalidPatternError, Match, SearchStats, _line_fill, _line_format,
                       _line_layout, search)
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
-from .temporal_graph import GraphBuildError, TemporalGraph, build_graph, static_projection
+from .temporal_graph import (GraphBuildError, TemporalGraph, _build_columns, _collector_paused,
+                             static_projection)
 
 DELTA_UNITS = {
     "raw": 1,
@@ -90,36 +91,44 @@ def load_graph(path: str) -> TemporalGraph:
     """Read a SNAP-style temporal edge list.
 
     Timestamps must be integers; decimal values are rejected so that
-    simultaneity stays exact.
+    simultaneity stays exact.  The parse appends each edge's fields to
+    three columns (source labels, target labels, times), and the builder
+    behind :func:`build_graph` makes the graph from them; no tuple is
+    made per edge.  The cyclic garbage collector is paused while it runs
+    and the caller's state is restored after.
     """
-    edges: list[tuple[str, str, int]] = []
-    append = edges.append
-    with _open_ascii(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
-                raise ParseError(path, line_no, "non-ASCII byte")
-            fields = line.split()
-            if not fields or fields[0][0] == "#":
-                continue
-            if len(fields) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(fields)}")
-            u, v, raw_t = fields
-            try:
-                t = int(raw_t)
-            except ValueError:
-                _parse_int(raw_t, path, line_no, "timestamp")  # raises ParseError
-            append((u, v, t))
-    if not edges:
-        raise ParseError(path, 0, "no edges in file")
-    try:
-        return build_graph(edges)
-    except GraphBuildError as exc:
-        # only now find the bad entry's line, so a valid file costs nothing extra
+    us: list[str] = []
+    vs: list[str] = []
+    ts: list[int] = []
+    with _collector_paused():
         with _open_ascii(path) as fh:
-            edge_lines = (n for n, line in enumerate(fh, start=1)
-                          if line.lstrip()[:1] not in ("", "#"))
-            line_no = next(itertools.islice(edge_lines, exc.entry, None), 0)
-        raise ParseError(path, line_no, exc.reason) from None
+            for line_no, line in enumerate(fh, start=1):
+                if not line.isascii():
+                    raise ParseError(path, line_no, "non-ASCII byte")
+                fields = line.split()
+                if not fields or fields[0][0] == "#":
+                    continue
+                if len(fields) != 3:
+                    raise ParseError(path, line_no, f"expected 3 fields, got {len(fields)}")
+                u, v, raw_t = fields
+                try:
+                    t = int(raw_t)
+                except ValueError:
+                    _parse_int(raw_t, path, line_no, "timestamp")  # raises ParseError
+                us.append(u)
+                vs.append(v)
+                ts.append(t)
+        if not ts:
+            raise ParseError(path, 0, "no edges in file")
+        try:
+            return _build_columns(us, vs, ts)
+        except GraphBuildError as exc:
+            # only now find the bad entry's line, so a valid file costs nothing extra
+            with _open_ascii(path) as fh:
+                edge_lines = (n for n, line in enumerate(fh, start=1)
+                              if line.lstrip()[:1] not in ("", "#"))
+                line_no = next(itertools.islice(edge_lines, exc.entry, None), 0)
+            raise ParseError(path, line_no, exc.reason) from None
 
 
 def save_graph(g: TemporalGraph, path: str) -> None:

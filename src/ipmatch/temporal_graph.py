@@ -16,6 +16,16 @@ next edge of a path.
 Each node label is also kept in its JSON string form, so that matches
 can be written out without encoding a label per line.
 
+Both ways in, :func:`build_graph` on triples and ``io_cli.load_graph``
+on a file, split the input into three columns (source labels, target
+labels, times) and hand them to one builder.  It interns the labels in
+order of first appearance, checks each distinct label once, sorts the
+edges and fills the position lists and ``next_out_time``.  Both pause
+the cyclic garbage collector while they run, since nothing they
+allocate forms a cycle, and restore the caller's state after; builds
+that overlap, nested or in other threads, restore it when the last
+one ends.
+
 A graph is a frozen dataclass of tuples and a read-only label index, so
 nothing in it can change after :func:`build_graph`.  It is safe for
 unrestricted concurrent read access.
@@ -23,7 +33,11 @@ unrestricted concurrent read access.
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -91,49 +105,105 @@ class TemporalGraph:
         ]
 
 
+# Builds running at once, in any thread, and whether the last of them
+# to finish re-enables the collector: the first to start reads the state.
+_pause_lock = threading.Lock()
+_pauses = 0
+_resume = False
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block, then restore the
+    state the first of the overlapping pauses found.  Building a graph
+    allocates only containers that form no cycles, so the collector's
+    passes over them would find nothing."""
+    global _pauses, _resume
+    with _pause_lock:
+        if not _pauses:
+            _resume = gc.isenabled()
+            gc.disable()
+        _pauses += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pauses -= 1
+            if not _pauses and _resume:
+                gc.enable()
+
+
 def build_graph(edges: Iterable[tuple]) -> TemporalGraph:
     """Build a :class:`TemporalGraph` from (source, target, time) triples.
 
     Duplicate triples are retained as distinct parallel edges.  Labels may
     be strings or integers; they are interned into dense node ids in order
-    of first appearance.
+    of first appearance.  Each entry's length and timestamp are checked as
+    it is split into three columns (source labels, target labels, times),
+    from which :func:`_build_columns` builds the graph.  An error names
+    the first bad entry; within an entry, a wrong length comes first and
+    a malformed label before a bad timestamp.  The cyclic garbage
+    collector is paused while it runs and the caller's state is restored
+    after.
     """
-    label_index: dict[str, int] = {}
-    labels: list[str] = []
+    us, vs, ts = [], [], []
+    with _collector_paused():
+        for seq, item in enumerate(edges):
+            if len(item) != 3:
+                error = GraphBuildError(seq, f"expected 3 fields, got {len(item)}")
+                break
+            u, v, t = item
+            us.append(u)
+            vs.append(v)
+            # bool is an int subclass but makes no sense as a timestamp
+            if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)):
+                error = GraphBuildError(seq, f"timestamp {t!r} is not an integer")
+                break
+            ts.append(t)
+        else:
+            return _build_columns(us, vs, ts)
+        _raise_first_bad_label(us, vs)
+        raise error
 
-    def intern(raw, entry: int) -> str:
-        label = str(raw)
-        if label not in label_index:  # a label in the index passed this check
-            # a leading "#" would make the saved line a comment that load_graph skips
-            if not label or label[0] == "#" or any(ch.isspace() for ch in label):
-                raise GraphBuildError(entry, f"malformed label {raw!r}")
-            label_index[label] = len(labels)
-            labels.append(label)
-        return label
 
-    # A label is checked and interned when first seen; every later
-    # occurrence of a str label is a dict hit.  The sort key uses the external labels so
-    # that exporting and rebuilding reproduces the exact edge order
-    # regardless of id assignment; the sort is stable, so exact duplicates
-    # keep their input order.
-    keyed = []
-    for seq, item in enumerate(edges):
-        if len(item) != 3:
-            raise GraphBuildError(seq, f"expected 3 fields, got {len(item)}")
-        u, v, t = item
-        if type(u) is not str or u not in label_index:
-            u = intern(u, seq)
-        if type(v) is not str or v not in label_index:
-            v = intern(v, seq)
-        # bool is an int subclass but makes no sense as a timestamp
-        if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)):
-            raise GraphBuildError(seq, f"timestamp {t!r} is not an integer")
-        keyed.append((t, u, v))
-    if not keyed:
+def _malformed(label: str) -> bool:
+    # a leading "#" would make the saved line a comment that load_graph skips
+    return label.split() != [label] or label[0] == "#"
+
+
+def _raise_first_bad_label(us: list, vs: list) -> None:
+    """Raise GraphBuildError for the first entry of the label columns
+    whose source or target label is malformed; return if there is none."""
+    for seq, pair in enumerate(zip(us, vs)):
+        for raw in pair:
+            if _malformed(str(raw)):
+                raise GraphBuildError(seq, f"malformed label {raw!r}")
+
+
+def _build_columns(us: list, vs: list, ts: list) -> TemporalGraph:
+    """Build a :class:`TemporalGraph` from the edges ``(us[i], vs[i],
+    ts[i])``, whose int times are not checked.  A label that is not a str
+    is read as its str form, and each distinct label is checked once;
+    only a malformed one sends the builder back over the columns, for
+    the first entry that holds it."""
+    if not ts:
         raise EmptyGraphError("cannot build a graph from an empty edge list")
+    label_index = dict.fromkeys(chain.from_iterable(zip(us, vs)))
+    raw_us, raw_vs = us, vs
+    if not all(type(label) is str for label in label_index):
+        us, vs = list(map(str, us)), list(map(str, vs))
+        label_index = dict.fromkeys(chain.from_iterable(zip(us, vs)))
+    labels = tuple(label_index)
+    for label in labels:
+        if _malformed(label):
+            _raise_first_bad_label(raw_us, raw_vs)
+    label_index.update(zip(labels, count()))
 
-    keyed.sort()
-
+    # The sort key uses the external labels so that exporting and
+    # rebuilding reproduces the exact edge order regardless of id
+    # assignment; the sort is stable, so exact duplicates keep their
+    # input order.
+    keyed = sorted(zip(ts, us, vs))
     times, source_labels, target_labels = zip(*keyed)
     del keyed  # the columns hold all it held, so free it before the lists grow
     sources = tuple(map(label_index.__getitem__, source_labels))
@@ -158,7 +228,7 @@ def build_graph(edges: Iterable[tuple]) -> TemporalGraph:
 
     label_json = tuple(map(encode_basestring_ascii, labels))
     return TemporalGraph(
-        sources, targets, times, tuple(labels), label_json, MappingProxyType(label_index),
+        sources, targets, times, labels, label_json, MappingProxyType(label_index),
         tuple(map(tuple, out_positions)), tuple(map(tuple, in_positions)),
         tuple(next_out_time),
     )

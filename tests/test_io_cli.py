@@ -1,4 +1,6 @@
+import dataclasses
 import errno
+import gc
 import io
 import itertools
 import json
@@ -9,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tokenize
 from contextlib import closing
@@ -19,6 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipmatch import (
+    EmptyGraphError,
+    GraphBuildError,
     InvalidPatternError,
     Match,
     ParseError,
@@ -192,6 +197,152 @@ class TestLoadGraph:
         assert s.static_edges == 962
         assert s.temporal_edges == 997
         assert abs(s.span_days - 44.9145) < 0.001
+
+
+def graph_fields(g) -> dict:
+    """Every field of ``g``, its label index as items in order."""
+    fields = {f.name: getattr(g, f.name) for f in dataclasses.fields(g)}
+    fields["label_index"] = list(g.label_index.items())
+    return fields
+
+
+# Lines a graph file may hold between edges: blank, whitespace only, or
+# a comment, indented or not.
+_FILLER = st.sampled_from(["", " ", "\t", "#", "# a b 1", "  # c d 2", "\t#\tx"])
+_GAP = st.sampled_from([" ", "\t", "  ", " \t ", "\t\t"])
+
+
+@st.composite
+def _graph_files(draw):
+    """Edges, with exact duplicates, and the text of a graph file that
+    holds them in order: filler lines between them, runs of spaces and
+    tabs around the fields, LF and CRLF endings, and times written as
+    ``+5`` or ``1_000``."""
+    edges = draw(st.lists(
+        st.tuples(_FILE_LABELS, _FILE_LABELS, st.integers(-10**7, 10**7)),
+        min_size=1, max_size=20))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5))
+    lines = []
+    for u, v, t in edges:
+        lines += draw(st.lists(_FILLER, max_size=2))
+        time = draw(st.sampled_from([str(t), f"{t:_}", f"{t:+}", f"{t:+_}"]))
+        lead, mid, last, trail = (draw(st.sampled_from(["", " ", "\t "])), draw(_GAP),
+                                  draw(_GAP), draw(st.sampled_from(["", " ", "\t"])))
+        lines.append(f"{lead}{u}{mid}{v}{last}{time}{trail}")
+    lines += draw(st.lists(_FILLER, max_size=2))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line ending after the last line
+    return edges, text
+
+
+class TestOneBuilder:
+    """``load_graph`` and ``build_graph`` feed one builder."""
+
+    @given(_graph_files())
+    @settings(max_examples=150, deadline=None)
+    def test_load_graph_equals_build_graph_of_its_triples(self, case):
+        edges, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+            loaded = load_graph(path)
+        assert graph_fields(loaded) == graph_fields(build_graph(edges))
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The cyclic collector set to the param's state for the test, and
+    restored to the state it was in after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorState:
+    """Building a graph pauses the cyclic collector and leaves it as the
+    caller had it, whether the build succeeds or raises."""
+
+    def test_build_graph_pauses_it_and_restores_it(self, collector):
+        seen = []
+
+        def entries():
+            seen.append(gc.isenabled())
+            # a nested build leaves the collector paused for the outer one
+            build_graph([("x", "y", 0)])
+            seen.append(gc.isenabled())
+            yield from [("a", "b", 1), ("b", "c", 2)]
+
+        assert len(build_graph(entries())) == 2
+        assert seen == [False, False]
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("edges, error, message", [
+        ([("a", "b", 1), ("b", "#c", 2)], GraphBuildError, r"^edge 1: malformed label '#c'$"),
+        ([("a", "b", 1), ("b", "c", 2.5)], GraphBuildError,
+         r"^edge 1: timestamp 2.5 is not an integer$"),
+        ([("a", "b", 1), ("a", "b")], GraphBuildError, r"^edge 1: expected 3 fields, got 2$"),
+        ([], EmptyGraphError, r"^cannot build a graph from an empty edge list$"),
+    ], ids=["label", "timestamp", "length", "empty"])
+    def test_build_graph_error_restores_it(self, collector, edges, error, message):
+        with pytest.raises(error, match=message):
+            build_graph(edges)
+        assert gc.isenabled() is collector
+
+    def test_load_graph_pauses_it_and_restores_it(self, collector, tmp_path, monkeypatch):
+        seen = []
+        build = io_cli._build_columns
+
+        def spy(*columns):
+            seen.append(gc.isenabled())
+            return build(*columns)
+
+        monkeypatch.setattr(io_cli, "_build_columns", spy)
+        g = load_graph(write(tmp_path / "g.txt", "a b 1\nb c 2\n"))
+        assert (len(g), seen) == (2, [False])
+        assert gc.isenabled() is collector
+
+    def test_concurrent_builds_restore_it(self, collector):
+        # a switch between one build reading the state and pausing it must
+        # not leave the collector paused after the last build ends
+        stop = threading.Event()
+
+        def builds():
+            while not stop.is_set():
+                build_graph([("a", "b", 1), ("b", "c", 2)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(25):
+                stop.clear()
+                threads = [threading.Thread(target=builds) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                time.sleep(0.02)
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert gc.isenabled() is collector
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("a b 1\na b 2.5\nb c 3\n", 2, "timestamp '2.5' is not an integer"),
+        ("a b 1\na b 2 3\nb c 3\n", 2, "expected 3 fields, got 4"),
+        ("a b 1\n\n# x\nb #c 2\n", 4, "malformed label '#c'"),
+        ("# nothing here\n\n", 0, "no edges in file"),
+    ], ids=["timestamp", "length", "label", "empty"])
+    def test_load_graph_error_restores_it(self, collector, tmp_path, text, line_no, message):
+        path = write(tmp_path / "g.txt", text)
+        with pytest.raises(ParseError) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"{path}:{line_no}: {message}"
+        assert gc.isenabled() is collector
 
 
 class TestLoadPattern:

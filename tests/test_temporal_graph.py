@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import json
 import random
 
 import pytest
@@ -199,6 +200,8 @@ def _reference_build(edges):
     positions = range(len(keyed))
     return {
         "labels": labels,
+        "label_json": tuple(map(json.dumps, labels)),
+        "label_index": node,
         "sources": tuple(node[k[1]] for k in keyed),
         "targets": tuple(node[k[2]] for k in keyed),
         "times": tuple(k[0] for k in keyed),
@@ -250,9 +253,9 @@ class TestColumnarBuild:
         ref = _reference_build(edges)
         assert g.labels == ref["labels"]
         assert g.node_count == len(ref["labels"])
-        assert g.label_index == {label: n for n, label in enumerate(ref["labels"])}
-        for column in ("sources", "targets", "times", "out_positions", "in_positions",
-                       "next_out_time"):
+        assert list(g.label_index.items()) == list(ref["label_index"].items())
+        for column in ("label_json", "sources", "targets", "times", "out_positions",
+                       "in_positions", "next_out_time"):
             assert getattr(g, column) == ref[column], column
         assert len(g) == len(edges)
         assert static_projection(g) == frozenset(zip(ref["sources"], ref["targets"]))
