@@ -1,10 +1,11 @@
-"""File formats, match serialization, and the one search entry point.
+"""File formats, reading a match line back, and the one search entry point.
 
 Graph files use the SNAP temporal edge-list layout: one ``<source>
 <target> <timestamp>`` line per edge, whitespace separated, ``#`` lines
 skipped.  Pattern files are the same 3-column format preceded by a
 ``nodes <n>`` header.  Matches are emitted as JSON Lines, one object per
-match, so every line is independently parseable.
+match, so every line is independently parseable: ``matcher`` writes
+them, and :func:`match_from_dict` reads one back.
 
 :func:`stream_search` is the one place a strategy name picks an engine
 and a stream stops at its limit; ``run_search`` and ``bench`` take its
@@ -16,17 +17,14 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
-from .matcher import (InvalidPatternError, Match, SearchStats, _line_fill, _line_format,
-                      _line_layout, search)
+from .matcher import InvalidPatternError, Match, match_json_line, search
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
-from .temporal_graph import (GraphBuildError, TemporalGraph, _build_columns, _collector_paused,
-                             static_projection)
+from .temporal_graph import GraphBuildError, TemporalGraph, _build_columns, static_projection
 
 DELTA_UNITS = {
     "raw": 1,
@@ -94,41 +92,40 @@ def load_graph(path: str) -> TemporalGraph:
     simultaneity stays exact.  The parse appends each edge's fields to
     three columns (source labels, target labels, times), and the builder
     behind :func:`build_graph` makes the graph from them; no tuple is
-    made per edge.  The cyclic garbage collector is paused while it runs
-    and the caller's state is restored after.
+    made per edge.  That builder pauses the cyclic garbage collector; the
+    parse runs under the caller's setting.
     """
     us: list[str] = []
     vs: list[str] = []
     ts: list[int] = []
-    with _collector_paused():
+    with _open_ascii(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise ParseError(path, line_no, "non-ASCII byte")
+            fields = line.split()
+            if not fields or fields[0][0] == "#":
+                continue
+            if len(fields) != 3:
+                raise ParseError(path, line_no, f"expected 3 fields, got {len(fields)}")
+            u, v, raw_t = fields
+            try:
+                t = int(raw_t)
+            except ValueError:
+                _parse_int(raw_t, path, line_no, "timestamp")  # raises ParseError
+            us.append(u)
+            vs.append(v)
+            ts.append(t)
+    if not ts:
+        raise ParseError(path, 0, "no edges in file")
+    try:
+        return _build_columns(us, vs, ts)
+    except GraphBuildError as exc:
+        # only now find the bad entry's line, so a valid file costs nothing extra
         with _open_ascii(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.isascii():
-                    raise ParseError(path, line_no, "non-ASCII byte")
-                fields = line.split()
-                if not fields or fields[0][0] == "#":
-                    continue
-                if len(fields) != 3:
-                    raise ParseError(path, line_no, f"expected 3 fields, got {len(fields)}")
-                u, v, raw_t = fields
-                try:
-                    t = int(raw_t)
-                except ValueError:
-                    _parse_int(raw_t, path, line_no, "timestamp")  # raises ParseError
-                us.append(u)
-                vs.append(v)
-                ts.append(t)
-        if not ts:
-            raise ParseError(path, 0, "no edges in file")
-        try:
-            return _build_columns(us, vs, ts)
-        except GraphBuildError as exc:
-            # only now find the bad entry's line, so a valid file costs nothing extra
-            with _open_ascii(path) as fh:
-                edge_lines = (n for n, line in enumerate(fh, start=1)
-                              if line.lstrip()[:1] not in ("", "#"))
-                line_no = next(itertools.islice(edge_lines, exc.entry, None), 0)
-            raise ParseError(path, line_no, exc.reason) from None
+            edge_lines = (n for n, line in enumerate(fh, start=1)
+                          if line.lstrip()[:1] not in ("", "#"))
+            line_no = next(itertools.islice(edge_lines, exc.entry, None), 0)
+        raise ParseError(path, line_no, exc.reason) from None
 
 
 def save_graph(g: TemporalGraph, path: str) -> None:
@@ -183,50 +180,10 @@ def save_pattern(p: PatternGraph, path: str) -> None:
             fh.write(f"{e.source} {e.target} {e.time}\n")
 
 
-def match_json_line(m: Match, g: TemporalGraph) -> str:
-    """``m`` as one compact JSON object, in the graph's external labels.
-
-    The object has the keys ``dur``, ``edges``, ``end``, ``nodes`` and
-    ``start``, in that order, and no whitespace.  ``nodes`` maps each
-    pattern node id, as a string, to the label of its graph node, with
-    the keys sorted as strings ("10" before "2"); ``edges`` lists each
-    pattern edge's assigned graph edge as ``[source label, target label,
-    time]``.  It is what ``json.dumps(obj, sort_keys=True,
-    separators=(",", ":"))`` writes for that object, but filled straight
-    from the graph's columns and its JSON-encoded labels by a writer
-    compiled once per match shape (see :func:`_writer_source`).
-    """
-    write = _writer(len(m[0]), len(m[1]))
-    return write(m, g.label_json, g.sources, g.targets, g.times)
-
-
-def _writer_source(nodes: int, edges: int) -> str:
-    """Python source of the line writer of a match of ``nodes`` pattern
-    nodes and ``edges`` pattern edges: it unpacks the match once, as
-    ``v{i}`` and ``p{k}``, and fills the global ``fmt``, the format of
-    ``matcher._line_layout``, once.  Only ints and fixed names enter it."""
-    expr = {"dur": lambda _: "dur", "end": lambda _: "end", "start": lambda _: "start",
-            "node": lambda i: f"label_json[v{i}]",
-            "source": lambda k: f"label_json[sources[p{k}]]",
-            "target": lambda k: f"label_json[targets[p{k}]]",
-            "time": lambda k: f"times[p{k}]"}
-    return (
-        "def _w(m, label_json, sources, targets, times):\n"
-        f"    ({', '.join(f'v{i}' for i in range(nodes))},), "
-        f"({', '.join(f'p{k}' for k in range(edges))},), start, end, dur = m\n"
-        f"    return {_line_fill('fmt', _line_layout(nodes, edges), expr)}\n")
-
-
-@functools.lru_cache(maxsize=64)
-def _writer(nodes: int, edges: int):
-    """The compiled :func:`_writer_source` of one match shape."""
-    namespace = {"fmt": _line_format(_line_layout(nodes, edges))}
-    exec(compile(_writer_source(nodes, edges), "<ipmatch line writer>", "exec"), namespace)
-    return namespace["_w"]
-
-
 def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
-    """Rebuild a match from its JSON form.
+    """Rebuild a match from its JSON form, accepting only what
+    :func:`match_json_line` writes: ints (no bool, no float) as times,
+    ``start``, ``end`` and ``dur``, str labels, and node keys "0" to "n-1".
 
     Exact duplicate edges are indistinguishable in the serialized form;
     each edge resolves to the first position with its endpoints and time
@@ -238,17 +195,28 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
     absent = [key for key in ("nodes", "edges", "start", "end", "dur") if key not in obj]
     if absent:
         raise ValueError(f"match has no {absent[0]!r}: {obj}")
+    for key in ("start", "end", "dur"):
+        if type(obj[key]) is not int:
+            raise ValueError(f"{key} {obj[key]!r} is not an integer")
     nodes, edges = obj["nodes"], obj["edges"]
     if not isinstance(nodes, dict):
         raise ValueError(f"nodes {nodes!r} is not an object")
     if not isinstance(edges, list):
         raise ValueError(f"edges {edges!r} is not a list")
-    missing = [str(i) for i in range(p.node_count) if str(i) not in nodes]
-    if missing:
-        raise ValueError(f"no label for pattern node {missing[0]!r} in nodes {nodes}")
+    keys = [str(i) for i in range(p.node_count)]
+    odd = ([f"no label for pattern node {key!r}" for key in keys if key not in nodes]
+           + [f"key {key!r} names no pattern node" for key in nodes if key not in keys])
+    if odd:
+        raise ValueError(f"{odd[0]} in nodes {nodes}")
     if len(edges) != len(p.edges):
         raise ValueError(f"expected {len(p.edges)} edges, got {len(edges)}: {edges}")
-    node_map = tuple(g.node_id(nodes[str(i)]) for i in range(p.node_count))
+
+    def node_id(label) -> int:
+        if type(label) is not str:
+            raise ValueError(f"label {label!r} is not a string")
+        return g.node_id(label)
+
+    node_map = tuple(node_id(nodes[key]) for key in keys)
     targets, times = g.targets, g.times
     taken: set[int] = set()
     assignment: list[int] = []
@@ -256,12 +224,10 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
         if not isinstance(edge, list) or len(edge) != 3:
             raise ValueError(f"malformed edge {edge}, expected [source, target, time]")
         u_label, v_label, t = edge
-        u, v = g.node_id(u_label), g.node_id(v_label)
+        u, v = node_id(u_label), node_id(v_label)
         out = g.out_positions[u]
-        try:
-            k = bisect.bisect_left(out, bisect.bisect_left(times, t))
-        except TypeError:  # a time no int compares with matches no edge
-            k = len(out)
+        # a time that is not an int matches no edge
+        k = bisect.bisect_left(out, bisect.bisect_left(times, t)) if type(t) is int else len(out)
         while k < len(out) and times[out[k]] == t:
             pos = out[k]
             if targets[pos] == v and pos not in taken:
@@ -294,8 +260,7 @@ def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if strategy in ("simple", "index"):
-        stats = SearchStats()
-        matches = search(g, p, delta, strategy == "index", stats, lines)
+        matches, stats = search(g, p, delta, strategy == "index", lines)
     else:
         if strategy == "baseline":
             found, stats = two_phase_search(g, p, delta)

@@ -13,7 +13,7 @@ depth's time and structural tests written out once, so the loops only
 compare ints (query compilation, as in Neumann, "Efficiently Compiling
 Efficient Query Plans for Modern Hardware", VLDB 2011).  The compiled
 code is cached per pattern shape, strategy and emit mode, and takes the
-graph's columns it reads as arguments, so one kernel serves every graph.
+graph columns it subscripts as arguments, so one kernel serves every graph.
 CPython refuses more than 20 nested blocks in one function, so a pattern
 of more than 16 edges is split into generator functions of 16 depths
 each, chained by ``yield from``.
@@ -85,7 +85,7 @@ number of concurrent searches.
 The kernel is compiled in one of two emit modes, which do the same work
 and count the same.  By default its last depth yields a :class:`Match`.
 In line mode it yields the match's JSON line instead, laid out by
-:func:`_line_layout` (the layout ``io_cli.match_json_line`` fills from a
+:func:`_line_layout` (the layout :func:`match_json_line` fills from a
 ``Match``) from the labels' JSON and the times it holds as locals, so
 the compiled query produces its output itself, as Neumann's compiled
 plans do, and no match is built and read back.  Most of a line does not
@@ -175,29 +175,29 @@ def _compile(p: PatternGraph) -> tuple[_Step, ...]:
 
 
 def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
-           stats: SearchStats, lines: bool = False) -> Iterator[Match] | Iterator[str]:
+           lines: bool = False) -> tuple[Iterator[Match] | Iterator[str], SearchStats]:
     """A generator of the matches of ``p`` in ``g`` within ``delta``, run by
     the kernel compiled for ``p``'s shape (built by the first call for that
-    shape, then cached).  With ``lines`` it yields each match as its JSON
-    line (see :func:`_line_layout`) instead of a :class:`Match`, with the
-    same counters.
+    shape, then cached), and the :class:`SearchStats` it fills.  With
+    ``lines`` it yields each match as its :func:`match_json_line` instead
+    of a :class:`Match`, with the same counters.
 
     Depth-first discovery order is lexicographic in the edge assignment
     positions; ``use_index`` (position lists instead of the linear scan)
-    changes only the work done.  On finishing or being closed, the
-    generator adds its counters into ``stats``, which must be fresh, so a
-    stream closed after its k-th match reports the work of its first k
-    matches.  It checks nothing: ``io_cli.stream_search`` validates the
-    pattern against ``delta`` first.
+    changes only the work done.  The generator writes its counters into
+    the stats when it finishes or is closed, so a stream closed after its
+    k-th match reports the work of its first k matches.  It checks
+    nothing: ``io_cli.stream_search`` validates the pattern against
+    ``delta`` first.
     """
     kernel, columns = _kernel(_compile(p), use_index, lines)
-    return kernel(*[getattr(g, c) for c in columns], delta, stats)
+    stats = SearchStats()
+    return kernel(*[getattr(g, c) for c in columns], delta, stats), stats
 
 
 _LineItem = str | tuple[str, int]
 
 
-@functools.cache
 def _line_layout(nodes: int, edges: int) -> tuple[_LineItem, ...]:
     """The one layout of a match line: its literal text and its fields, in
     order.  A field is a role and an index: ``("dur", 0)``, ``("source",
@@ -226,15 +226,52 @@ def _line_format(items: tuple[_LineItem, ...]) -> str:
                    else "%s" for x in items)
 
 
-def _line_fields(items: tuple[_LineItem, ...]) -> list[tuple[str, int]]:
-    return [x for x in items if not isinstance(x, str)]
-
-
 def _line_fill(fmt: str, items: tuple[_LineItem, ...], expr: dict) -> str:
     """Source of ``fmt % (...)``, the %-format of ``items`` filled with
     each field's ``expr[role](index)``."""
-    args = [expr[role](k) for role, k in _line_fields(items)]
+    args = [expr[x[0]](x[1]) for x in items if not isinstance(x, str)]
     return f"{fmt} % ({', '.join(args)}{',' * (len(args) == 1)})"
+
+
+def match_json_line(m: Match, g: TemporalGraph) -> str:
+    """``m`` as one compact JSON object, in the graph's external labels.
+
+    The object has the keys ``dur``, ``edges``, ``end``, ``nodes`` and
+    ``start``, in that order, and no whitespace.  ``nodes`` maps each
+    pattern node id, as a string, to the label of its graph node, with
+    the keys sorted as strings ("10" before "2"); ``edges`` lists each
+    pattern edge's assigned graph edge as ``[source label, target label,
+    time]``.  It is what ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))`` writes for that object, but filled straight
+    from the graph's columns and its JSON-encoded labels by a writer
+    compiled once per match shape (see :func:`_writer_source`).
+    """
+    return _writer(len(m[0]), len(m[1]))(m, g.label_json, g.sources, g.targets, g.times)
+
+
+def _writer_source(nodes: int, edges: int) -> str:
+    """Python source of the line writer of a match of ``nodes`` pattern
+    nodes and ``edges`` pattern edges: it unpacks the match once, as
+    ``v{i}`` and ``p{k}``, and fills the global ``fmt``, the format of
+    :func:`_line_layout`, once.  Only ints and fixed names enter it."""
+    expr = {"dur": lambda _: "dur", "end": lambda _: "end", "start": lambda _: "start",
+            "node": lambda i: f"label_json[v{i}]",
+            "source": lambda k: f"label_json[sources[p{k}]]",
+            "target": lambda k: f"label_json[targets[p{k}]]",
+            "time": lambda k: f"times[p{k}]"}
+    return (
+        "def _w(m, label_json, sources, targets, times):\n"
+        f"    ({', '.join(f'v{i}' for i in range(nodes))},), "
+        f"({', '.join(f'p{k}' for k in range(edges))},), start, end, dur = m\n"
+        f"    return {_line_fill('fmt', _line_layout(nodes, edges), expr)}\n")
+
+
+@functools.lru_cache(maxsize=64)
+def _writer(nodes: int, edges: int):
+    """The compiled :func:`_writer_source` of one match shape."""
+    namespace = {"fmt": _line_format(_line_layout(nodes, edges))}
+    exec(compile(_writer_source(nodes, edges), "<ipmatch line writer>", "exec"), namespace)
+    return namespace["_w"]
 
 
 def _line_split(steps: tuple[_Step, ...]) -> tuple[tuple[_LineItem, ...],
@@ -268,7 +305,7 @@ def _line_split(steps: tuple[_Step, ...]) -> tuple[tuple[_LineItem, ...],
     runs: list[tuple[_LineItem, ...]] = []
     for is_last, group in itertools.groupby(items, last):
         stretch = tuple(group)
-        if is_last or not _line_fields(stretch):
+        if is_last or all(isinstance(x, str) for x in stretch):
             out += stretch
         else:
             out.append(("run", len(runs)))
@@ -297,6 +334,10 @@ def _kernel(steps: tuple[_Step, ...], use_index: bool, lines: bool):
     code = k0.__code__  # its arguments are the columns, then ``delta, stats``
     return k0, code.co_varnames[:code.co_argcount - 2]
 
+
+# The graph columns a kernel may read, in the order its signature names them.
+_COLUMNS = ("sources", "targets", "times", "out_positions", "in_positions", "next_out_time",
+            "label_json")
 
 # Depths per generated function: CPython refuses more than 20 statically
 # nested blocks, and a function spends one on its ``try`` and one per depth.
@@ -338,16 +379,12 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     one ``%s``, and the fields the last depth set, so a run is never read
     as a format again and a label holding ``%`` is safe.  A last depth that
     opens a new function resets its runs once per call.  A single-edge
-    pattern's yield fills the whole line.  A kernel whose walk
-    entries read ``next_out_time`` (a chain step's first entry time, as
-    ``x{d}``) takes that column too; the others do not name it.
+    pattern's yield fills the whole line.  Every function takes the graph
+    columns that the whole source subscripts, in ``_COLUMNS`` order.
     """
     m = len(steps)
     nodes = _node_count(steps)
     strict = any(not s.equal for s in steps[1:])
-    # whether a walk entry reads ``next_out_time``; that is known only once
-    # every depth is written, so the signatures say COLUMNS until then
-    reads_next = False
     bound: dict[int, int] = {}  # pattern node -> last depth above that touched it
     src: list[str] = []
 
@@ -414,7 +451,7 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                         # The first entry is the first edge leaving p{d-1}'s
                         # target after it, whose time the graph keeps: the
                         # walk is found only once that time is in the window.
-                        reads_next, first = True, f"x{d}"
+                        first = f"x{d}"
                         src += [f"{ind}x{d} = next_out_time[p{d - 1}]",
                                 f"{ind}if x{d} is None: continue"]
                     else:
@@ -510,9 +547,9 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             src.append(f"        stats.matches_found += c{m - 1}")
         if a == 0:
             src.append("        stats.pops = stats.pushes - held")
-    cols = ("sources, targets, times, out_positions, in_positions"
-            + ", next_out_time" * reads_next + ", label_json" * lines)
-    return "\n".join(src).replace("COLUMNS", cols) + "\n"
+    body = "\n".join(src)
+    cols = ", ".join(c for c in _COLUMNS if f"{c}[" in body)
+    return body.replace("COLUMNS", cols) + "\n"
 
 
 def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> ValidationReport:

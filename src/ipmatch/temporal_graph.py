@@ -20,11 +20,10 @@ Both ways in, :func:`build_graph` on triples and ``io_cli.load_graph``
 on a file, split the input into three columns (source labels, target
 labels, times) and hand them to one builder.  It interns the labels in
 order of first appearance, checks each distinct label once, sorts the
-edges and fills the position lists and ``next_out_time``.  Both pause
-the cyclic garbage collector while they run, since nothing they
-allocate forms a cycle, and restore the caller's state after; builds
-that overlap, nested or in other threads, restore it when the last
-one ends.
+edges and fills the position lists and ``next_out_time``.  The builder
+alone pauses the cyclic garbage collector, since nothing it allocates
+forms a cycle, and restores the caller's state after; builds that
+overlap, nested or in other threads, restore it when the last one ends.
 
 A graph is a frozen dataclass of tuples and a read-only label index, so
 nothing in it can change after :func:`build_graph`.  It is safe for
@@ -115,9 +114,8 @@ _resume = False
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector for the block, then restore the
-    state the first of the overlapping pauses found.  Building a graph
-    allocates only containers that form no cycles, so the collector's
-    passes over them would find nothing."""
+    state the first of the overlapping pauses found.  :func:`_build_columns`
+    allocates no cycles, so a collector pass there would find nothing."""
     global _pauses, _resume
     with _pause_lock:
         if not _pauses:
@@ -142,28 +140,26 @@ def build_graph(edges: Iterable[tuple]) -> TemporalGraph:
     it is split into three columns (source labels, target labels, times),
     from which :func:`_build_columns` builds the graph.  An error names
     the first bad entry; within an entry, a wrong length comes first and
-    a malformed label before a bad timestamp.  The cyclic garbage
-    collector is paused while it runs and the caller's state is restored
-    after.
+    a malformed label before a bad timestamp.  ``edges`` is iterated
+    under the caller's collector setting; only the builder pauses it.
     """
     us, vs, ts = [], [], []
-    with _collector_paused():
-        for seq, item in enumerate(edges):
-            if len(item) != 3:
-                error = GraphBuildError(seq, f"expected 3 fields, got {len(item)}")
-                break
-            u, v, t = item
-            us.append(u)
-            vs.append(v)
-            # bool is an int subclass but makes no sense as a timestamp
-            if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)):
-                error = GraphBuildError(seq, f"timestamp {t!r} is not an integer")
-                break
-            ts.append(t)
-        else:
-            return _build_columns(us, vs, ts)
-        _raise_first_bad_label(us, vs)
-        raise error
+    for seq, item in enumerate(edges):
+        if len(item) != 3:
+            error = GraphBuildError(seq, f"expected 3 fields, got {len(item)}")
+            break
+        u, v, t = item
+        us.append(u)
+        vs.append(v)
+        # bool is an int subclass but makes no sense as a timestamp
+        if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)):
+            error = GraphBuildError(seq, f"timestamp {t!r} is not an integer")
+            break
+        ts.append(t)
+    else:
+        return _build_columns(us, vs, ts)
+    _raise_first_bad_label(us, vs)
+    raise error
 
 
 def _malformed(label: str) -> bool:
@@ -180,12 +176,13 @@ def _raise_first_bad_label(us: list, vs: list) -> None:
                 raise GraphBuildError(seq, f"malformed label {raw!r}")
 
 
+@_collector_paused()
 def _build_columns(us: list, vs: list, ts: list) -> TemporalGraph:
     """Build a :class:`TemporalGraph` from the edges ``(us[i], vs[i],
-    ts[i])``, whose int times are not checked.  A label that is not a str
-    is read as its str form, and each distinct label is checked once;
-    only a malformed one sends the builder back over the columns, for
-    the first entry that holds it."""
+    ts[i])``, whose int times are not checked, with the cyclic collector
+    paused.  A label that is not a str is read as its str form, and each
+    distinct label is checked once; only a malformed one sends the
+    builder back over the columns, for the first entry that holds it."""
     if not ts:
         raise EmptyGraphError("cannot build a graph from an empty edge list")
     label_index = dict.fromkeys(chain.from_iterable(zip(us, vs)))

@@ -42,7 +42,7 @@ from ipmatch import (
     validate_pattern,
     verify_match,
 )
-from ipmatch import io_cli
+from ipmatch import io_cli, matcher, temporal_graph
 from ipmatch.cli import main
 from ipmatch.pattern import MAX_PATTERN_EDGES
 
@@ -263,21 +263,66 @@ def collector(request):
 
 class TestCollectorState:
     """Building a graph pauses the cyclic collector and leaves it as the
-    caller had it, whether the build succeeds or raises."""
+    caller had it, whether the build succeeds or raises.  Only the builder
+    runs paused: the caller's iterable and the file's parse run under the
+    caller's setting."""
 
-    def test_build_graph_pauses_it_and_restores_it(self, collector):
+    @pytest.fixture
+    def builder_states(self, monkeypatch):
+        """The collector state each call of the builder's graph
+        constructor saw, in order."""
+        seen = []
+        real = temporal_graph.TemporalGraph
+
+        def spy(*fields):
+            seen.append(gc.isenabled())
+            return real(*fields)
+
+        monkeypatch.setattr(temporal_graph, "TemporalGraph", spy)
+        return seen
+
+    def test_build_graph_pauses_it_and_restores_it(self, collector, builder_states):
         seen = []
 
         def entries():
             seen.append(gc.isenabled())
-            # a nested build leaves the collector paused for the outer one
+            # a nested build restores the caller's setting for the outer one
             build_graph([("x", "y", 0)])
             seen.append(gc.isenabled())
             yield from [("a", "b", 1), ("b", "c", 2)]
 
         assert len(build_graph(entries())) == 2
-        assert seen == [False, False]
+        assert seen == [collector, collector]
+        assert builder_states == [False, False]
         assert gc.isenabled() is collector
+
+    def test_build_graph_collects_the_callers_cycles(self):
+        # the collector runs while the build reads the caller's entries, so
+        # the cycles they leave are freed before the builder starts
+        collected = []
+
+        def count(phase, info):
+            if phase == "stop":
+                collected.append(info["collected"])
+
+        def entries():
+            for i in range(5000):
+                cycle = {}
+                cycle["self"] = cycle
+                yield ("a", "b", i)
+            freed.append(sum(collected))
+
+        freed = []
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert len(build_graph(entries())) == 5000
+        finally:
+            gc.callbacks.remove(count)
+            (gc.enable if was_enabled else gc.disable)()
+        assert freed[0] > 0
 
     @pytest.mark.parametrize("edges, error, message", [
         ([("a", "b", 1), ("b", "#c", 2)], GraphBuildError, r"^edge 1: malformed label '#c'$"),
@@ -291,7 +336,8 @@ class TestCollectorState:
             build_graph(edges)
         assert gc.isenabled() is collector
 
-    def test_load_graph_pauses_it_and_restores_it(self, collector, tmp_path, monkeypatch):
+    def test_load_graph_pauses_it_and_restores_it(self, collector, tmp_path, monkeypatch,
+                                                  builder_states):
         seen = []
         build = io_cli._build_columns
 
@@ -301,7 +347,7 @@ class TestCollectorState:
 
         monkeypatch.setattr(io_cli, "_build_columns", spy)
         g = load_graph(write(tmp_path / "g.txt", "a b 1\nb c 2\n"))
-        assert (len(g), seen) == (2, [False])
+        assert (len(g), seen, builder_states) == (2, [collector], [False])
         assert gc.isenabled() is collector
 
     def test_concurrent_builds_restore_it(self, collector):
@@ -471,6 +517,18 @@ class TestMatchSerialization:
             ("edges", ["abc"], "malformed edge abc"),
             ("nodes", ["a", "b"], r"nodes \['a', 'b'\] is not an object"),
             ("nodes", 5, "nodes 5 is not an object"),
+            # only what match_json_line writes: int times, str labels and
+            # the node keys "0" to "n-1"
+            ("start", True, "start True is not an integer"),
+            ("start", 5.0, "start 5.0 is not an integer"),
+            ("end", 5.0, "end 5.0 is not an integer"),
+            ("dur", 1.0, "dur 1.0 is not an integer"),
+            ("edges", [["a", "b", True]], "no unused graph edge"),
+            ("edges", [["a", "b", 5.0]], "no unused graph edge"),
+            ("nodes", {"0": "a", "1": 7}, "label 7 is not a string"),
+            ("edges", [["a", 7, 5]], "label 7 is not a string"),
+            ("nodes", {"0": "a", "1": "b", "2": "a"}, "key '2' names no pattern node"),
+            ("nodes", {"0": "a", "01": "a", "1": "b"}, "key '01' names no pattern node"),
         ]:
             with pytest.raises(ValueError, match=message):
                 match_from_dict({**good, key: value}, g, one)
@@ -530,7 +588,7 @@ class TestMatchJsonLine:
 
     @pytest.mark.parametrize("nodes, edges", [(1, 1), (2, 1), (11, 10), (65, 64), (3, 5)])
     def test_writer_source_holds_only_ints_and_fixed_names(self, nodes, edges):
-        source = io_cli._writer_source(nodes, edges)
+        source = matcher._writer_source(nodes, edges)
         fixed = {"def", "return", "_w", "m", "fmt", "label_json", "sources", "targets",
                  "times", "start", "end", "dur"}
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -542,11 +600,11 @@ class TestMatchJsonLine:
 
     def test_writer_cache_is_bounded(self):
         g = build_graph([("a", "b", 1)])
-        bound = io_cli._writer.cache_info().maxsize
+        bound = matcher._writer.cache_info().maxsize
         for nodes in range(1, bound + 10):
             m = Match((0,) * nodes, (0, 0), 1, 1, 1)
             assert match_json_line(m, g) == spec_line(m, g)
-        assert io_cli._writer.cache_info().currsize == bound
+        assert matcher._writer.cache_info().currsize == bound
 
 
 def assert_line_stream_equals_match_stream(g, p, delta, k):

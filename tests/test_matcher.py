@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 import re
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -515,43 +516,43 @@ class TestCompiledKernel:
     # self-loop, source bound, both bound, a bound self-loop and target bound.
     PINNED_SOURCE = {
         1: (
-            "e3979ebd158d51be64353fb167a77fddcd4118a3eb2525ca8f269ab38540cb36",
-            "e3979ebd158d51be64353fb167a77fddcd4118a3eb2525ca8f269ab38540cb36"),
+            "a8e0ae473c9c07e59809a8affc460fd10c119e35ad25dd15b206d9c1878ee710",
+            "a8e0ae473c9c07e59809a8affc460fd10c119e35ad25dd15b206d9c1878ee710"),
         2: (
-            "4e5ab1d9df27574f148ff08d6d9af3022ff4284e33e67e879b756fdcfc99e5ac",
-            "304637a0662c4c7dedb5fa1177fe162d8ef22d209ab42f64845999f81ec91baa"),
+            "76e29e414291a796114f5270e5deed1497dccbde4a492fdb63812e1c8aec3e9c",
+            "5ecb9767a3c9bbf121736a6df3d4853e309c3f6ee309e16a91c92793dca92277"),
         3: (
-            "6920085487714d0f896e8cf215654d59098bc062ecab4508a8055a03695610b0",
-            "32c2c8b34a1f99c1f7ca51491fb45fe70ec32e55a4e1bf36deb02a5714a07b91"),
+            "fccd94f4cff45fba2cc580a06b698530806dd4c09680a6939902b0f548588f35",
+            "67e597ad91e6b0a10efe6087a6fb5d1d95c88116badbe287de5b0073e1ec8579"),
         4: (
-            "517f438fc1a764ce12cb0d83cf9baf93215048ed4161bbb4918d5f25b4ba64f2",
-            "f2cbf830377ecfce3fe753c60d7b386e8d0cd0cb58f31ca208d79f05b60b4cb7"),
+            "3405397102f5e0796ad81e29a35c6060b660557d95b0011dec1f4df7e47c811e",
+            "aa93ccd9101358daaff603f1ae3b0ee147db94cd579f70cca0110da51e490ecd"),
         16: (
-            "5046aeabefbe8110b91de03ec5c26220619dfb853a4ab4eefe875accbf4f5d43",
-            "e33b359ad51f17f4f18ca04e91804704d3c00255009f1045ded34c98df71924f"),
+            "dbb72139bb7f44cf0d3193963e4e1b56a1523914b2f1b2ba788523a7d4a57199",
+            "68739acaacad780a99bc3ae805a96070aea49a8f667977b903c6d15d4becc2b2"),
         17: (
-            "13ea809391fc9dc32281c198e1c17836ca44da267d5104e79abe4796f5d3b8f8",
-            "af15f125c2abbdaad1de1af3f3fa15e037a91de9954419ceb9a00176c81099d6"),
+            "239e17ce2577d60b6c9cfd9b54792125f22398575f5595ef12f960e1cf1f986f",
+            "8a9168d3d0ec60e4e336e205a58546c1f03063fb3cc1650e3f145f4ded9bc4f6"),
         25: (
-            "f07576366956c894a7bbfb82abb6dfe8f68d55b9ab59e420f360bd1f09777fd5",
-            "e3587a8b3179d35adcdf06260b0c327612d2ef8ebfc04531ca5d162ae67f5c3d"),
+            "6b2075dc0a1d5958e14d48273516547b32daf1494dd6649e8208f2708990d5e8",
+            "7471fe3d0bb284f93803899630206138fc3b25129410871299b7e10e71968946"),
         "ping-pong": (
-            "36694ac17b1668dcf7344b3bd82094cdea1ef13fce64a5b5b6b6e9437b84ce6d",
-            "70484f5d54c7e462530473131d99ac5490cba98f6ef6e3bbdaed7af9ad3089c8"),
+            "5d19adc8c67f985a064be46448cbace2737a1f973ce1c8ecfa699022bb9b9e81",
+            "8cc530e4d05697c25fb1513d3b3941c3655911762e3cec83bf07248086c67d8a"),
         "triangle": (
-            "cd623ebb0efc22a9a86f954b3b46ad5b9b2492b480710a0f03a50ee48196329b",
-            "6bb669789cb505bdcfb02dbc1be378bc6bd7048f0c60c4e858d50a37144021d7"),
+            "12b6d85290a56050393487829bdcda2f8f700ef7db104611a770fff066204533",
+            "82fae190b29d13237a2c9dd82026ca87d154f978578142d40e4f7f8566d5b9ad"),
         "broadcast-reply": (
-            "5f8d4f5fa77c736814ed1cc7ffdd62dd2730a6b23fe920c4cbba568b7e46882e",
+            "ae9f662673b45a7a6826d9849cf00267d8395ece0f310b769918c658dee53a2b",
             "253060816b9251e2f05acc0e3571af6ee34ca073361d41b74d574a6ac568ebe5"),
         "star3-simultaneous": (
-            "15fbb3f0ec17c6694b53e2555bde84843e20d924a006117db3d487afc7db563a",
-            "9c604bf338e2a8a7981c339bdb6c179854b5004e5d9052a463d93973a41b1c42"),
+            "97c4fdcfe5d441046f8b16f13ce3391cfa94f21bdaac7a36f03c5aed5b787685",
+            "87d7011f5e3d101c8e22f803968c2355180caf9e1ce8308b915bad9485e455fb"),
         "relay-equal": (
-            "25e92086666806cf2dc4d50b8dffcd1e6099fcc898a3f932c5862e1c611d4c57",
-            "442f0606eeb1f5f3d746c7447af6e7a1dbe469152991a69874fd9f66cb2190f8"),
+            "531a04f4075c3da1d6b48cea0e8fb74b6e15625674df026bfd12670129873726",
+            "2b728d9c49b28379acb71f08ff51b6ef0a386a4ceb8da4b64ecb52917550244e"),
         "endpoint-cases": (
-            "6c7ccb4068666c2f3bbcc98b3e8734e13502667700648e79deebca66649890e2",
+            "7be41db5dec63fea9145d9e57c0ea46fe8f6aec7012b788b552f381a792755b5",
             "a6e82f0067d128e30f67b6f5e495397bedf2a7de6c2de9e211a86ff152dcc00e"),
     }
 
@@ -566,43 +567,43 @@ class TestCompiledKernel:
     # the same shapes' kernels in line mode, which yield each match's JSON line
     PINNED_LINE_SOURCE = {
         1: (
-            "e51629999f34aeeb161bee63a33b4c8fd92ce174e57050043674375b1453194d",
-            "e51629999f34aeeb161bee63a33b4c8fd92ce174e57050043674375b1453194d"),
+            "766e239a533afec53358b2fb6329d5a22541c38d9878ccd37a1b80c90765cbfc",
+            "766e239a533afec53358b2fb6329d5a22541c38d9878ccd37a1b80c90765cbfc"),
         2: (
-            "f11e711d37d57a8764cc22d80ebde176edbe5bb9a746b1083b461d683f449bdb",
-            "2581a6a688991f238bdeab306de89f7a3771e5b018df798aa945702cc697711a"),
+            "647448f95dac3dce15758fcd52f86a651ef7268119086d44b05765e1475fb463",
+            "be1d68a37289df6768100780c31f164be96c22f9ec03c57d052c7068a400a6bc"),
         3: (
-            "347d71cd1ab51599ef6b23109623c88876e0056a6a199c6e03e2a5778936bbcf",
-            "0f1b7cf9ecca18f7b4a9be3725476e127fd35fa600de33a4396cf72862207113"),
+            "578ed331a1f6f6def0fb37dbb73ba9bff5525d2974f24929c8fd9919a0a30104",
+            "f099ed1f0be83693ef0f96dfa2d486cc52178c3d6c676c2885fd79f88d346a10"),
         4: (
-            "586a69446054d6cd755f45d3601e8c4f58501cbd5da6a3ca21263826984e4ba1",
-            "a3edd03269f2042a1123c26b81479fbabd91f4912b0f995cd50ea50805a433a4"),
+            "0080c7f4958476fe45d8e2fbe27083182a762fb9f666214ba7a55da6b838e1c6",
+            "267614504595d2bff76b65384f87f10af24ae256175aa40fbdeffdf0f908bab6"),
         16: (
-            "5dc7d6740d17996b669fa19722aefe5a0c475ce00656725216b90b61b6a620f1",
-            "967983c6249ae6008ffb465e7b3c3e549b605b6951bed13e8b3b3c0c20e8563e"),
+            "02f93cd2611d7a887eba5c2d96a46cb3db504e352bd4e42538a75148a9ac5be5",
+            "e57eaac111d82b910b20e688dee6dde9abd123dfa3a8d9c8b21df2c2b355490f"),
         17: (
-            "27c83e84ccf511d6ab998151b5459c2cb89784902e74c6af1ee7469568d5c942",
-            "c8b32c1dfc8b3d9e4a2d46d31a9bac856d22082f0b9f263ac03c62261247e873"),
+            "beb782ce96268cdcb55310d7802d689db0fe27512843334b4a298e3a8aa49e09",
+            "a7646c6bfb7c8f59a49d7dedcf4a5599b38196c7a2d4b24a593651fde1c5c4e1"),
         25: (
-            "773687413800dad1b00e23d898ead435c3162a4c67c87d8b93816c41d6874881",
-            "a55dd04288a4a559394c25b5a178672888ed49034aeae3687ef376fa24e98247"),
+            "3b121fe14241cea252943456d126e064b229af8833b4ecb1e082b5004ccf394f",
+            "767ae1065b33b62037475851e4978f90d3a0a8560fda983eb7cfd52a3bcf0b14"),
         "ping-pong": (
-            "1da9379968119d794d54c9acd561c9582838b0b51e5cc629e9c349cdf0d5998a",
-            "6c3b0dffc4015db7365c58e9c41d07b8c3f7319ebbc74752add1fa76d4f6a35a"),
+            "a2db20fccf05bcad177e4ce41f023ebbf841ea7d3e8acfd790adcd214a9446d6",
+            "6c679037114edea2c8d4a1f4b8b0514ebee5668beb443c5cbaf0db3e31d54a03"),
         "triangle": (
-            "ee34604885b2da907c84a98969244efda785c9e65473adac49f6b91061324ae5",
-            "cb365a2a34db56d595ba2f68773dd3ff6821ff8240fbd832736d2ff115b75a1b"),
+            "d64d67acc5f71079739e033b1a714ce82235228be52b1f6f81cb5dfac3c83e2a",
+            "c7e77e6f34a891e50e2b58af239f92e14e6ec8b3ff45a494bbd986a695b80e08"),
         "broadcast-reply": (
-            "c268871222261f3a2d78d4687c4415c27d6b7c6c9c7ba23c036e6ad0928b0a49",
+            "405eb652267c973bb4e3939663e450ddf3525ad7f0dcf708e55e59025f33ad8a",
             "aa3bd79289142922efb34f0816f25671744071298dee37865e55faf44b3deeab"),
         "star3-simultaneous": (
-            "366070dc16e068df39574861fc9459f6c1ccf59a4d6254f5f058227ef812dac2",
-            "149a93a94588cfc133c5d944a4ffb45a978e03a91d5db6781666cf358cdb27cc"),
+            "1dadf6898ae825bdcbc7310aaebb9958660219d12916756952564e57c79fc29c",
+            "448ca68ae0953b6765ef92c0460de37cffd131939d032ba9b41bb54585576703"),
         "relay-equal": (
-            "90e9ad8fdb59601cc2811391c705bd8bc03ff18ab4b183f3ec8bc32cbe58e63b",
-            "95858e6d7d2903b0dd6e627b0e0b48d70c5ff88aeb483d69c812550bfe2b0dba"),
+            "a5bb8f150d32db90abddb1cd05e61a81f3cb3ccf30c7d98e6a9f0ad3c05b010b",
+            "738fe6aa3b9833405dc0b8fe3c38f5d33c7bc88c982f702e6a2e30997a4ac78d"),
         "endpoint-cases": (
-            "b768bf3924df03e07deb13eae4f1a7307eaff8ec26ba36204cfdce8208f72f64",
+            "97ec94c681038730f9ac6bad6245cce978d05de11aca7ed924162551efd13a3c",
             "17b8157d9eb9f8cc96d583c734b751de1ccab3f0683a0c6e33ae4947b7db06d2"),
     }
 
@@ -613,6 +614,34 @@ class TestCompiledKernel:
             for use_index, digest in zip((False, True), digests):
                 source = _kernel_source(_compile(p), use_index, True).encode()
                 assert hashlib.sha256(source).hexdigest() == digest, (shape, use_index)
+
+    @pytest.mark.parametrize("shape", list(PINNED_SOURCE))
+    def test_kernel_takes_only_the_columns_it_reads(self, shape):
+        # A graph that holds only the columns a kernel is meant to read
+        # gives the stream the whole graph gives: every simple kernel reads
+        # the three edge columns alone, and a path's index kernel no
+        # in-edge list.  Three copies of the pattern's own edges, among
+        # random edges on the same labels, give each shape matches.
+        p = (generate_path_query(shape) if isinstance(shape, int)
+             else pattern_from_triples(self.PINNED_TRIPLES[shape]))
+        rng = random.Random(len(p.edges))
+        labels = [f"c{c}n{i}" for c in range(3) for i in range(p.node_count)]
+        g = build_graph([(f"c{c}n{e.source}", f"c{c}n{e.target}", e.time + c)
+                         for c in range(3) for e in p.edges]
+                        + [(rng.choice(labels), rng.choice(labels), rng.randint(1, 30))
+                           for _ in range(40)])
+        delta = full_span(g)
+        kernels = [("simple", ())] + [("index", ("out_positions", "next_out_time"))] * (
+            isinstance(shape, int))
+        for strategy, walked in kernels:
+            for lines in (False, True):
+                columns = ("sources", "targets", "times") + walked + ("label_json",) * lines
+                bare = types.SimpleNamespace(**{c: getattr(g, c) for c in columns})
+                expected, stats = stream_search(g, p, delta, strategy, lines=lines)
+                got, bare_stats = stream_search(bare, p, delta, strategy, lines=lines)
+                expected = list(expected)
+                assert len(expected) >= 3
+                assert (list(got), bare_stats) == (expected, stats), (strategy, lines)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_source_reads_next_out_time_exactly_at_a_chain_entry(self, seed):
