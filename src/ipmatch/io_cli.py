@@ -24,7 +24,8 @@ from typing import Optional, TextIO
 from .baseline import brute_force, two_phase_search
 from .matcher import InvalidPatternError, Match, match_json_line, search
 from .pattern import PatternGraph, pattern_from_triples, validate_pattern
-from .temporal_graph import GraphBuildError, TemporalGraph, _build_columns, static_projection
+from .temporal_graph import (GraphBuildError, TemporalGraph, _build_columns, _first_fault,
+                             static_projection)
 
 DELTA_UNITS = {
     "raw": 1,
@@ -89,35 +90,38 @@ def load_graph(path: str) -> TemporalGraph:
     """Read a SNAP-style temporal edge list.
 
     Timestamps must be integers; decimal values are rejected so that
-    simultaneity stays exact.  The parse appends each edge's fields to
-    three columns (source labels, target labels, times), and the builder
-    behind :func:`build_graph` makes the graph from them; no tuple is
-    made per edge.  That builder pauses the cyclic garbage collector; the
-    parse runs under the caller's setting.
+    simultaneity stays exact.  An error names the first bad line; within
+    a line, the bytes are checked first (ASCII), then the field count,
+    then the labels, then the timestamp.  The parse appends each edge's
+    fields to three columns (source labels, target labels, times), and
+    the builder behind :func:`build_graph` makes the graph from them; no
+    tuple is made per edge.  That builder pauses the cyclic garbage
+    collector; the parse runs under the caller's setting.
     """
     us: list[str] = []
     vs: list[str] = []
     ts: list[int] = []
-    with _open_ascii(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
-                raise ParseError(path, line_no, "non-ASCII byte")
-            fields = line.split()
-            if not fields or fields[0][0] == "#":
-                continue
-            if len(fields) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(fields)}")
-            u, v, raw_t = fields
-            try:
-                t = int(raw_t)
-            except ValueError:
-                _parse_int(raw_t, path, line_no, "timestamp")  # raises ParseError
-            us.append(u)
-            vs.append(v)
-            ts.append(t)
-    if not ts:
-        raise ParseError(path, 0, "no edges in file")
     try:
+        with _open_ascii(path) as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.isascii():
+                    _first_fault(us, vs, ParseError(path, line_no, "non-ASCII byte"))
+                fields = line.split()
+                if not fields or fields[0][0] == "#":
+                    continue
+                if len(fields) != 3:
+                    _first_fault(us, vs, GraphBuildError(
+                        len(ts), f"expected 3 fields, got {len(fields)}"))
+                u, v, raw_t = fields
+                us.append(u)
+                vs.append(v)
+                try:
+                    ts.append(int(raw_t))
+                except ValueError:
+                    _first_fault(us, vs, GraphBuildError(
+                        len(ts), f"timestamp {raw_t!r} is not an integer"))
+        if not ts:
+            raise ParseError(path, 0, "no edges in file")
         return _build_columns(us, vs, ts)
     except GraphBuildError as exc:
         # only now find the bad entry's line, so a valid file costs nothing extra

@@ -20,10 +20,12 @@ Both ways in, :func:`build_graph` on triples and ``io_cli.load_graph``
 on a file, split the input into three columns (source labels, target
 labels, times) and hand them to one builder.  It interns the labels in
 order of first appearance, checks each distinct label once, sorts the
-edges and fills the position lists and ``next_out_time``.  The builder
-alone pauses the cyclic garbage collector, since nothing it allocates
-forms a cycle, and restores the caller's state after; builds that
-overlap, nested or in other threads, restore it when the last one ends.
+edges and fills the position lists and ``next_out_time``.  Both report
+the first malformed entry through one helper, so a file and its triples
+name the same entry.  The builder alone pauses the cyclic garbage
+collector, since nothing it allocates forms a cycle, and restores the
+caller's state after; builds that overlap, nested or in other threads,
+restore it when the last one ends.
 
 A graph is a frozen dataclass of tuples and a read-only label index, so
 nothing in it can change after :func:`build_graph`.  It is safe for
@@ -139,27 +141,22 @@ def build_graph(edges: Iterable[tuple]) -> TemporalGraph:
     of first appearance.  Each entry's length and timestamp are checked as
     it is split into three columns (source labels, target labels, times),
     from which :func:`_build_columns` builds the graph.  An error names
-    the first bad entry; within an entry, a wrong length comes first and
-    a malformed label before a bad timestamp.  ``edges`` is iterated
+    the first bad entry; within an entry, the length is checked first,
+    then the labels, then the timestamp.  ``edges`` is iterated
     under the caller's collector setting; only the builder pauses it.
     """
     us, vs, ts = [], [], []
     for seq, item in enumerate(edges):
         if len(item) != 3:
-            error = GraphBuildError(seq, f"expected 3 fields, got {len(item)}")
-            break
+            _first_fault(us, vs, GraphBuildError(seq, f"expected 3 fields, got {len(item)}"))
         u, v, t = item
         us.append(u)
         vs.append(v)
         # bool is an int subclass but makes no sense as a timestamp
         if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)):
-            error = GraphBuildError(seq, f"timestamp {t!r} is not an integer")
-            break
+            _first_fault(us, vs, GraphBuildError(seq, f"timestamp {t!r} is not an integer"))
         ts.append(t)
-    else:
-        return _build_columns(us, vs, ts)
-    _raise_first_bad_label(us, vs)
-    raise error
+    return _build_columns(us, vs, ts)
 
 
 def _malformed(label: str) -> bool:
@@ -167,13 +164,16 @@ def _malformed(label: str) -> bool:
     return label.split() != [label] or label[0] == "#"
 
 
-def _raise_first_bad_label(us: list, vs: list) -> None:
+def _first_fault(us: list, vs: list, fault: Exception | None = None) -> None:
     """Raise GraphBuildError for the first entry of the label columns
-    whose source or target label is malformed; return if there is none."""
+    whose source or target label is malformed, or else ``fault``, found
+    after those entries; return if there is neither."""
     for seq, pair in enumerate(zip(us, vs)):
         for raw in pair:
             if _malformed(str(raw)):
                 raise GraphBuildError(seq, f"malformed label {raw!r}")
+    if fault is not None:
+        raise fault
 
 
 @_collector_paused()
@@ -193,7 +193,7 @@ def _build_columns(us: list, vs: list, ts: list) -> TemporalGraph:
     labels = tuple(label_index)
     for label in labels:
         if _malformed(label):
-            _raise_first_bad_label(raw_us, raw_vs)
+            _first_fault(raw_us, raw_vs)
     label_index.update(zip(labels, count()))
 
     # The sort key uses the external labels so that exporting and

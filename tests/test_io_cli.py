@@ -236,6 +236,28 @@ def _graph_files(draw):
     return edges, text
 
 
+@st.composite
+def _faulty_graph_files(draw):
+    """A file from :func:`_graph_files` with 1 to 3 of its edge lines made
+    bad: a ``#x`` target, a timestamp ``int()`` refuses, or 2 or 4 fields.
+    Returns the entries ``build_graph`` would get for those lines (a bad
+    timestamp as its token, a wrong-length line as its tuple of fields),
+    the file's text and each entry's line number."""
+    edges, text = draw(_graph_files())
+    lines = text.split("\n")
+    entry_lines = [n for n, line in enumerate(lines) if line.lstrip()[:1] not in ("", "#")]
+    entries = list(edges)
+    for k in draw(st.sets(st.sampled_from(range(len(edges))), min_size=1, max_size=3)):
+        u, v, t = edges[k]
+        fields = draw(st.sampled_from([
+            (u, "#x", t), (u, v, "1.5"), (u, v, "x"), (u, v, "1e3"), (u, v), (u, v, t, t),
+        ]))
+        entries[k] = fields
+        n = entry_lines[k]
+        lines[n] = " ".join(map(str, fields)) + ("\r" if lines[n].endswith("\r") else "")
+    return entries, "\n".join(lines), [n + 1 for n in entry_lines]
+
+
 class TestOneBuilder:
     """``load_graph`` and ``build_graph`` feed one builder."""
 
@@ -249,6 +271,36 @@ class TestOneBuilder:
                 fh.write(text)
             loaded = load_graph(path)
         assert graph_fields(loaded) == graph_fields(build_graph(edges))
+
+    @given(_faulty_graph_files())
+    @settings(max_examples=150, deadline=None)
+    def test_load_graph_names_the_entry_build_graph_names(self, case):
+        entries, text, entry_lines = case
+        with pytest.raises(GraphBuildError) as built:
+            build_graph(entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+            with pytest.raises(ParseError) as loaded:
+                load_graph(path)
+        assert str(loaded.value) == (
+            f"{path}:{entry_lines[built.value.entry]}: {built.value.reason}")
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        (b"a #b 1\nc d x\n", 1, "malformed label '#b'"),
+        (b"a b 1\nc d x\ne #f 3\n", 2, "timestamp 'x' is not an integer"),
+        (b"a b 1\na #x 2\n# caf\xc3\xa9\nb c 3\n", 2, "malformed label '#x'"),
+        (b"a b 1\nb caf\xc3\xa9 2\na #x 3\n", 2, "non-ASCII byte"),
+        (b"a b 1\n# \xff\na #x 3\n", 2, "non-ASCII byte"),
+    ], ids=["label-then-timestamp", "timestamp-then-label", "label-then-non-ascii",
+            "non-ascii-then-label", "non-ascii-comment-then-label"])
+    def test_load_graph_names_the_first_bad_line(self, tmp_path, text, line_no, message):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as exc:
+            load_graph(str(path))
+        assert str(exc.value) == f"{path}:{line_no}: {message}"
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
@@ -1082,6 +1134,23 @@ class TestCliEntryPoint:
         argv = ["validate", "--graph", toy_graph_file, "--pattern", path2_pattern_file,
                 "--delta", "10"]
         assert _run_closing_stdout(argv, unbuffered, read_first=False) == (0, b"")
+
+    def test_closed_pipe_points_stdout_at_the_null_device(self, tmp_path):
+        # the reader is gone before the first write, so the write that fails
+        # leaves its text in the buffered writer, and flushing that fails
+        # again: only then is stdout's descriptor pointed at the null device
+        gpath, ppath = _many_matches_files(tmp_path, 20000)
+        r, w = os.pipe()
+        os.close(r)
+        out = io.TextIOWrapper(io.BufferedWriter(io.FileIO(w, "w")), encoding="ascii")
+        stdout, sys.stdout = sys.stdout, out
+        try:
+            assert main(["query", "--graph", gpath, "--pattern", ppath,
+                         "--delta", "20000"]) == 0
+            assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+        finally:
+            sys.stdout = stdout
+            out.close()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["", "1"])
