@@ -86,13 +86,14 @@ The kernel is compiled in one of two emit modes, which do the same work
 and count the same.  By default its last depth yields a :class:`Match`.
 In line mode it yields the match's JSON line instead, laid out by
 :func:`_line_layout` (the layout :func:`match_json_line` fills from a
-``Match``) from the labels' JSON and the times it holds as locals, so
-the compiled query produces its output itself, as Neumann's compiled
-plans do, and no match is built and read back.  Most of a line does not
-change with the last edge: the kernel formats those parts once per
-binding of the depth above, at its first match, and each match fills
-in only what its last depth set (loop-invariant code motion, done as the
-kernel is written).
+``Match``): the line is one f-string written into the kernel, whose
+text is the layout's literals and whose fields are the labels' JSON and
+the times it holds as locals, so the compiled query produces its output
+itself, as Neumann's compiled plans do, and no match is built and read
+back.  Most of a line does not change with the last edge: the kernel
+formats those parts once per binding of the depth above, at its first
+match, and each match fills in only what its last depth set
+(loop-invariant code motion, done as the kernel is written).
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def _line_layout(nodes: int, edges: int) -> tuple[_LineItem, ...]:
     The line is ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
     of ``{"nodes": {"<i>": label}, "edges": [[source, target, time], ...],
     "start", "end", "dur"}``, with each label JSON-encoded already.  The
-    node keys sort as strings ("10" before "2").  No literal holds ``%``.
+    node keys sort as strings ("10" before "2").
     """
     items: list[_LineItem] = ['{"dur":', ("dur", 0), ',"edges":[']
     for k in range(edges):
@@ -218,19 +219,14 @@ def _line_layout(nodes: int, edges: int) -> tuple[_LineItem, ...]:
     return tuple(items + ['},"start":', ("start", 0), "}"])
 
 
-def _line_format(items: tuple[_LineItem, ...]) -> str:
-    """The %-format of ``items``: each literal as it is, each field ``%d``
-    if it is a time and ``%s`` if it is a label or a ``("run", j)`` of
-    text already formatted."""
-    return "".join(x if isinstance(x, str) else "%d" if x[0] in ("dur", "time", "end", "start")
-                   else "%s" for x in items)
-
-
-def _line_fill(fmt: str, items: tuple[_LineItem, ...], expr: dict) -> str:
-    """Source of ``fmt % (...)``, the %-format of ``items`` filled with
-    each field's ``expr[role](index)``."""
-    args = [expr[x[0]](x[1]) for x in items if not isinstance(x, str)]
-    return f"{fmt} % ({', '.join(args)}{',' * (len(args) == 1)})"
+def _line_fill(items: tuple[_LineItem, ...], expr: dict) -> str:
+    """Source of the f-string of ``items``: each literal with its braces
+    doubled, each field as ``{expr[role](index)}`` (a ``str.format`` bound
+    to a pattern, or a function of the index).  A field is an int, or
+    a label's JSON or a run of text read at run time, so no label ever
+    enters the source."""
+    return "f" + repr("".join(x.replace("{", "{{").replace("}", "}}") if isinstance(x, str)
+                              else f"{{{expr[x[0]](x[1])}}}" for x in items))
 
 
 def match_json_line(m: Match, g: TemporalGraph) -> str:
@@ -252,39 +248,39 @@ def match_json_line(m: Match, g: TemporalGraph) -> str:
 def _writer_source(nodes: int, edges: int) -> str:
     """Python source of the line writer of a match of ``nodes`` pattern
     nodes and ``edges`` pattern edges: it unpacks the match once, as
-    ``v{i}`` and ``p{k}``, and fills the global ``fmt``, the format of
-    :func:`_line_layout`, once.  Only ints and fixed names enter it."""
-    expr = {"dur": lambda _: "dur", "end": lambda _: "end", "start": lambda _: "start",
-            "node": lambda i: f"label_json[v{i}]",
-            "source": lambda k: f"label_json[sources[p{k}]]",
-            "target": lambda k: f"label_json[targets[p{k}]]",
-            "time": lambda k: f"times[p{k}]"}
+    ``v{i}`` and ``p{k}``, and returns one f-string of
+    :func:`_line_layout`.  Only ints, fixed names and the layout's
+    literals enter it."""
+    expr = {"dur": "dur".format, "end": "end".format, "start": "start".format,
+            "node": "label_json[v{}]".format, "source": "label_json[sources[p{}]]".format,
+            "target": "label_json[targets[p{}]]".format, "time": "times[p{}]".format}
     return (
         "def _w(m, label_json, sources, targets, times):\n"
         f"    ({', '.join(f'v{i}' for i in range(nodes))},), "
         f"({', '.join(f'p{k}' for k in range(edges))},), start, end, dur = m\n"
-        f"    return {_line_fill('fmt', _line_layout(nodes, edges), expr)}\n")
+        f"    return {_line_fill(_line_layout(nodes, edges), expr)}\n")
 
 
 @functools.lru_cache(maxsize=64)
 def _writer(nodes: int, edges: int):
     """The compiled :func:`_writer_source` of one match shape."""
-    namespace = {"fmt": _line_format(_line_layout(nodes, edges))}
-    exec(compile(_writer_source(nodes, edges), "<ipmatch line writer>", "exec"), namespace)
+    exec(compile(_writer_source(nodes, edges), "<ipmatch line writer>", "exec"), namespace := {})
     return namespace["_w"]
 
 
 def _line_split(steps: tuple[_Step, ...]) -> tuple[tuple[_LineItem, ...],
                                                    tuple[tuple[_LineItem, ...], ...]]:
-    """The line kernel's layout: the items its yield formats, and its runs.
+    """The line kernel's layout: the items of its yield's f-string, and
+    its runs.
 
     The last depth sets ``dur``, ``end``, its own edge's time and the
     labels of the nodes it binds first; every other field is known once
     the depth above has bound its edge.  Each stretch of the layout
     between two last-depth fields that holds such an earlier field is one
-    run, which the kernel formats once per binding of the depth above and
-    the yield takes as a ``("run", j)`` field.  A single-edge pattern has
-    no depth above, so its yield formats the whole layout.
+    run, which the kernel writes as an f-string of its own, filled once
+    per binding of the depth above, and the yield takes as a ``("run",
+    j)`` field.  A single-edge pattern has no depth above, so its yield
+    is an f-string of the whole layout.
     """
     m = len(steps)
     items = _line_layout(_node_count(steps), m)
@@ -324,15 +320,9 @@ def _kernel(steps: tuple[_Step, ...], use_index: bool, lines: bool):
     graph."""
     namespace = {"bisect_left": bisect.bisect_left, "bisect_right": bisect.bisect_right,
                  "islice": itertools.islice, "new": tuple.__new__, "Match": Match}
-    if lines:
-        out, runs = _line_split(steps)
-        namespace["fmt"] = _line_format(out)
-        namespace.update((f"f{j}", _line_format(run)) for j, run in enumerate(runs))
-    source = _kernel_source(steps, use_index, lines)
-    exec(compile(source, "<ipmatch kernel>", "exec"), namespace)
-    k0 = namespace["_k0"]
-    code = k0.__code__  # its arguments are the columns, then ``delta, stats``
-    return k0, code.co_varnames[:code.co_argcount - 2]
+    exec(compile(_kernel_source(steps, use_index, lines), "<ipmatch kernel>", "exec"), namespace)
+    code = namespace["_k0"].__code__  # its arguments: the columns, then ``delta, stats``
+    return namespace["_k0"], code.co_varnames[:code.co_argcount - 2]
 
 
 # The graph columns a kernel may read, in the order its signature names them.
@@ -355,8 +345,8 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     depth, in generator functions ``_k0``, ``_k1``, ... of at most
     ``_CHUNK`` depths, each handing its bound locals to the next through
     ``yield from``.  Pattern node i is bound to graph node ``v{i}``, and
-    depth d to edge position ``p{d}`` at time ``t{d}``.  Only ints and
-    fixed names enter the source.
+    depth d to edge position ``p{d}`` at time ``t{d}``.  Only ints, fixed
+    names and, in line mode, the line layout's literals enter the source.
 
     Each function keeps per-depth counters ``e{d}`` (examined) and
     ``c{d}`` (admitted) and adds them into ``stats`` in its ``finally``;
@@ -374,13 +364,15 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     For a pattern of two or more edges the line is split by
     :func:`_line_split`: the code writes ``h0 = None`` just before the last
     depth, and that depth's first match under a binding of the depth above
-    fills each run ``h{j}`` from the global format ``f{j}`` (``if h0 is
-    None:``).  The yield fills the global ``fmt`` with the runs, each as
-    one ``%s``, and the fields the last depth set, so a run is never read
-    as a format again and a label holding ``%`` is safe.  A last depth that
-    opens a new function resets its runs once per call.  A single-edge
-    pattern's yield fills the whole line.  Every function takes the graph
-    columns that the whole source subscripts, in ``_COLUMNS`` order.
+    sets each run ``h{j}`` to the f-string of its stretch (``if h0 is
+    None:``).  The yield is one f-string of the runs and the fields the
+    last depth set.  The f-strings' text is the layout's literals and
+    their fields are locals and ``label_json`` entries, so a label is
+    read only at run time, as text.  A last depth that opens a new
+    function resets its runs once per call.  A single-edge pattern's
+    yield is an f-string of the whole line.  Every function takes the
+    graph columns that the whole source subscripts, in ``_COLUMNS``
+    order.
     """
     m = len(steps)
     nodes = _node_count(steps)
@@ -509,18 +501,17 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             if d == m - 1:
                 if lines:  # this function holds t0, t{a-1} and its own depths' times
                     expr = {
-                        "dur": lambda _: f"t{d} - t0 + 1", "end": lambda _: f"t{d}",
-                        "start": lambda _: "t0", "node": lambda i: f"label_json[v{i}]",
+                        "dur": f"t{d} - t0 + 1".format, "end": f"t{d}".format,
+                        "start": "t0".format, "node": "label_json[v{}]".format, "run": "h{}".format,
                         "source": lambda k: f"label_json[v{steps[k].source}]",
                         "target": lambda k: f"label_json[v{steps[k].target}]",
-                        "time": lambda k: f"t{k}" if k == 0 or k >= a - 1 else f"times[p{k}]",
-                        "run": lambda j: f"h{j}"}
+                        "time": lambda k: f"t{k}" if k == 0 or k >= a - 1 else f"times[p{k}]"}
                     out, runs = _line_split(steps)
                     if runs:
                         src.append(f"{ind}if h0 is None:")
-                        src += [f"{ind}    h{j} = {_line_fill(f'f{j}', run, expr)}"
+                        src += [f"{ind}    h{j} = {_line_fill(run, expr)}"
                                 for j, run in enumerate(runs)]
-                    src.append(f"{ind}yield {_line_fill('fmt', out, expr)}")
+                    src.append(f"{ind}yield {_line_fill(out, expr)}")
                 else:
                     node_map = ", ".join(f"v{i}" for i in range(nodes))
                     edges = ", ".join(f"p{k}" for k in range(m))

@@ -136,25 +136,35 @@ def _collector_paused():
 def build_graph(edges: Iterable[tuple]) -> TemporalGraph:
     """Build a :class:`TemporalGraph` from (source, target, time) triples.
 
-    Duplicate triples are retained as distinct parallel edges.  Labels may
-    be strings or integers; they are interned into dense node ids in order
-    of first appearance.  Each entry's length and timestamp are checked as
-    it is split into three columns (source labels, target labels, times),
-    from which :func:`_build_columns` builds the graph.  An error names
-    the first bad entry; within an entry, the length is checked first,
-    then the labels, then the timestamp.  ``edges`` is iterated
-    under the caller's collector setting; only the builder pauses it.
+    Duplicate triples are retained as distinct parallel edges.  Labels
+    must be strings or integers (not bools); an integer is read as its
+    string form, and labels are interned into dense node ids in order of
+    first appearance.  A time must be an integer (not a bool), and one of
+    an int subclass is kept as the plain int of its value.  Each entry's
+    shape and timestamp are checked as it is split into three columns
+    (source labels, target labels, times), from which
+    :func:`_build_columns` builds the graph.  An error names the first
+    bad entry; within an entry, the shape is checked first (a sized
+    object that is not a str or bytes, of length 3), then the labels,
+    then the timestamp.  ``edges`` is iterated under the caller's
+    collector setting; only the builder pauses it.
     """
     us, vs, ts = [], [], []
     for seq, item in enumerate(edges):
+        if type(item) is not tuple and (isinstance(item, (str, bytes))
+                                        or not hasattr(type(item), "__len__")):
+            _first_fault(us, vs, GraphBuildError(
+                seq, f"expected a (source, target, time) triple, got {item!r}"))
         if len(item) != 3:
             _first_fault(us, vs, GraphBuildError(seq, f"expected 3 fields, got {len(item)}"))
         u, v, t = item
         us.append(u)
         vs.append(v)
-        # bool is an int subclass but makes no sense as a timestamp
-        if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)):
-            _first_fault(us, vs, GraphBuildError(seq, f"timestamp {t!r} is not an integer"))
+        if type(t) is not int:
+            # bool is an int subclass but makes no sense as a timestamp
+            if isinstance(t, bool) or not isinstance(t, int):
+                _first_fault(us, vs, GraphBuildError(seq, f"timestamp {t!r} is not an integer"))
+            t = int.__index__(t)  # the exact int, which formats as its digits
         ts.append(t)
     return _build_columns(us, vs, ts)
 
@@ -164,12 +174,19 @@ def _malformed(label: str) -> bool:
     return label.split() != [label] or label[0] == "#"
 
 
+def _not_a_label(kind: type) -> bool:
+    return not issubclass(kind, (str, int)) or issubclass(kind, bool)
+
+
 def _first_fault(us: list, vs: list, fault: Exception | None = None) -> None:
     """Raise GraphBuildError for the first entry of the label columns
-    whose source or target label is malformed, or else ``fault``, found
-    after those entries; return if there is neither."""
+    whose source or target label is neither a string nor an integer, or
+    is malformed, or else ``fault``, found after those entries; return if
+    there is none."""
     for seq, pair in enumerate(zip(us, vs)):
         for raw in pair:
+            if _not_a_label(type(raw)):
+                raise GraphBuildError(seq, f"label {raw!r} is not a string or an integer")
             if _malformed(str(raw)):
                 raise GraphBuildError(seq, f"malformed label {raw!r}")
     if fault is not None:
@@ -180,20 +197,25 @@ def _first_fault(us: list, vs: list, fault: Exception | None = None) -> None:
 def _build_columns(us: list, vs: list, ts: list) -> TemporalGraph:
     """Build a :class:`TemporalGraph` from the edges ``(us[i], vs[i],
     ts[i])``, whose int times are not checked, with the cyclic collector
-    paused.  A label that is not a str is read as its str form, and each
-    distinct label is checked once; only a malformed one sends the
-    builder back over the columns, for the first entry that holds it."""
+    paused.  If some label is not a str, the labels' types are checked,
+    and an int is read as its str form; then each distinct label is
+    checked once.  Only a bad one sends the builder back over the
+    columns, for the first entry that holds it."""
     if not ts:
         raise EmptyGraphError("cannot build a graph from an empty edge list")
-    label_index = dict.fromkeys(chain.from_iterable(zip(us, vs)))
-    raw_us, raw_vs = us, vs
-    if not all(type(label) is str for label in label_index):
+    try:
+        label_index = dict.fromkeys(chain.from_iterable(zip(us, vs)))
+    except TypeError:  # an unhashable label: no str, so the type check names it
+        label_index = {None: None}
+    mixed = not all(type(label) is str for label in label_index)
+    # types are checked by type, since True and 1.0 are equal keys to 1
+    if (mixed and any(map(_not_a_label, set(map(type, chain(us, vs)))))
+            or any(map(_malformed, map(str, label_index) if mixed else label_index))):
+        _first_fault(us, vs)
+    if mixed:
         us, vs = list(map(str, us)), list(map(str, vs))
         label_index = dict.fromkeys(chain.from_iterable(zip(us, vs)))
     labels = tuple(label_index)
-    for label in labels:
-        if _malformed(label):
-            _first_fault(raw_us, raw_vs)
     label_index.update(zip(labels, count()))
 
     # The sort key uses the external labels so that exporting and

@@ -1,7 +1,9 @@
-"""Seeded random instance generators shared by the test modules."""
+"""Seeded random instance generators and a check of compiled line
+sources, shared by the test modules."""
 
 from __future__ import annotations
 
+import ast
 import random
 
 from ipmatch import TemporalGraph, PatternGraph, build_graph, pattern_from_triples
@@ -71,3 +73,29 @@ def parallel_family(k: int) -> TemporalGraph:
         edges.append(("b", "c", k + i))
         edges.append(("c", "d", i))
     return build_graph(edges)
+
+
+def fstring_fields(node: ast.AST, items) -> list[ast.expr]:
+    """The field expressions of the f-string ``node``, in order, once its
+    text between fields is checked to be exactly the text of ``items`` (a
+    ``matcher._line_layout`` list of literals and fields, or a stretch of
+    one) and no field is converted or given a format spec."""
+    assert isinstance(node, ast.JoinedStr)
+    texts, fields, text = [], [], ""
+    for value in node.values:
+        if isinstance(value, ast.Constant):
+            text += value.value
+        else:
+            assert value.conversion == -1 and value.format_spec is None
+            texts.append(text)
+            fields.append(value.value)
+            text = ""
+    expected, gap = [], ""
+    for x in items:
+        if isinstance(x, str):
+            gap += x
+        else:
+            expected.append(gap)
+            gap = ""
+    assert texts + [text] == expected + [gap]
+    return fields

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import errno
 import gc
@@ -13,7 +14,6 @@ import sys
 import tempfile
 import threading
 import time
-import tokenize
 from contextlib import closing
 from pathlib import Path
 
@@ -46,7 +46,7 @@ from ipmatch import io_cli, matcher, temporal_graph
 from ipmatch.cli import main
 from ipmatch.pattern import MAX_PATTERN_EDGES
 
-from _generators import full_span, random_graph, random_pattern
+from _generators import full_span, fstring_fields, random_graph, random_pattern
 
 DATA = Path(__file__).parent / "data"
 
@@ -640,15 +640,33 @@ class TestMatchJsonLine:
 
     @pytest.mark.parametrize("nodes, edges", [(1, 1), (2, 1), (11, 10), (65, 64), (3, 5)])
     def test_writer_source_holds_only_ints_and_fixed_names(self, nodes, edges):
-        source = matcher._writer_source(nodes, edges)
-        fixed = {"def", "return", "_w", "m", "fmt", "label_json", "sources", "targets",
-                 "times", "start", "end", "dur"}
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            assert token.type != tokenize.STRING
-            if token.type == tokenize.NAME:
-                assert token.string in fixed or re.fullmatch(r"[vp]\d+", token.string)
-            if token.type == tokenize.NUMBER:
-                assert token.string.isdigit()
+        # One function of assignments, names and subscripts, whose return
+        # is the one f-string: its text is _line_layout's literals, and
+        # each field is its role's expression.  Every other constant is an
+        # int, so no label or other text enters the source.
+        tree = ast.parse(matcher._writer_source(nodes, edges))
+        (func,) = tree.body
+        returned = func.body[-1].value
+        layout = matcher._line_layout(nodes, edges)
+        expr = {"dur": lambda _: "dur", "end": lambda _: "end", "start": lambda _: "start",
+                "node": lambda i: f"label_json[v{i}]",
+                "source": lambda k: f"label_json[sources[p{k}]]",
+                "target": lambda k: f"label_json[targets[p{k}]]",
+                "time": lambda k: f"times[p{k}]"}
+        assert [ast.unparse(f) for f in fstring_fields(returned, layout)] == [
+            expr[role](i) for role, i in (x for x in layout if not isinstance(x, str))]
+        text = {id(v) for v in returned.values if isinstance(v, ast.Constant)}
+        fixed = {"_w", "m", "label_json", "sources", "targets", "times", "start", "end", "dur"}
+        kinds = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Tuple,
+                 ast.Name, ast.Store, ast.Load, ast.Subscript, ast.Return, ast.JoinedStr,
+                 ast.FormattedValue, ast.Constant)
+        for node in ast.walk(tree):
+            assert isinstance(node, kinds), ast.dump(node)
+            name = getattr(node, "id", getattr(node, "arg", getattr(node, "name", None)))
+            if name is not None:
+                assert name in fixed or re.fullmatch(r"[vp]\d+", name), name
+            if isinstance(node, ast.Constant) and id(node) not in text:
+                assert type(node.value) is int
 
     def test_writer_cache_is_bounded(self):
         g = build_graph([("a", "b", 1)])
@@ -657,6 +675,63 @@ class TestMatchJsonLine:
             m = Match((0,) * nodes, (0, 0), 1, 1, 1)
             assert match_json_line(m, g) == spec_line(m, g)
         assert matcher._writer.cache_info().currsize == bound
+
+
+# Labels that a %-format, str.format or an f-string would read: braces, a
+# replacement field, doubled braces, quotes, a backslash and a %-spec.
+_FORMAT_LABELS = st.lists(
+    st.sampled_from(["{", "}", "{0}", "{{", "'", '"', "\\", "%s", "a"]), min_size=1, max_size=3,
+).map("".join)
+
+
+class TestLinesOfFormatLabels:
+    """Every strategy's line equals the ``json.dumps`` spec on labels that
+    the compiled f-strings must never read as code or as a format."""
+
+    @given(st.lists(_FORMAT_LABELS, min_size=4, max_size=6, unique=True),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 8)),
+                    max_size=8),
+           st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_every_strategy_writes_the_spec_line(self, labels, extra, edges):
+        triples = [(labels[i], labels[i + 1], i + 1) for i in range(len(labels) - 1)]
+        triples += [(labels[u % len(labels)], labels[v % len(labels)], t) for u, v, t in extra]
+        g, p = build_graph(triples), generate_path_query(edges)
+        matches, _ = run_search(g, p, 10**6, "index")
+        assert matches
+        expected = [spec_line(m, g) for m in matches]
+        assert [match_json_line(m, g) for m in matches] == expected
+        for strategy in io_cli.STRATEGIES:
+            lines, _ = stream_search(g, p, 10**6, strategy, lines=True)
+            assert list(lines) == expected, strategy
+
+    @pytest.mark.parametrize("edges, expected", [
+        (1, ['{"dur":1,"edges":[["a","b",2]],"end":2,"nodes":{"0":"a","1":"b"},"start":2}',
+             '{"dur":1,"edges":[["b","c",3]],"end":3,"nodes":{"0":"b","1":"c"},"start":3}',
+             '{"dur":1,"edges":[["c","a",9]],"end":9,"nodes":{"0":"c","1":"a"},"start":9}']),
+        (2, ['{"dur":2,"edges":[["a","b",2],["b","c",3]],"end":3,'
+             '"nodes":{"0":"a","1":"b","2":"c"},"start":2}']),
+    ])
+    def test_int_subclass_times_print_as_digits(self, edges, expected):
+        # An f-string formats a field with format(), which an int subclass
+        # may override; build_graph keeps such a time as its plain int.
+        class Time(int):
+            def __format__(self, spec):
+                return "X"
+
+            def __str__(self):
+                return "S"
+
+            def __repr__(self):
+                return "R"
+
+        g = build_graph([("a", "b", Time(2)), ("b", "c", Time(3)), ("c", "a", Time(9))])
+        p = generate_path_query(edges)
+        for strategy in io_cli.STRATEGIES:
+            lines, _ = stream_search(g, p, 5, strategy, lines=True)
+            assert list(lines) == expected, strategy
+            matches, _ = run_search(g, p, 5, strategy)
+            assert [match_json_line(m, g) for m in matches] == expected, strategy
 
 
 def assert_line_stream_equals_match_stream(g, p, delta, k):

@@ -1,7 +1,7 @@
+import ast
 import hashlib
 import inspect
 import random
-import re
 import types
 
 import pytest
@@ -25,7 +25,7 @@ from ipmatch import (
 )
 from ipmatch.io_cli import STRATEGIES, _limited
 from ipmatch.matcher import _compile, _kernel, _kernel_source, _line_split
-from _generators import full_span, random_graph, random_pattern
+from _generators import full_span, fstring_fields, random_graph, random_pattern
 
 
 def both_strategies(g, p, delta, **kw):
@@ -567,44 +567,44 @@ class TestCompiledKernel:
     # the same shapes' kernels in line mode, which yield each match's JSON line
     PINNED_LINE_SOURCE = {
         1: (
-            "766e239a533afec53358b2fb6329d5a22541c38d9878ccd37a1b80c90765cbfc",
-            "766e239a533afec53358b2fb6329d5a22541c38d9878ccd37a1b80c90765cbfc"),
+            "2a30e373c5f0afd8563c0975511bc99eb1164e11e09c772a2567a355f4a2a60b",
+            "2a30e373c5f0afd8563c0975511bc99eb1164e11e09c772a2567a355f4a2a60b"),
         2: (
-            "647448f95dac3dce15758fcd52f86a651ef7268119086d44b05765e1475fb463",
-            "be1d68a37289df6768100780c31f164be96c22f9ec03c57d052c7068a400a6bc"),
+            "de8903caade4b1d8c7cad70a875521b18e6e6fab8d5255625baaaee522ab0014",
+            "fbb1d27fdcfbf8845361b20222db29d75c3c3742878bdc23aeab6ef5fbd0165d"),
         3: (
-            "578ed331a1f6f6def0fb37dbb73ba9bff5525d2974f24929c8fd9919a0a30104",
-            "f099ed1f0be83693ef0f96dfa2d486cc52178c3d6c676c2885fd79f88d346a10"),
+            "5f9df778f183e3d6e0db8f5d7bc1ff488005bac422bddd1628ad99e7b91f0c4e",
+            "a2901bc64899a70468193e78db6f9128e0f2a3fc4856cb512db3420437e3c9a8"),
         4: (
-            "0080c7f4958476fe45d8e2fbe27083182a762fb9f666214ba7a55da6b838e1c6",
-            "267614504595d2bff76b65384f87f10af24ae256175aa40fbdeffdf0f908bab6"),
+            "a06cccce597e1898d4ed3d7d2ba5678796324a7e1888dfb17f2f2eaf80a23a98",
+            "8c3596d73bd4cab186b398e37b5acf80150af55faf1432b69db6caa02bdf2624"),
         16: (
-            "02f93cd2611d7a887eba5c2d96a46cb3db504e352bd4e42538a75148a9ac5be5",
-            "e57eaac111d82b910b20e688dee6dde9abd123dfa3a8d9c8b21df2c2b355490f"),
+            "b2b2befda8b51b068a69134a151bac250278aa30bf33fc8a6ae44db19463ba87",
+            "7c0ae8d8fb9864f278eab73f6508536b813a42a9378e3311332a3e004892dd93"),
         17: (
-            "beb782ce96268cdcb55310d7802d689db0fe27512843334b4a298e3a8aa49e09",
-            "a7646c6bfb7c8f59a49d7dedcf4a5599b38196c7a2d4b24a593651fde1c5c4e1"),
+            "2db7ff23de673ca50eac1fe74f8bcb806bc349e24a790512fdc7884b0dff4330",
+            "b0583e2e69026a3612117e634696403875f9615d9d8b6c5a185989394b68a196"),
         25: (
-            "3b121fe14241cea252943456d126e064b229af8833b4ecb1e082b5004ccf394f",
-            "767ae1065b33b62037475851e4978f90d3a0a8560fda983eb7cfd52a3bcf0b14"),
+            "3668ce89f318772e859f7a73c2d41caaceb003984a015491a7222b4394b17fac",
+            "35ee99d42c815632a1761c1f37122ec010efbf2f6fc9eab9eb37b9237df39188"),
         "ping-pong": (
-            "a2db20fccf05bcad177e4ce41f023ebbf841ea7d3e8acfd790adcd214a9446d6",
-            "6c679037114edea2c8d4a1f4b8b0514ebee5668beb443c5cbaf0db3e31d54a03"),
+            "aa25722a9d0641a237a9cddb348d6dd465c4b5bd1dbf3da2db9dd1c55b334955",
+            "321ea4f6122a882b3a1bc86dc1586cc26213fbef985205acda846b7317ea205f"),
         "triangle": (
-            "d64d67acc5f71079739e033b1a714ce82235228be52b1f6f81cb5dfac3c83e2a",
-            "c7e77e6f34a891e50e2b58af239f92e14e6ec8b3ff45a494bbd986a695b80e08"),
+            "69fb808bd7664597ac33ac97c7e83eb5a65db0ab9ba9f8b093fe4a5ababce30f",
+            "7f8126ed8678d5f71d52116f1106e9b95cbac7a032e8d56894cf8947d9e85bb5"),
         "broadcast-reply": (
-            "405eb652267c973bb4e3939663e450ddf3525ad7f0dcf708e55e59025f33ad8a",
-            "aa3bd79289142922efb34f0816f25671744071298dee37865e55faf44b3deeab"),
+            "ab9227bddd79e21bd19fb10772bb670175fa1d270e2ec318b00e267c9c662780",
+            "8e751c8bfdfd72b0982fc6bff2f6adc68fba48aebcdc5b9210f6cc5fd1f39ce1"),
         "star3-simultaneous": (
-            "1dadf6898ae825bdcbc7310aaebb9958660219d12916756952564e57c79fc29c",
-            "448ca68ae0953b6765ef92c0460de37cffd131939d032ba9b41bb54585576703"),
+            "bc941dd9561d2d15b67ffc8568d8222cb74594a98c5070e4f7b2d0c3f4a4da9a",
+            "8a93256eaeb24b9fdf311c824b5f0d797098782bf2a3d255c669d9a3ee3f24e2"),
         "relay-equal": (
-            "a5bb8f150d32db90abddb1cd05e61a81f3cb3ccf30c7d98e6a9f0ad3c05b010b",
-            "738fe6aa3b9833405dc0b8fe3c38f5d33c7bc88c982f702e6a2e30997a4ac78d"),
+            "6b0369864b7eac1994c76e4d97f307757dfa3e359f7f4f4715c03156c8303fdc",
+            "b21e47048f17b4ed789dfefe4b125149aa2c7a58946c1f0c6ee7a9123abb9ca5"),
         "endpoint-cases": (
-            "97ec94c681038730f9ac6bad6245cce978d05de11aca7ed924162551efd13a3c",
-            "17b8157d9eb9f8cc96d583c734b751de1ccab3f0683a0c6e33ae4947b7db06d2"),
+            "1adee0cc9e8ec6b53c3e79071219d1b76d3a7c71cd4bca1764949c6959db4903",
+            "181be2314ca6e10913d2bb24d6e515f6497d49574673e10ce11f0ad6afcdf52f"),
     }
 
     def test_line_source_is_pinned(self):
@@ -667,25 +667,57 @@ class TestCompiledKernel:
 
     def test_line_mode_changes_only_the_signatures_and_the_yield(self):
         # Line mode adds one "h0 = None" before the last depth and, for a
-        # pattern of two or more edges, a block that formats the runs of
-        # the line the last depth does not set; the yield names only what
-        # the last depth binds, t0 and those runs.
+        # pattern of two or more edges, an "if h0 is None:" block that sets
+        # each run h{j} of _line_split to an f-string of that run; the
+        # yield is an f-string of the rest, whose fields name only what
+        # the last depth binds, t0 and those runs.  The f-strings' text is
+        # the layout's, and every other constant is an int or None.
         assert self.PINNED_LINE_SOURCE.keys() == self.PINNED_SOURCE.keys()
         for shape in self.PINNED_SOURCE:
             p = (generate_path_query(shape) if isinstance(shape, int)
                  else pattern_from_triples(self.PINNED_TRIPLES[shape]))
             steps, m = _compile(p), len(p.edges)
-            runs = len(_line_split(steps)[1])
-            hoist = re.compile(r"h0 = None|if h0 is None:|h(\d+) = f\1 % \(.*\)")
+            out, runs = _line_split(steps)
+            earlier = {n for step in steps[:-1] for n in (step.source, step.target)}
+            last = {f"t{m - 1}"} | {f"v{n}" for n in (steps[-1].source, steps[-1].target)
+                                    if n not in earlier}
+            hoisted = {f"h{j}" for j in range(len(runs))}
             for use_index in (False, True):
                 match_lines = _kernel_source(steps, use_index).splitlines()
-                line_lines = _kernel_source(steps, use_index, True).splitlines()
-                added = [k for k, line in enumerate(line_lines) if hoist.fullmatch(line.strip())]
-                assert [line_lines[k].strip().split(" % ")[0] for k in added] == (m > 1) * (
-                    ["h0 = None", "if h0 is None:"] + [f"h{j} = f{j}" for j in range(runs)])
+                source = _kernel_source(steps, use_index, True)
+                tree = ast.parse(source)
+                nodes = list(ast.walk(tree))
+                resets = [x for x in nodes if isinstance(x, ast.Assign)
+                          and ast.unparse(x) == "h0 = None"]
+                blocks = [x for x in nodes if isinstance(x, ast.If)
+                          and ast.unparse(x.test) == "h0 is None"]
+                yields = [x for x in nodes if isinstance(x, ast.Yield)]
+                assert (len(resets), len(blocks), len(yields)) == (m > 1, m > 1, 1)
+                text = set()  # the f-strings' literal parts
+                for block in blocks:
+                    assert [ast.unparse(x.targets[0]) for x in block.body] == sorted(
+                        hoisted, key=lambda h: int(h[1:]))
+                    for j, assign in enumerate(block.body):
+                        for f in fstring_fields(assign.value, runs[j]):
+                            assert {x.id for x in ast.walk(f) if isinstance(x, ast.Name)} <= (
+                                {"label_json", "times"} | {f"{c}{i}" for c in "tvp"
+                                                           for i in range(m)})
+                        text |= {id(v) for v in assign.value.values}
+                named = set()
+                for f in fstring_fields(yields[0].value, out):
+                    named |= {x.id for x in ast.walk(f) if isinstance(x, ast.Name)}
+                assert named <= {"label_json", "t0"} | last | hoisted
+                assert hoisted <= named
+                text |= {id(v) for v in yields[0].value.values}
+                assert len([x for x in nodes if isinstance(x, ast.JoinedStr)]) == len(runs) + 1
+                for x in nodes:
+                    if isinstance(x, ast.Constant) and id(x) not in text:
+                        assert x.value is None or type(x.value) is int, ast.dump(x)
                 # the run block comes just before the yield
-                assert m == 1 or "yield fmt % (" in line_lines[added[-1] + 1]
-                line_lines = [line for k, line in enumerate(line_lines) if k not in added]
+                assert all(block.end_lineno + 1 == yields[0].lineno for block in blocks)
+                added = {k for x in resets + blocks for k in range(x.lineno - 1, x.end_lineno)}
+                line_lines = [line for k, line in enumerate(source.splitlines())
+                              if k not in added]
                 pairs = list(zip(match_lines, line_lines, strict=True))
                 changed = [(a.strip(), b.strip()) for a, b in pairs if a != b]
                 chunks = 1 + (m - 1) // 16
@@ -695,11 +727,4 @@ class TestCompiledKernel:
                 for a, b in changed[:-1]:
                     assert b.replace(", label_json", "", 1) == a
                 assert changed[-1][0].startswith("yield new(Match, ")
-                assert changed[-1][1].startswith("yield fmt % (")
-                earlier = {n for step in steps[:-1] for n in (step.source, step.target)}
-                last = {f"t{m - 1}"} | {f"v{n}" for n in (steps[-1].source, steps[-1].target)
-                                        if n not in earlier}
-                named = set(re.findall(r"[A-Za-z_]\w*", changed[-1][1]))
-                hoisted = {f"h{j}" for j in range(runs)}
-                assert named <= {"yield", "fmt", "label_json", "t0"} | last | hoisted
-                assert hoisted <= named
+                assert changed[-1][1].startswith("yield f")

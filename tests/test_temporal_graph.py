@@ -222,10 +222,14 @@ def _first_error(edges):
         return not label or label[0] == "#" or any(ch.isspace() for ch in label)
 
     for seq, item in enumerate(edges):
+        if isinstance(item, (str, bytes)) or not hasattr(item, "__len__"):
+            return f"edge {seq}: expected a (source, target, time) triple, got {item!r}"
         if len(item) != 3:
             return f"edge {seq}: expected 3 fields, got {len(item)}"
         u, v, t = item
         for raw in (u, v):
+            if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+                return f"edge {seq}: label {raw!r} is not a string or an integer"
             if malformed(raw):
                 return f"edge {seq}: malformed label {raw!r}"
         if isinstance(t, bool) or not isinstance(t, int):
@@ -234,14 +238,18 @@ def _first_error(edges):
 
 
 # Mostly valid entries, so that a bad one often follows labels seen before.
+# The labels of other types include True and 1.0, equal keys to the label 1,
+# and an unhashable list; the entries that are no triple include a str and
+# bytes of length 3.
 _any_label = st.one_of(
     st.sampled_from(["a", "b", "c", "a#"]), st.integers(0, 3),
     st.sampled_from(["", "a b", "c\t", "\x1c", "#", "#a"]),
+    st.sampled_from([None, True, 1.0, b"a", ["a"]]),
 )
 _any_time = st.one_of(st.integers(-2, 2), st.sampled_from([1.5, True, "3", None]))
 _any_entry = st.one_of(
     st.tuples(_any_label, _any_label, _any_time),
-    st.sampled_from([("a", "b"), ("a", "b", 1, 2), ()]),
+    st.sampled_from([("a", "b"), ("a", "b", 1, 2), (), 1, None, "abc", b"abc"]),
 )
 
 
@@ -296,6 +304,54 @@ class TestColumnarBuild:
             with pytest.raises(GraphBuildError) as exc:
                 build_graph(edges)
             assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("edges, message", [
+        ([1], "edge 0: expected a (source, target, time) triple, got 1"),
+        ([("a", "b", 1), "abc"], "edge 1: expected a (source, target, time) triple, got 'abc'"),
+        ([("a", "b", 1), b"abc"], "edge 1: expected a (source, target, time) triple, got b'abc'"),
+        ([("a", "b", 1), iter("abc")], "edge 1: expected a (source, target, time) triple"),
+        # a bad label of an earlier entry is named first
+        ([("a", "#b", 1), 1], "edge 0: malformed label '#b'"),
+        ([("a", None, 1), "abc"], "edge 0: label None is not a string or an integer"),
+    ])
+    def test_entry_that_is_no_triple_rejected(self, edges, message):
+        with pytest.raises(GraphBuildError) as exc:
+            build_graph(edges)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("label", [None, 1.0, True, False, b"a", ("a",), ["a"], {"a": 1}])
+    def test_label_of_another_type_rejected(self, label):
+        # the label is checked by its type, though True, 1.0 and the int 1
+        # are one dict key, so a later one is not hidden by an earlier 1
+        for edges, entry in [([("a", label, 1)], 0), ([(1, "a", 1), (label, "b", 2)], 1),
+                             ([(0, "a", 1), ("a", label, "x")], 1)]:
+            with pytest.raises(GraphBuildError) as exc:
+                build_graph(edges)
+            assert str(exc.value) == f"edge {entry}: label {label!r} is not a string or an integer"
+
+    def test_int_and_int_subclass_labels_read_as_str(self):
+        class Label(int):
+            pass
+
+        g = build_graph([(1, Label(2), 1), ("1", 3, 2)])
+        assert g.labels == ("1", "2", "3")
+        assert all(type(label) is str for label in g.labels)
+
+    def test_int_subclass_time_is_kept_as_its_int(self):
+        class Time(int):
+            def __format__(self, spec):
+                return "X"
+
+            def __str__(self):
+                return "S"
+
+            def __repr__(self):
+                return "R"
+
+        g = build_graph([("a", "b", Time(2)), ("b", "c", Time(2**64)), ("c", "d", 3)])
+        assert g.times == (2, 3, 2**64)
+        assert all(type(t) is int for t in g.times)
+        assert [type(t) for _, _, t in g.export_edges()] == [int] * 3
 
     def test_leading_hash_label_rejected(self):
         # saved as "#a b 1", the edge would reload as a comment
