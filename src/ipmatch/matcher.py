@@ -13,7 +13,7 @@ depth's time and structural tests written out once, so the loops only
 compare ints (query compilation, as in Neumann, "Efficiently Compiling
 Efficient Query Plans for Modern Hardware", VLDB 2011).  The compiled
 code is cached per pattern shape, strategy and emit mode, and takes the
-graph columns it subscripts as arguments, so one kernel serves every graph.
+graph columns it reads as arguments, so one kernel serves every graph.
 CPython refuses more than 20 nested blocks in one function, so a pattern
 of more than 16 edges is split into generator functions of 16 depths
 each, chained by ``yield from``.
@@ -35,11 +35,22 @@ Two strategies differ only in the candidate sequence of a depth:
   run (a star's second edge, walking the centre's list) starts at that
   run's time, so it is entered untested.  A STRICT step that walks the
   out-edges of the previous edge's target from after that edge (the
-  next edge of a chain) reads its first entry's time from the graph's
-  ``next_out_time`` column instead, and binary-searches the list only
-  once that time is in the window, with the same decisions and counts;
-  every other walk entry still searches first.  With no endpoint bound
-  it scans like ``simple``.
+  next edge of a chain) reads how much later its first entry comes from
+  the graph's ``next_out_gap`` column instead (-1: there is none), and
+  binary-searches the list only once that entry is in the window, with
+  the same decisions and counts; every other walk entry still searches
+  first.  With no endpoint bound it scans like ``simple``.
+
+When depth 1 is such a chain step and the root pattern edge is no
+self-loop, the same test moves into the root loop, which then runs in C:
+``compress`` lets through only the roots whose gap is at most the
+window's span (or -1), so a root whose next send is already too late is
+never visited.  Each root it skips is one the search would have
+admitted and then ended at depth 1, examining one entry; a self-loop
+among them is one it would have rejected.  The kernel counts the roots
+it visits and settles the skipped ones from that count and the graph's
+``self_loops`` when its stream ends or is closed, so the counters are
+those of a loop over every root.
 
 Both yield identical candidates in identical order; they differ only in
 how many edges they examine.  A depth with no admissible candidate left
@@ -101,6 +112,8 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
+import re
 from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple
 
@@ -319,15 +332,16 @@ def _kernel(steps: tuple[_Step, ...], use_index: bool, lines: bool):
     the names of the graph columns it takes, in order; it serves every
     graph."""
     namespace = {"bisect_left": bisect.bisect_left, "bisect_right": bisect.bisect_right,
-                 "islice": itertools.islice, "new": tuple.__new__, "Match": Match}
+                 "compress": itertools.compress, "ge": operator.ge, "islice": itertools.islice,
+                 "repeat": itertools.repeat, "new": tuple.__new__, "Match": Match}
     exec(compile(_kernel_source(steps, use_index, lines), "<ipmatch kernel>", "exec"), namespace)
     code = namespace["_k0"].__code__  # its arguments: the columns, then ``delta, stats``
     return namespace["_k0"], code.co_varnames[:code.co_argcount - 2]
 
 
 # The graph columns a kernel may read, in the order its signature names them.
-_COLUMNS = ("sources", "targets", "times", "out_positions", "in_positions", "next_out_time",
-            "label_json")
+_COLUMNS = ("sources", "targets", "times", "out_positions", "in_positions", "next_out_gap",
+            "self_loops", "label_json")
 
 # Depths per generated function: CPython refuses more than 20 statically
 # nested blocks, and a function spends one on its ``try`` and one per depth.
@@ -353,11 +367,16 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     ``_k0`` then sets ``pops``.  A scan counts what it examined from its
     loop position, not per candidate: the root scan has examined
     ``p0 + 1`` edges and admitted those less ``r0``, its structural
-    rejections, and a deeper scan binds its start as ``q{d}`` and adds
-    ``p{d} - q{d}`` when its loop exits.  A walk adds one per entry it
-    steps to.  A stream closed at a yield leaves every scan of each
-    function live, so each function settles them as ``GeneratorExit``
-    passes through it, before its ``finally`` runs.
+    rejections.  An ``index`` root loop that skips roots by their
+    ``next_out_gap`` (see the module docstring) also counts the roots it
+    visits as ``w0``; each skipped root up to ``p0`` adds one to ``e1``,
+    or, if it is a self-loop, to ``r0``.  The last edge has no next send,
+    so that loop, too, ends at ``p0 == n - 1``.  A deeper scan binds its
+    start as ``q{d}`` and adds ``p{d} - q{d}`` when its loop exits.  A
+    walk adds one per entry it steps to.  A stream closed at a yield
+    leaves every scan of each function live, so each function settles
+    them as ``GeneratorExit`` passes through it, before its ``finally``
+    runs.
 
     The last depth yields a :class:`Match`, or with ``lines`` the match's
     JSON line, filled from the locals and one more column, ``label_json``.
@@ -371,12 +390,15 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     read only at run time, as text.  A last depth that opens a new
     function resets its runs once per call.  A single-edge pattern's
     yield is an f-string of the whole line.  Every function takes the
-    graph columns that the whole source subscripts, in ``_COLUMNS``
-    order.
+    graph columns that the whole source names, in ``_COLUMNS`` order.
     """
     m = len(steps)
     nodes = _node_count(steps)
     strict = any(not s.equal for s in steps[1:])
+    # An index chain whose root is no self-loop visits only the roots whose
+    # next send is in the window or absent; see the chain entry below.
+    skips = (use_index and m > 1 and not steps[1].equal
+             and steps[1].source == steps[0].target != steps[0].source)
     bound: dict[int, int] = {}  # pattern node -> last depth above that touched it
     src: list[str] = []
 
@@ -396,6 +418,7 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             src.append(f"def _k{a // _CHUNK}(COLUMNS, n, stats, {', '.join(live)}):")
         # the root's e0 and c0 are worked out from p0 and r0 in ``finally``
         zeroed = [c for c in counters if c not in ("e0", "c0")] + ["r0"] * (a == 0)
+        zeroed += ["w0"] * (a == 0 and skips)
         src += ["    " + " = ".join(zeroed) + " = 0", "    try:"]
         for d in range(a, b):
             s = steps[d]
@@ -408,7 +431,8 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             if lines and d == m - 1 > 0:  # the runs of a new binding of the depth above
                 src.append(f"{ind}h0 = None")
             if d == 0:
-                header = "range(n)"
+                header = ("compress(range(n), map(ge, repeat(span), next_out_gap))" if skips
+                          else "range(n)")
             else:
                 lo = f"bisect_left(times, t{d - 1}) - 1" if s.equal else f"p{d - 1}"
             if walk:
@@ -438,21 +462,25 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                 ins = any(steps[r].target == s.target for r in run)
                 if d > a and not (outs if walked == "sources" else
                                   ins if walked == "targets" else outs and ins):
-                    if (not s.equal and walked == "sources" and lo == f"p{d - 1}"
+                    late = None  # the test that the first entry is out of time
+                    if d == 1 and skips:
+                        # The root loop has let through only the roots whose
+                        # gap is in the window or -1 (no next send).
+                        src.append(f"{ind}if next_out_gap[p0] < 0: continue")
+                    elif (not s.equal and walked == "sources" and lo == f"p{d - 1}"
                             and s.source == steps[d - 1].target):
                         # The first entry is the first edge leaving p{d-1}'s
-                        # target after it, whose time the graph keeps: the
-                        # walk is found only once that time is in the window.
-                        first = f"x{d}"
-                        src += [f"{ind}x{d} = next_out_time[p{d - 1}]",
-                                f"{ind}if x{d} is None: continue"]
+                        # target after it, whose gap to p{d-1} the graph
+                        # keeps: the walk is found only once it is in the window.
+                        late = f"x{d} > deadline - t{d - 1}"
+                        src += [f"{ind}x{d} = next_out_gap[p{d - 1}]",
+                                f"{ind}if x{d} < 0: continue"]
                     else:
-                        first = f"times[s{d}[k{d}]]"
+                        late = f"times[s{d}[k{d}]] > {f't{d - 1}' if s.equal else 'deadline'}"
                         src += entry + [f"{ind}if k{d} == len(s{d}): continue"]
                         entry = []
-                    src += [f"{ind}if {first} > {f't{d - 1}' if s.equal else 'deadline'}:",
-                            f"{ind}    e{d} += 1",
-                            f"{ind}    continue"]
+                    if late:
+                        src += [f"{ind}if {late}:", f"{ind}    e{d} += 1", f"{ind}    continue"]
                 src += entry
                 header = f"islice(s{d}, k{d}, None)"
             elif d:  # scan the edge list from the depth's start, counted on exit
@@ -463,6 +491,8 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             ind += "    "
             if walk:
                 src.append(f"{ind}e{d} += 1")
+            elif d == 0 and skips:
+                src.append(f"{ind}w0 += 1")
             if d:
                 src.append(f"{ind}t{d} = times[p{d}]")
                 if s.equal:
@@ -529,7 +559,15 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                     + [f"        e{d} += p{d} - q{d}" for d in scans] + ["        raise"])
         src.append("    finally:")
         if a == 0:
-            src += ["        e0 = p0 + 1", "        c0 = e0 - r0"]
+            src.append("        e0 = p0 + 1")
+            # Settle the roots skipped up to p0 as a loop over every root
+            # would have counted them.  A skipping loop that runs out ends
+            # at n - 1 too: the last edge has no next send, so it is visited.
+            if skips:
+                src += ["        k0 = sum(next_out_gap[q] > span "
+                        "for q in islice(self_loops, bisect_right(self_loops, p0)))",
+                        "        e1 += e0 - w0 - k0", "        r0 += k0"]
+            src.append("        c0 = e0 - r0")
         src += [f"        stats.candidates_examined += {' + '.join(counters[:b - a])}",
                 f"        stats.pushes += {' + '.join(counters[b - a:])}",
                 "        stats.max_depth_reached = max(stats.max_depth_reached, "
@@ -539,7 +577,7 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
         if a == 0:
             src.append("        stats.pops = stats.pushes - held")
     body = "\n".join(src)
-    cols = ", ".join(c for c in _COLUMNS if f"{c}[" in body)
+    cols = ", ".join(c for c in _COLUMNS if re.search(rf"\b{c}\b", body))
     return body.replace("COLUMNS", cols) + "\n"
 
 

@@ -9,10 +9,15 @@ node, the sorted positions of its out-edges and of its in-edges are kept
 as well, so all in- or out-edges of a node can be visited in time order
 without scanning the full list: the next-in-time edge of a node is the
 successor of the current position in that node's position list.  One of
-those successors is also kept as a column, by time: ``next_out_time[i]``
-is the time of the first edge leaving edge i's target after position i,
-the link the chronological search follows from a matched edge to the
-next edge of a path.
+those successors is also kept as a column, by time: ``next_out_gap[i]``
+is how much later than edge i the first edge leaving edge i's target
+after position i comes, or -1 if there is none.  It is the link the
+chronological search follows from a matched edge to the next edge of a
+path, and, since it is relative, a root can be tested against the window
+without reading its own time.  A real gap is never negative, so -1 marks
+"no next send" for any int times, however large.  ``self_loops`` lists
+the positions of the edges whose source is their target, which such a
+test alone cannot tell apart.
 Each node label is also kept in its JSON string form, so that matches
 can be written out without encoding a label per line.
 
@@ -20,12 +25,12 @@ Both ways in, :func:`build_graph` on triples and ``io_cli.load_graph``
 on a file, split the input into three columns (source labels, target
 labels, times) and hand them to one builder.  It interns the labels in
 order of first appearance, checks each distinct label once, sorts the
-edges and fills the position lists and ``next_out_time``.  Both report
-the first malformed entry through one helper, so a file and its triples
-name the same entry.  The builder alone pauses the cyclic garbage
-collector, since nothing it allocates forms a cycle, and restores the
-caller's state after; builds that overlap, nested or in other threads,
-restore it when the last one ends.
+edges and fills the position lists, ``self_loops`` and
+``next_out_gap``.  Both report the first malformed entry through one
+helper, so a file and its triples name the same entry.  The builder
+alone pauses the cyclic garbage collector, since nothing it allocates
+forms a cycle, and restores the caller's state after; builds that
+overlap, nested or in other threads, restore it when the last one ends.
 
 A graph is a frozen dataclass of tuples and a read-only label index, so
 nothing in it can change after :func:`build_graph`.  It is safe for
@@ -65,10 +70,11 @@ class TemporalGraph:
     list position ``i``; ``out_positions[n]`` / ``in_positions[n]`` are
     the ascending positions of the edges leaving / entering node ``n``.
     ``label_json[n]`` is ``labels[n]`` as ``json.dumps`` writes it.
-    ``next_out_time[i]`` is the time of the first out-edge of
-    ``targets[i]`` at a position after ``i``, or None when there is none:
-    the first entry after ``i`` in ``out_positions[targets[i]]``, by time.
-    Build one with :func:`build_graph`.
+    ``next_out_gap[i]`` is the time of the first out-edge of
+    ``targets[i]`` at a position after ``i`` (the first entry after ``i``
+    in ``out_positions[targets[i]]``) less ``times[i]``, or -1 when there
+    is none.  ``self_loops`` holds the ascending positions ``i`` with
+    ``sources[i] == targets[i]``.  Build one with :func:`build_graph`.
     """
 
     sources: tuple[int, ...]
@@ -79,7 +85,8 @@ class TemporalGraph:
     label_index: Mapping[str, int]
     out_positions: tuple[tuple[int, ...], ...]
     in_positions: tuple[tuple[int, ...], ...]
-    next_out_time: tuple[int | None, ...]
+    next_out_gap: tuple[int, ...]
+    self_loops: tuple[int, ...]
 
     @property
     def node_count(self) -> int:
@@ -92,7 +99,11 @@ class TemporalGraph:
         return f"TemporalGraph(nodes={self.node_count}, edges={len(self)})"
 
     def node_id(self, label) -> int:
-        """The node id of ``label``; ValueError for a label the graph lacks."""
+        """The node id of ``label``, a str or an int (read as its str form,
+        as :func:`build_graph` reads it); ValueError for a label of another
+        type, a bool among them, or one the graph lacks."""
+        if _not_a_label(type(label)):
+            raise ValueError(f"node label {label!r} is not a string or an integer")
         try:
             return self.label_index[str(label)]
         except KeyError:
@@ -230,26 +241,30 @@ def _build_columns(us: list, vs: list, ts: list) -> TemporalGraph:
 
     out_positions: list[list[int]] = [[] for _ in labels]
     in_positions: list[list[int]] = [[] for _ in labels]
+    self_loops = []
     # both lists take position i as the same int object
     for i, u, v in zip(range(len(times)), sources, targets):
         out_positions[u].append(i)
         in_positions[v].append(i)
+        if u == v:
+            self_loops.append(i)
 
     # One pass from the end: ``nxt[w]`` is the time of w's first out-edge
     # after the current position.  Edge i reads its target's before its
     # source's is moved to i, so a self-loop does not see itself.
     nxt: list[int | None] = [None] * len(labels)
-    next_out_time = []
+    next_out_gap = []
     for u, v, t in zip(reversed(sources), reversed(targets), reversed(times)):
-        next_out_time.append(nxt[v])
+        x = nxt[v]
+        next_out_gap.append(-1 if x is None else x - t)
         nxt[u] = t
-    next_out_time.reverse()
+    next_out_gap.reverse()
 
     label_json = tuple(map(encode_basestring_ascii, labels))
     return TemporalGraph(
         sources, targets, times, labels, label_json, MappingProxyType(label_index),
         tuple(map(tuple, out_positions)), tuple(map(tuple, in_positions)),
-        tuple(next_out_time),
+        tuple(next_out_gap), tuple(self_loops),
     )
 
 

@@ -450,6 +450,42 @@ class TestSearchProperties:
             assert cut == first[:k]
             assert cut_stats.pushes - cut_stats.pops == len(p.edges)
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=120, deadline=None)
+    def test_next_out_gaps_change_no_counter(self, seed):
+        # The same graph with every next-send gap read as 0 sends each root
+        # to its walk and enters every chain walk: a walk whose first entry
+        # is late examines it and stops, and an empty one examines nothing.
+        # The real gaps only skip that work, so every counter, of a full
+        # run and of each cut one, must come out the same.  Times are moved
+        # below 0 or above 2**63 to keep the gaps independent of them.
+        rng = random.Random(seed)
+        offset = rng.choice([0, -30, 2**63])
+        g = build_graph([(u, v, t + offset)
+                         for u, v, t in random_graph(rng, self_loop_prob=0.2).export_edges()])
+        p = (generate_path_query(rng.choice([2, 3, 4])) if seed % 3 == 0
+             else pattern_from_triples(rng.choice([[(0, 1, 1), (1, 0, 2)],
+                                                   [(0, 1, 1), (1, 2, 2), (2, 0, 3)],
+                                                   [(0, 0, 1), (0, 1, 2)]])) if seed % 3 == 1
+             else random_pattern(rng))
+        delta = rng.choice([1, 2, 3, 5, full_span(g)])
+        if not validate_pattern(p, delta).ok:
+            return
+        zeros = types.SimpleNamespace(**{c: getattr(g, c) for c in (
+            "sources", "targets", "times", "out_positions", "in_positions", "self_loops")},
+            next_out_gap=(0,) * len(g))
+        everything, stats = run_search(g, p, delta, "index")
+        assert run_search(zeros, p, delta, "index") == (everything, stats)
+        n = len(everything)
+        for k in sorted({1, (n + 1) // 2, n}) if everything else ():
+            assert run_search(zeros, p, delta, "index", limit=k) == run_search(
+                g, p, delta, "index", limit=k)
+            for graph in (g, zeros):
+                stream, cut = stream_search(graph, p, delta, "index")
+                assert [next(stream) for _ in range(k)] == everything[:k]
+                stream.close()
+                assert cut == run_search(g, p, delta, "index", limit=k)[1]
+
     def test_concurrent_searches_share_one_graph(self):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -520,28 +556,28 @@ class TestCompiledKernel:
             "a8e0ae473c9c07e59809a8affc460fd10c119e35ad25dd15b206d9c1878ee710"),
         2: (
             "76e29e414291a796114f5270e5deed1497dccbde4a492fdb63812e1c8aec3e9c",
-            "5ecb9767a3c9bbf121736a6df3d4853e309c3f6ee309e16a91c92793dca92277"),
+            "7aca6c831240de3b4e2194e6eec014bfe0eadc5fa520e26ac3663ee758ead6b3"),
         3: (
             "fccd94f4cff45fba2cc580a06b698530806dd4c09680a6939902b0f548588f35",
-            "67e597ad91e6b0a10efe6087a6fb5d1d95c88116badbe287de5b0073e1ec8579"),
+            "8a7954cb70bba288a0baab5d5f54a022c5e8a0745d8aa5c6b38748373dde1d41"),
         4: (
             "3405397102f5e0796ad81e29a35c6060b660557d95b0011dec1f4df7e47c811e",
-            "aa93ccd9101358daaff603f1ae3b0ee147db94cd579f70cca0110da51e490ecd"),
+            "5ca4fc901d107b6ca90ce6563dbf1306a538ade531f8d69843fde2ce3c47b875"),
         16: (
             "dbb72139bb7f44cf0d3193963e4e1b56a1523914b2f1b2ba788523a7d4a57199",
-            "68739acaacad780a99bc3ae805a96070aea49a8f667977b903c6d15d4becc2b2"),
+            "659be4f22e1bdc4dc973fd236c74f89551a679763e8890e7a928f7aefcf42cb4"),
         17: (
             "239e17ce2577d60b6c9cfd9b54792125f22398575f5595ef12f960e1cf1f986f",
-            "8a9168d3d0ec60e4e336e205a58546c1f03063fb3cc1650e3f145f4ded9bc4f6"),
+            "46f01eb6b02df58c8f3ba78c2560f7d6b5a8c02a82162b5dfdd171b0d6cdf3e4"),
         25: (
             "6b2075dc0a1d5958e14d48273516547b32daf1494dd6649e8208f2708990d5e8",
-            "7471fe3d0bb284f93803899630206138fc3b25129410871299b7e10e71968946"),
+            "bfd6b7c2edb5be1ec069d3b655eaa7e6cb905b12a4429f25f54b809eb4de108c"),
         "ping-pong": (
             "5d19adc8c67f985a064be46448cbace2737a1f973ce1c8ecfa699022bb9b9e81",
-            "8cc530e4d05697c25fb1513d3b3941c3655911762e3cec83bf07248086c67d8a"),
+            "2885ad72399487011c370ce219b385a005a01c553549f451cddb9c66d98e00cd"),
         "triangle": (
             "12b6d85290a56050393487829bdcda2f8f700ef7db104611a770fff066204533",
-            "82fae190b29d13237a2c9dd82026ca87d154f978578142d40e4f7f8566d5b9ad"),
+            "2b88bbf8954add360919fb87675d11af46e5da4ab5fee099b1d4ee4ce8f0ce49"),
         "broadcast-reply": (
             "ae9f662673b45a7a6826d9849cf00267d8395ece0f310b769918c658dee53a2b",
             "253060816b9251e2f05acc0e3571af6ee34ca073361d41b74d574a6ac568ebe5"),
@@ -553,7 +589,7 @@ class TestCompiledKernel:
             "2b728d9c49b28379acb71f08ff51b6ef0a386a4ceb8da4b64ecb52917550244e"),
         "endpoint-cases": (
             "7be41db5dec63fea9145d9e57c0ea46fe8f6aec7012b788b552f381a792755b5",
-            "a6e82f0067d128e30f67b6f5e495397bedf2a7de6c2de9e211a86ff152dcc00e"),
+            "9d277fad5e87d9eb63bba1f7a6d4b4c975677d031ef2281f06ec3a017d8447ad"),
     }
 
     def test_source_is_pinned(self):
@@ -571,28 +607,28 @@ class TestCompiledKernel:
             "2a30e373c5f0afd8563c0975511bc99eb1164e11e09c772a2567a355f4a2a60b"),
         2: (
             "de8903caade4b1d8c7cad70a875521b18e6e6fab8d5255625baaaee522ab0014",
-            "fbb1d27fdcfbf8845361b20222db29d75c3c3742878bdc23aeab6ef5fbd0165d"),
+            "63b6128ae1c638f23874006637024c8c9112d31a66c817e053b92201428d50c3"),
         3: (
             "5f9df778f183e3d6e0db8f5d7bc1ff488005bac422bddd1628ad99e7b91f0c4e",
-            "a2901bc64899a70468193e78db6f9128e0f2a3fc4856cb512db3420437e3c9a8"),
+            "2a4934e57d75580d6629b13046637c17c4d43aae6b0407c9834a2bfb1680c23d"),
         4: (
             "a06cccce597e1898d4ed3d7d2ba5678796324a7e1888dfb17f2f2eaf80a23a98",
-            "8c3596d73bd4cab186b398e37b5acf80150af55faf1432b69db6caa02bdf2624"),
+            "0aedc964c9fe89f1d6ddb02a4ea8a4ab858e61629f57949092e135983ecdaaa2"),
         16: (
             "b2b2befda8b51b068a69134a151bac250278aa30bf33fc8a6ae44db19463ba87",
-            "7c0ae8d8fb9864f278eab73f6508536b813a42a9378e3311332a3e004892dd93"),
+            "ce3fca52666614c92c305ea7d119fad7610ef47aebf6b5814cc2a213c1a024df"),
         17: (
             "2db7ff23de673ca50eac1fe74f8bcb806bc349e24a790512fdc7884b0dff4330",
-            "b0583e2e69026a3612117e634696403875f9615d9d8b6c5a185989394b68a196"),
+            "83a189060b6092fe4ab5beaffaf5bc7b626d8318399ab2e3fbd142dcea1ad047"),
         25: (
             "3668ce89f318772e859f7a73c2d41caaceb003984a015491a7222b4394b17fac",
-            "35ee99d42c815632a1761c1f37122ec010efbf2f6fc9eab9eb37b9237df39188"),
+            "5ff875c746ff2328efa3916b07d0c1e7150910275143df31c106d39777c627a4"),
         "ping-pong": (
             "aa25722a9d0641a237a9cddb348d6dd465c4b5bd1dbf3da2db9dd1c55b334955",
-            "321ea4f6122a882b3a1bc86dc1586cc26213fbef985205acda846b7317ea205f"),
+            "0c8427069643ef63daeff0dd68ac1bf25cd79d11d3705efd411fd4283b5dc923"),
         "triangle": (
             "69fb808bd7664597ac33ac97c7e83eb5a65db0ab9ba9f8b093fe4a5ababce30f",
-            "7f8126ed8678d5f71d52116f1106e9b95cbac7a032e8d56894cf8947d9e85bb5"),
+            "e4add9c0161e4560763cfd86d5b864cd68c0216828dffadef4d6c35b39646db8"),
         "broadcast-reply": (
             "ab9227bddd79e21bd19fb10772bb670175fa1d270e2ec318b00e267c9c662780",
             "8e751c8bfdfd72b0982fc6bff2f6adc68fba48aebcdc5b9210f6cc5fd1f39ce1"),
@@ -604,7 +640,7 @@ class TestCompiledKernel:
             "b21e47048f17b4ed789dfefe4b125149aa2c7a58946c1f0c6ee7a9123abb9ca5"),
         "endpoint-cases": (
             "1adee0cc9e8ec6b53c3e79071219d1b76d3a7c71cd4bca1764949c6959db4903",
-            "181be2314ca6e10913d2bb24d6e515f6497d49574673e10ce11f0ad6afcdf52f"),
+            "50f2dfda9c704bd2fcd6d8f712e8d27049024fb725ece45fb4121fb4b6302dbf"),
     }
 
     def test_line_source_is_pinned(self):
@@ -621,7 +657,8 @@ class TestCompiledKernel:
         # gives the stream the whole graph gives: every simple kernel reads
         # the three edge columns alone, and a path's index kernel no
         # in-edge list.  Three copies of the pattern's own edges, among
-        # random edges on the same labels, give each shape matches.
+        # random edges on the same labels, give each shape matches.  An
+        # index chain kernel also reads the gap column and the self-loops.
         p = (generate_path_query(shape) if isinstance(shape, int)
              else pattern_from_triples(self.PINNED_TRIPLES[shape]))
         rng = random.Random(len(p.edges))
@@ -631,8 +668,8 @@ class TestCompiledKernel:
                         + [(rng.choice(labels), rng.choice(labels), rng.randint(1, 30))
                            for _ in range(40)])
         delta = full_span(g)
-        kernels = [("simple", ())] + [("index", ("out_positions", "next_out_time"))] * (
-            isinstance(shape, int))
+        kernels = [("simple", ())] + [
+            ("index", ("out_positions", "next_out_gap", "self_loops"))] * isinstance(shape, int)
         for strategy, walked in kernels:
             for lines in (False, True):
                 columns = ("sources", "targets", "times") + walked + ("label_json",) * lines
@@ -645,9 +682,13 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_source_reads_next_out_time_exactly_at_a_chain_entry(self, seed):
-        # A depth enters its walk from the column when it is STRICT, is not
-        # its chunk's first, and walks the out-edges of the node that the
-        # previous step's target bound, from after the previous edge.
+        # A depth enters its walk from the next send's gap when it is
+        # STRICT, is not its chunk's first, and walks the out-edges of the
+        # node that the previous step's target bound, from after the
+        # previous edge.  When that depth is 1 and the root is no
+        # self-loop, the root loop tests the gap against the window
+        # instead, so depth 1 tests only its sign, and the kernel settles
+        # the skipped roots from the self-loops' gaps.
         rng = random.Random(seed)
         p = (generate_path_query(rng.choice([2, 3, 17, 33])) if seed % 4 == 0
              else random_pattern(rng, max_edges=6))
@@ -660,9 +701,15 @@ class TestCompiledKernel:
                         and f"k{d} = bisect_right(s{d}, p{d - 1})\n" in source)
                 if not steps[d].equal and d % 16 and walk:
                     chained.append(d)
+            skips = 1 in chained and steps[0].source != steps[0].target
             for d in range(1, len(steps)):
-                assert (f"x{d} = next_out_time[p{d - 1}]" in source) == (d in chained)
-            assert ("next_out_time" in source) == bool(chained)
+                assert (f"x{d} = next_out_gap[p{d - 1}]" in source) == (
+                    d in chained and not (d == 1 and skips))
+            header = "for p0 in compress(range(n), map(ge, repeat(span), next_out_gap)):"
+            assert source.count(header) == skips
+            assert source.count("if next_out_gap[p0] < 0: continue") == skips
+            assert ("self_loops" in source) == skips
+            assert ("next_out_gap" in source) == bool(chained)
             assert not chained or use_index
 
     def test_line_mode_changes_only_the_signatures_and_the_yield(self):

@@ -30,6 +30,15 @@ added, before the kernel read a walk's first entry time from the
 target at a depth where both endpoints are bound.  One added edge's next
 out-edge has that edge's own time, so it passes the deadline test and is
 then skipped as not strictly later.
+
+A second hand-built graph pins the roots an ``index`` chain kernel may
+leave unvisited: non-loop roots whose target's next send is past the
+window or that have no next send, and self-loop roots, some with their
+next send past the window and some with none.  Its times run from
+negative ones to ones above 2^63.  Path-2, path-3, ping-pong, triangle
+and a pattern rooted at a self-loop are pinned on it for the full run,
+for ``limit=1`` and for a stream closed after its first match, recorded
+before the kernel skipped any root.
 """
 
 import hashlib
@@ -194,6 +203,66 @@ NEXT_OUT_PINNED = {
         "simple": (193, 1, 3, 17, 14), "index": (28, 1, 3, 17, 14)}),
 }
 
+B = 2**63
+
+# At delta 10: "k x -60", "m p B-50" and "n o -5" lead to a next send past
+# the deadline, and "f h -11" to one at it; "a y -25", "c z -16", "h i 7"
+# and "s w B+7" lead to nodes that send nothing.  The self-loops "a a -35"
+# and "p p B-20" have their next send past the deadline, "h h -2" at it,
+# "d d -12" and "w w B+9" none, and "b b -19", "q q B+1" and "s s B+6" one
+# in the window.
+ROOT_SKIP_EDGES = [
+    ("k", "x", -60), ("x", "a", -40), ("a", "a", -35), ("a", "y", -25), ("a", "b", -20),
+    ("b", "b", -19), ("b", "c", -18), ("b", "a", -17), ("c", "z", -16), ("c", "d", -15),
+    ("c", "a", -14), ("d", "d", -12), ("f", "h", -11), ("h", "h", -2), ("h", "i", 7),
+    ("n", "o", -5), ("m", "p", B - 50), ("p", "p", B - 20), ("o", "n", B), ("p", "q", B),
+    ("q", "q", B + 1), ("q", "r", B + 2), ("r", "s", B + 3), ("q", "p", B + 4),
+    ("r", "p", B + 5), ("s", "s", B + 6), ("s", "w", B + 7), ("w", "w", B + 9),
+]
+
+ROOT_SKIP_PATTERNS = {
+    "path-2": [(0, 1, 1), (1, 2, 2)],
+    "path-3": [(0, 1, 1), (1, 2, 2), (2, 3, 3)],
+    "ping-pong": [(0, 1, 1), (1, 0, 2)],
+    "triangle": [(0, 1, 1), (1, 2, 2), (2, 0, 3)],
+    "loop-then-send": [(0, 0, 1), (0, 1, 2)],
+}
+
+# (pattern, how the run ends) -> the same, at delta 10 on ROOT_SKIP_EDGES,
+# recorded from the kernel that visited every root
+ROOT_SKIP_PINNED = {
+    ("path-2", "all"): ("237dc871eb15439f", {
+        "simple": (115, 8, 2, 28, 28), "index": (50, 8, 2, 28, 28)}),
+    ("path-2", "limit"): ("b0005a271e01a70f", {
+        "simple": (16, 1, 2, 5, 3), "index": (10, 1, 2, 5, 3)}),
+    ("path-2", "closed"): ("b0005a271e01a70f", {
+        "simple": (16, 1, 2, 5, 3), "index": (10, 1, 2, 5, 3)}),
+    ("path-3", "all"): ("d49a6d08c3212768", {
+        "simple": (149, 4, 3, 32, 32), "index": (59, 4, 3, 32, 32)}),
+    ("path-3", "limit"): ("e32774bc7113fb79", {
+        "simple": (18, 1, 3, 6, 3), "index": (11, 1, 3, 6, 3)}),
+    ("path-3", "closed"): ("e32774bc7113fb79", {
+        "simple": (18, 1, 3, 6, 3), "index": (11, 1, 3, 6, 3)}),
+    ("ping-pong", "all"): ("44862d3eec1f4b67", {
+        "simple": (115, 2, 2, 22, 22), "index": (50, 2, 2, 22, 22)}),
+    ("ping-pong", "limit"): ("4ab68ddb404ad078", {
+        "simple": (17, 1, 2, 5, 3), "index": (11, 1, 2, 5, 3)}),
+    ("ping-pong", "closed"): ("4ab68ddb404ad078", {
+        "simple": (17, 1, 2, 5, 3), "index": (11, 1, 2, 5, 3)}),
+    ("triangle", "all"): ("728cd7a4603c1c13", {
+        "simple": (149, 2, 3, 30, 30), "index": (59, 2, 3, 30, 30)}),
+    ("triangle", "limit"): ("8e2ba1540a0a6498", {
+        "simple": (20, 1, 3, 6, 3), "index": (13, 1, 3, 6, 3)}),
+    ("triangle", "closed"): ("8e2ba1540a0a6498", {
+        "simple": (20, 1, 3, 6, 3), "index": (13, 1, 3, 6, 3)}),
+    ("loop-then-send", "all"): ("34056d725e511bbc", {
+        "simple": (52, 6, 2, 14, 14), "index": (36, 6, 2, 14, 14)}),
+    ("loop-then-send", "limit"): ("04e470acd55ede80", {
+        "simple": (8, 1, 2, 3, 1), "index": (8, 1, 2, 3, 1)}),
+    ("loop-then-send", "closed"): ("04e470acd55ede80", {
+        "simple": (8, 1, 2, 3, 1), "index": (8, 1, 2, 3, 1)}),
+}
+
 COUNTERS = ("candidates_examined", "matches_found", "max_depth_reached", "pushes", "pops")
 
 
@@ -260,4 +329,14 @@ def test_next_out_counters_unchanged(case, strategy):
     digest, counters = NEXT_OUT_PINNED[case]
     g = build_graph(NEXT_OUT_EDGES)
     p = pattern_from_triples(NEXT_OUT_PATTERNS[name])
+    assert_pinned(*run_to_end(g, p, end, strategy), digest, counters[strategy])
+
+
+@pytest.mark.parametrize("strategy", ["simple", "index"])
+@pytest.mark.parametrize("case", list(ROOT_SKIP_PINNED), ids=lambda c: "-".join(c))
+def test_root_skip_counters_unchanged(case, strategy):
+    name, end = case
+    digest, counters = ROOT_SKIP_PINNED[case]
+    g = build_graph(ROOT_SKIP_EDGES)
+    p = pattern_from_triples(ROOT_SKIP_PATTERNS[name])
     assert_pinned(*run_to_end(g, p, end, strategy), digest, counters[strategy])

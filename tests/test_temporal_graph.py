@@ -57,9 +57,10 @@ class TestBuildGraph:
             g.out_positions[0].append(1)
         with pytest.raises(TypeError):
             g.label_index["zz"] = 3
-        assert type(g.next_out_time) is tuple
-        with pytest.raises(AttributeError):
-            g.next_out_time.append(None)
+        for column in (g.next_out_gap, g.self_loops):
+            assert type(column) is tuple
+            with pytest.raises(AttributeError):
+                column.append(-1)
         assert g.node_count == len(g.label_json) == len(g.label_index) == 3
 
     def test_parallel_edge_multiplicity(self):
@@ -209,9 +210,11 @@ def _reference_build(edges):
                                for label in labels),
         "in_positions": tuple(tuple(i for i in positions if keyed[i][2] == label)
                               for label in labels),
-        "next_out_time": tuple(
-            next((keyed[j][0] for j in positions if j > i and keyed[j][1] == keyed[i][2]), None)
+        "next_out_gap": tuple(
+            next((keyed[j][0] - keyed[i][0] for j in positions
+                  if j > i and keyed[j][1] == keyed[i][2]), -1)
             for i in positions),
+        "self_loops": tuple(i for i in positions if keyed[i][1] == keyed[i][2]),
     }
 
 
@@ -263,24 +266,29 @@ class TestColumnarBuild:
         assert g.node_count == len(ref["labels"])
         assert list(g.label_index.items()) == list(ref["label_index"].items())
         for column in ("label_json", "sources", "targets", "times", "out_positions",
-                       "in_positions", "next_out_time"):
+                       "in_positions", "next_out_gap", "self_loops"):
             assert getattr(g, column) == ref[column], column
         assert len(g) == len(edges)
         assert static_projection(g) == frozenset(zip(ref["sources"], ref["targets"]))
 
     @given(_mixed_inputs())
     @settings(max_examples=200, deadline=None)
-    def test_next_out_time_is_the_next_send_of_the_target(self, edges):
+    def test_next_out_gap_is_the_gap_to_the_next_send_of_the_target(self, edges):
         g = build_graph(edges)
         for i, v in enumerate(g.targets):
             later = [j for j in range(i + 1, len(g)) if g.sources[j] == v]
-            assert g.next_out_time[i] == (g.times[later[0]] if later else None)
+            assert g.next_out_gap[i] == (g.times[later[0]] - g.times[i] if later else -1)
+        assert g.next_out_gap[-1] == -1  # so a loop over the roots by gap keeps the last
+        assert g.self_loops == tuple(i for i, u in enumerate(g.sources) if u == g.targets[i])
 
-    def test_next_out_time_of_a_self_loop_skips_itself(self):
+    def test_next_out_gap_of_a_self_loop_skips_itself(self):
         g = build_graph([("a", "a", 1), ("a", "a", 2), ("b", "a", 2**64)])
-        assert g.next_out_time == (2, None, None)
+        assert (g.next_out_gap, g.self_loops) == ((1, -1, -1), (0, 1))
         g = build_graph([("a", "a", -1), ("a", "b", 2**63), ("b", "a", 2**63)])
-        assert g.next_out_time == (2**63, 2**63, None)
+        assert (g.next_out_gap, g.self_loops) == ((2**63 + 1, 0, -1), (0,))
+        # an edge into a node whose next send comes at its own time
+        g = build_graph([("a", "b", 5), ("b", "c", 5), ("c", "c", 7)])
+        assert (g.next_out_gap, g.self_loops) == ((0, 2, -1), (2,))
 
     def test_columns_only(self):
         g = build_graph([("a", "b", 1)])
@@ -360,6 +368,24 @@ class TestColumnarBuild:
         with pytest.raises(GraphBuildError, match=r"^edge 1: malformed label '#'$"):
             build_graph([("a", "b", 1), ("b", "#", 2)])
         assert build_graph([("a#", "b#c", 1)]).labels == ("a#", "b#c")
+
+
+class TestNodeId:
+    def test_int_label_finds_its_str_form(self):
+        g = build_graph([(1, "a", 1), ("b", 20, 2)])
+        assert [g.node_id(x) for x in (1, "1", "a", "b", 20, "20")] == [0, 0, 1, 2, 3, 3]
+
+    @pytest.mark.parametrize("label", [True, False, 1.0, None, b"1", ("1",), ["1"]])
+    def test_label_build_graph_refuses_is_refused(self, label):
+        g = build_graph([(1, 0, 1), ("True", "1.0", 2), ("None", "b'1'", 3)])
+        with pytest.raises(ValueError, match="is not a string or an integer$"):
+            g.node_id(label)
+
+    def test_unknown_label(self):
+        g = build_graph([("a", "b", 1)])
+        for label in ("c", 3):
+            with pytest.raises(ValueError, match=f"^unknown node label {label!r}$"):
+                g.node_id(label)
 
 
 class TestStaticProjection:
