@@ -101,6 +101,9 @@ def generate_random_query(g: TemporalGraph, n: int, seed: int) -> PatternGraph:
     """
     if n < 2:
         raise ValueError(f"random query size must be >= 2, got {n}")
+    if n > g.node_count:
+        raise QueryGenerationError(
+            f"cannot grow a {n}-node query in a graph of {g.node_count} nodes")
     rng = random.Random(seed)
     for _ in range(MAX_RESTARTS):
         start = rng.randrange(g.node_count)

@@ -163,6 +163,8 @@ def load_pattern(path: str) -> PatternGraph:
                 if len(fields) != 2 or fields[0] != "nodes":
                     raise ParseError(path, line_no, "expected header 'nodes <n>'")
                 node_count = _parse_int(fields[1], path, line_no, "node count")
+                if node_count < 1:
+                    raise ParseError(path, line_no, f"node count {node_count} is below 1")
                 continue
             if len(fields) != 3:
                 raise ParseError(path, line_no, f"expected 3 fields, got {len(fields)}")

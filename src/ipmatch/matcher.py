@@ -38,19 +38,21 @@ Two strategies differ only in the candidate sequence of a depth:
   next edge of a chain) reads how much later its first entry comes from
   the graph's ``next_out_gap`` column instead (-1: there is none), and
   binary-searches the list only once that entry is in the window, with
-  the same decisions and counts; every other walk entry still searches
-  first.  With no endpoint bound it scans like ``simple``.
+  the same decisions and counts (after a self-loop it reads 0, since
+  that edge leaves its own target, so the walk is simply entered);
+  every other walk entry still searches first.  With no endpoint bound
+  it scans like ``simple``.
 
 When depth 1 is such a chain step and the root pattern edge is no
 self-loop, the same test moves into the root loop, which then runs in C:
 ``compress`` lets through only the roots whose gap is at most the
 window's span (or -1), so a root whose next send is already too late is
-never visited.  Each root it skips is one the search would have
-admitted and then ended at depth 1, examining one entry; a self-loop
-among them is one it would have rejected.  The kernel counts the roots
-it visits and settles the skipped ones from that count and the graph's
-``self_loops`` when its stream ends or is closed, so the counters are
-those of a loop over every root.
+never visited.  A self-loop's gap is 0, so the loop visits it and
+rejects it by structure; each root it skips is one the search would
+have admitted and then ended at depth 1, examining one entry.  The
+kernel counts the roots it visits and settles the skipped ones from that
+count when its stream ends or is closed, so the counters are those of a
+loop over every root.
 
 Both yield identical candidates in identical order; they differ only in
 how many edges they examine.  A depth with no admissible candidate left
@@ -341,7 +343,7 @@ def _kernel(steps: tuple[_Step, ...], use_index: bool, lines: bool):
 
 # The graph columns a kernel may read, in the order its signature names them.
 _COLUMNS = ("sources", "targets", "times", "out_positions", "in_positions", "next_out_gap",
-            "self_loops", "label_json")
+            "label_json")
 
 # Depths per generated function: CPython refuses more than 20 statically
 # nested blocks, and a function spends one on its ``try`` and one per depth.
@@ -369,14 +371,13 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     ``p0 + 1`` edges and admitted those less ``r0``, its structural
     rejections.  An ``index`` root loop that skips roots by their
     ``next_out_gap`` (see the module docstring) also counts the roots it
-    visits as ``w0``; each skipped root up to ``p0`` adds one to ``e1``,
-    or, if it is a self-loop, to ``r0``.  The last edge has no next send,
-    so that loop, too, ends at ``p0 == n - 1``.  A deeper scan binds its
-    start as ``q{d}`` and adds ``p{d} - q{d}`` when its loop exits.  A
-    walk adds one per entry it steps to.  A stream closed at a yield
-    leaves every scan of each function live, so each function settles
-    them as ``GeneratorExit`` passes through it, before its ``finally``
-    runs.
+    visits as ``w0``; each skipped root up to ``p0`` adds one to ``e1``.
+    The last edge's gap is -1, or 0 for a self-loop, so that loop, too,
+    ends at ``p0 == n - 1``.  A deeper scan binds its start as ``q{d}``
+    and adds ``p{d} - q{d}`` when its loop exits.  A walk adds one per
+    entry it steps to.  A stream closed at a yield leaves every scan of
+    each function live, so each function settles them as
+    ``GeneratorExit`` passes through it, before its ``finally`` runs.
 
     The last depth yields a :class:`Match`, or with ``lines`` the match's
     JSON line, filled from the locals and one more column, ``label_json``.
@@ -471,7 +472,8 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                             and s.source == steps[d - 1].target):
                         # The first entry is the first edge leaving p{d-1}'s
                         # target after it, whose gap to p{d-1} the graph
-                        # keeps: the walk is found only once it is in the window.
+                        # keeps: the walk is found only once it is in the
+                        # window.  A self-loop p{d-1} reads 0 and enters it.
                         late = f"x{d} > deadline - t{d - 1}"
                         src += [f"{ind}x{d} = next_out_gap[p{d - 1}]",
                                 f"{ind}if x{d} < 0: continue"]
@@ -562,11 +564,10 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             src.append("        e0 = p0 + 1")
             # Settle the roots skipped up to p0 as a loop over every root
             # would have counted them.  A skipping loop that runs out ends
-            # at n - 1 too: the last edge has no next send, so it is visited.
+            # at n - 1 too: the last edge's gap is -1, or 0 for a self-loop,
+            # so it is visited.
             if skips:
-                src += ["        k0 = sum(next_out_gap[q] > span "
-                        "for q in islice(self_loops, bisect_right(self_loops, p0)))",
-                        "        e1 += e0 - w0 - k0", "        r0 += k0"]
+                src.append("        e1 += e0 - w0")
             src.append("        c0 = e0 - r0")
         src += [f"        stats.candidates_examined += {' + '.join(counters[:b - a])}",
                 f"        stats.pushes += {' + '.join(counters[b - a:])}",

@@ -10,14 +10,13 @@ as well, so all in- or out-edges of a node can be visited in time order
 without scanning the full list: the next-in-time edge of a node is the
 successor of the current position in that node's position list.  One of
 those successors is also kept as a column, by time: ``next_out_gap[i]``
-is how much later than edge i the first edge leaving edge i's target
-after position i comes, or -1 if there is none.  It is the link the
+is how much later than edge i the first edge leaving edge i's target at
+or after position i comes, or -1 if there is none.  It is the link the
 chronological search follows from a matched edge to the next edge of a
 path, and, since it is relative, a root can be tested against the window
-without reading its own time.  A real gap is never negative, so -1 marks
-"no next send" for any int times, however large.  ``self_loops`` lists
-the positions of the edges whose source is their target, which such a
-test alone cannot tell apart.
+without reading its own time.  A self-loop leaves its own target, so its
+gap is 0.  A real gap is never negative, so -1 marks "no next send" for
+any int times, however large.
 Each node label is also kept in its JSON string form, so that matches
 can be written out without encoding a label per line.
 
@@ -25,12 +24,12 @@ Both ways in, :func:`build_graph` on triples and ``io_cli.load_graph``
 on a file, split the input into three columns (source labels, target
 labels, times) and hand them to one builder.  It interns the labels in
 order of first appearance, checks each distinct label once, sorts the
-edges and fills the position lists, ``self_loops`` and
-``next_out_gap``.  Both report the first malformed entry through one
-helper, so a file and its triples name the same entry.  The builder
-alone pauses the cyclic garbage collector, since nothing it allocates
-forms a cycle, and restores the caller's state after; builds that
-overlap, nested or in other threads, restore it when the last one ends.
+edges and fills the position lists and ``next_out_gap``.  Both report
+the first malformed entry through one helper, so a file and its triples
+name the same entry.  The builder alone pauses the cyclic garbage
+collector, since nothing it allocates forms a cycle, and restores the
+caller's state after; builds that overlap, nested or in other threads,
+restore it when the last one ends.
 
 A graph is a frozen dataclass of tuples and a read-only label index, so
 nothing in it can change after :func:`build_graph`.  It is safe for
@@ -71,10 +70,9 @@ class TemporalGraph:
     the ascending positions of the edges leaving / entering node ``n``.
     ``label_json[n]`` is ``labels[n]`` as ``json.dumps`` writes it.
     ``next_out_gap[i]`` is the time of the first out-edge of
-    ``targets[i]`` at a position after ``i`` (the first entry after ``i``
-    in ``out_positions[targets[i]]``) less ``times[i]``, or -1 when there
-    is none.  ``self_loops`` holds the ascending positions ``i`` with
-    ``sources[i] == targets[i]``.  Build one with :func:`build_graph`.
+    ``targets[i]`` at a position ``i`` or later (the first entry from ``i``
+    on in ``out_positions[targets[i]]``) less ``times[i]``, or -1 when
+    there is none; a self-loop's is 0.  Build one with :func:`build_graph`.
     """
 
     sources: tuple[int, ...]
@@ -86,7 +84,6 @@ class TemporalGraph:
     out_positions: tuple[tuple[int, ...], ...]
     in_positions: tuple[tuple[int, ...], ...]
     next_out_gap: tuple[int, ...]
-    self_loops: tuple[int, ...]
 
     @property
     def node_count(self) -> int:
@@ -241,30 +238,25 @@ def _build_columns(us: list, vs: list, ts: list) -> TemporalGraph:
 
     out_positions: list[list[int]] = [[] for _ in labels]
     in_positions: list[list[int]] = [[] for _ in labels]
-    self_loops = []
     # both lists take position i as the same int object
     for i, u, v in zip(range(len(times)), sources, targets):
         out_positions[u].append(i)
         in_positions[v].append(i)
-        if u == v:
-            self_loops.append(i)
 
     # One pass from the end: ``nxt[w]`` is the time of w's first out-edge
-    # after the current position.  Edge i reads its target's before its
-    # source's is moved to i, so a self-loop does not see itself.
+    # at or after the current position.
     nxt: list[int | None] = [None] * len(labels)
     next_out_gap = []
     for u, v, t in zip(reversed(sources), reversed(targets), reversed(times)):
+        nxt[u] = t
         x = nxt[v]
         next_out_gap.append(-1 if x is None else x - t)
-        nxt[u] = t
     next_out_gap.reverse()
 
     label_json = tuple(map(encode_basestring_ascii, labels))
     return TemporalGraph(
         sources, targets, times, labels, label_json, MappingProxyType(label_index),
-        tuple(map(tuple, out_positions)), tuple(map(tuple, in_positions)),
-        tuple(next_out_gap), tuple(self_loops),
+        tuple(map(tuple, out_positions)), tuple(map(tuple, in_positions)), tuple(next_out_gap),
     )
 
 

@@ -458,7 +458,9 @@ class TestLoadPattern:
         ("# only a comment\n\n", 0, "missing 'nodes <n>' header"),
         ("nodes 2\n", 0, "pattern has no edges"),
         ("nodes 2\n0 1\n", 2, "expected 3 fields, got 2"),
-    ], ids=["no-header", "no-edges", "two-fields"])
+        ("nodes 0\n0 1 1\n", 1, "node count 0 is below 1"),
+        ("# a note\nnodes -5\n0 1 1\n", 2, "node count -5 is below 1"),
+    ], ids=["no-header", "no-edges", "two-fields", "zero-nodes", "negative-nodes"])
     def test_malformed_file_names_the_line(self, tmp_path, text, line_no, message):
         path = write(tmp_path / "p.txt", text)
         with pytest.raises(ParseError) as info:

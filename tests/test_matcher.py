@@ -466,13 +466,15 @@ class TestSearchProperties:
         p = (generate_path_query(rng.choice([2, 3, 4])) if seed % 3 == 0
              else pattern_from_triples(rng.choice([[(0, 1, 1), (1, 0, 2)],
                                                    [(0, 1, 1), (1, 2, 2), (2, 0, 3)],
-                                                   [(0, 0, 1), (0, 1, 2)]])) if seed % 3 == 1
+                                                   [(0, 0, 1), (0, 1, 2)],
+                                                   [(0, 1, 1), (1, 1, 2), (1, 2, 3)]]))
+             if seed % 3 == 1
              else random_pattern(rng))
         delta = rng.choice([1, 2, 3, 5, full_span(g)])
         if not validate_pattern(p, delta).ok:
             return
         zeros = types.SimpleNamespace(**{c: getattr(g, c) for c in (
-            "sources", "targets", "times", "out_positions", "in_positions", "self_loops")},
+            "sources", "targets", "times", "out_positions", "in_positions")},
             next_out_gap=(0,) * len(g))
         everything, stats = run_search(g, p, delta, "index")
         assert run_search(zeros, p, delta, "index") == (everything, stats)
@@ -556,28 +558,28 @@ class TestCompiledKernel:
             "a8e0ae473c9c07e59809a8affc460fd10c119e35ad25dd15b206d9c1878ee710"),
         2: (
             "76e29e414291a796114f5270e5deed1497dccbde4a492fdb63812e1c8aec3e9c",
-            "7aca6c831240de3b4e2194e6eec014bfe0eadc5fa520e26ac3663ee758ead6b3"),
+            "f189dfa5ecec87d6be1985d54c1f343ff70e5f443926c1b878f6d419f7ac4df8"),
         3: (
             "fccd94f4cff45fba2cc580a06b698530806dd4c09680a6939902b0f548588f35",
-            "8a7954cb70bba288a0baab5d5f54a022c5e8a0745d8aa5c6b38748373dde1d41"),
+            "7a690d4fe10194f5c053b295c5a0009d96f4ba9b1567da1def33330cbe118304"),
         4: (
             "3405397102f5e0796ad81e29a35c6060b660557d95b0011dec1f4df7e47c811e",
-            "5ca4fc901d107b6ca90ce6563dbf1306a538ade531f8d69843fde2ce3c47b875"),
+            "b289b65912509032d893056c1338aa8d1b367277a558fcc6955ecd7f7c29d692"),
         16: (
             "dbb72139bb7f44cf0d3193963e4e1b56a1523914b2f1b2ba788523a7d4a57199",
-            "659be4f22e1bdc4dc973fd236c74f89551a679763e8890e7a928f7aefcf42cb4"),
+            "e7fd5310b793b8d6a3127f82f178f11e07f8334bd2b95c8553b9af462b35c914"),
         17: (
             "239e17ce2577d60b6c9cfd9b54792125f22398575f5595ef12f960e1cf1f986f",
-            "46f01eb6b02df58c8f3ba78c2560f7d6b5a8c02a82162b5dfdd171b0d6cdf3e4"),
+            "1498a1d1c4f4f5b7a8d409b6caa3895dd60c4bc4eea93afc0096c625c0f7bb2e"),
         25: (
             "6b2075dc0a1d5958e14d48273516547b32daf1494dd6649e8208f2708990d5e8",
-            "bfd6b7c2edb5be1ec069d3b655eaa7e6cb905b12a4429f25f54b809eb4de108c"),
+            "aed93faea23cd09499fe7b3710feef52e2e02ace62d8fa28681717ea6830b638"),
         "ping-pong": (
             "5d19adc8c67f985a064be46448cbace2737a1f973ce1c8ecfa699022bb9b9e81",
-            "2885ad72399487011c370ce219b385a005a01c553549f451cddb9c66d98e00cd"),
+            "690a50bb4ecbde4adae5ea86d0edfbd8e5a8e316e6c676ebeaadc8de1c1414a7"),
         "triangle": (
             "12b6d85290a56050393487829bdcda2f8f700ef7db104611a770fff066204533",
-            "2b88bbf8954add360919fb87675d11af46e5da4ab5fee099b1d4ee4ce8f0ce49"),
+            "09c7ab26007f786a83689aad6df024b8f00e91d43f2f4f69e8d6461251238434"),
         "broadcast-reply": (
             "ae9f662673b45a7a6826d9849cf00267d8395ece0f310b769918c658dee53a2b",
             "253060816b9251e2f05acc0e3571af6ee34ca073361d41b74d574a6ac568ebe5"),
@@ -607,28 +609,28 @@ class TestCompiledKernel:
             "2a30e373c5f0afd8563c0975511bc99eb1164e11e09c772a2567a355f4a2a60b"),
         2: (
             "de8903caade4b1d8c7cad70a875521b18e6e6fab8d5255625baaaee522ab0014",
-            "63b6128ae1c638f23874006637024c8c9112d31a66c817e053b92201428d50c3"),
+            "5389e867e7be7bfb05a76b52a721212d4746a30c0648c4b019289d30893b3ab7"),
         3: (
             "5f9df778f183e3d6e0db8f5d7bc1ff488005bac422bddd1628ad99e7b91f0c4e",
-            "2a4934e57d75580d6629b13046637c17c4d43aae6b0407c9834a2bfb1680c23d"),
+            "597513bd6000a1be32cba8b4a4d68099e4823d71c0e2da5276f3e489acb40213"),
         4: (
             "a06cccce597e1898d4ed3d7d2ba5678796324a7e1888dfb17f2f2eaf80a23a98",
-            "0aedc964c9fe89f1d6ddb02a4ea8a4ab858e61629f57949092e135983ecdaaa2"),
+            "39908b876d14caa4f0cd31fd5a36eadbf5f027912e9c59c531efa795ac783839"),
         16: (
             "b2b2befda8b51b068a69134a151bac250278aa30bf33fc8a6ae44db19463ba87",
-            "ce3fca52666614c92c305ea7d119fad7610ef47aebf6b5814cc2a213c1a024df"),
+            "b9b9888848c187c0da1cfcd0a74869360b7151c9021ce8dfb7dd313ddfa6f74a"),
         17: (
             "2db7ff23de673ca50eac1fe74f8bcb806bc349e24a790512fdc7884b0dff4330",
-            "83a189060b6092fe4ab5beaffaf5bc7b626d8318399ab2e3fbd142dcea1ad047"),
+            "a13657e036041c0ea48f563b57ade5b8ff9b0b24fbb415b99676ba6e84b0d232"),
         25: (
             "3668ce89f318772e859f7a73c2d41caaceb003984a015491a7222b4394b17fac",
-            "5ff875c746ff2328efa3916b07d0c1e7150910275143df31c106d39777c627a4"),
+            "3712e82b4eed6375128f229e23955a648ce915ce4c90d9dff384577e06ced4ab"),
         "ping-pong": (
             "aa25722a9d0641a237a9cddb348d6dd465c4b5bd1dbf3da2db9dd1c55b334955",
-            "0c8427069643ef63daeff0dd68ac1bf25cd79d11d3705efd411fd4283b5dc923"),
+            "d080627bf4896e7d229b56466366b64fea1e42f5ba6ddd161d3cc9c3231c2a64"),
         "triangle": (
             "69fb808bd7664597ac33ac97c7e83eb5a65db0ab9ba9f8b093fe4a5ababce30f",
-            "e4add9c0161e4560763cfd86d5b864cd68c0216828dffadef4d6c35b39646db8"),
+            "a8898aa456233804708592dc2a46221bce7362a7598a1fa8fc89c2272daefd49"),
         "broadcast-reply": (
             "ab9227bddd79e21bd19fb10772bb670175fa1d270e2ec318b00e267c9c662780",
             "8e751c8bfdfd72b0982fc6bff2f6adc68fba48aebcdc5b9210f6cc5fd1f39ce1"),
@@ -658,7 +660,7 @@ class TestCompiledKernel:
         # the three edge columns alone, and a path's index kernel no
         # in-edge list.  Three copies of the pattern's own edges, among
         # random edges on the same labels, give each shape matches.  An
-        # index chain kernel also reads the gap column and the self-loops.
+        # index chain kernel also reads the gap column.
         p = (generate_path_query(shape) if isinstance(shape, int)
              else pattern_from_triples(self.PINNED_TRIPLES[shape]))
         rng = random.Random(len(p.edges))
@@ -669,7 +671,7 @@ class TestCompiledKernel:
                            for _ in range(40)])
         delta = full_span(g)
         kernels = [("simple", ())] + [
-            ("index", ("out_positions", "next_out_gap", "self_loops"))] * isinstance(shape, int)
+            ("index", ("out_positions", "next_out_gap"))] * isinstance(shape, int)
         for strategy, walked in kernels:
             for lines in (False, True):
                 columns = ("sources", "targets", "times") + walked + ("label_json",) * lines
@@ -688,7 +690,7 @@ class TestCompiledKernel:
         # previous edge.  When that depth is 1 and the root is no
         # self-loop, the root loop tests the gap against the window
         # instead, so depth 1 tests only its sign, and the kernel settles
-        # the skipped roots from the self-loops' gaps.
+        # the skipped roots from the count of the roots it visited.
         rng = random.Random(seed)
         p = (generate_path_query(rng.choice([2, 3, 17, 33])) if seed % 4 == 0
              else random_pattern(rng, max_edges=6))
@@ -708,7 +710,7 @@ class TestCompiledKernel:
             header = "for p0 in compress(range(n), map(ge, repeat(span), next_out_gap)):"
             assert source.count(header) == skips
             assert source.count("if next_out_gap[p0] < 0: continue") == skips
-            assert ("self_loops" in source) == skips
+            assert source.count("e1 += e0 - w0\n") == skips
             assert ("next_out_gap" in source) == bool(chained)
             assert not chained or use_index
 

@@ -57,10 +57,9 @@ class TestBuildGraph:
             g.out_positions[0].append(1)
         with pytest.raises(TypeError):
             g.label_index["zz"] = 3
-        for column in (g.next_out_gap, g.self_loops):
-            assert type(column) is tuple
-            with pytest.raises(AttributeError):
-                column.append(-1)
+        assert type(g.next_out_gap) is tuple
+        with pytest.raises(AttributeError):
+            g.next_out_gap.append(-1)
         assert g.node_count == len(g.label_json) == len(g.label_index) == 3
 
     def test_parallel_edge_multiplicity(self):
@@ -212,9 +211,8 @@ def _reference_build(edges):
                               for label in labels),
         "next_out_gap": tuple(
             next((keyed[j][0] - keyed[i][0] for j in positions
-                  if j > i and keyed[j][1] == keyed[i][2]), -1)
+                  if j >= i and keyed[j][1] == keyed[i][2]), -1)
             for i in positions),
-        "self_loops": tuple(i for i in positions if keyed[i][1] == keyed[i][2]),
     }
 
 
@@ -266,7 +264,7 @@ class TestColumnarBuild:
         assert g.node_count == len(ref["labels"])
         assert list(g.label_index.items()) == list(ref["label_index"].items())
         for column in ("label_json", "sources", "targets", "times", "out_positions",
-                       "in_positions", "next_out_gap", "self_loops"):
+                       "in_positions", "next_out_gap"):
             assert getattr(g, column) == ref[column], column
         assert len(g) == len(edges)
         assert static_projection(g) == frozenset(zip(ref["sources"], ref["targets"]))
@@ -276,19 +274,19 @@ class TestColumnarBuild:
     def test_next_out_gap_is_the_gap_to_the_next_send_of_the_target(self, edges):
         g = build_graph(edges)
         for i, v in enumerate(g.targets):
-            later = [j for j in range(i + 1, len(g)) if g.sources[j] == v]
+            later = [j for j in range(i, len(g)) if g.sources[j] == v]
             assert g.next_out_gap[i] == (g.times[later[0]] - g.times[i] if later else -1)
-        assert g.next_out_gap[-1] == -1  # so a loop over the roots by gap keeps the last
-        assert g.self_loops == tuple(i for i, u in enumerate(g.sources) if u == g.targets[i])
+        # so a loop over the roots by gap keeps the last
+        assert g.next_out_gap[-1] == (0 if g.sources[-1] == g.targets[-1] else -1)
 
-    def test_next_out_gap_of_a_self_loop_skips_itself(self):
+    def test_next_out_gap_of_a_self_loop_is_zero(self):
         g = build_graph([("a", "a", 1), ("a", "a", 2), ("b", "a", 2**64)])
-        assert (g.next_out_gap, g.self_loops) == ((1, -1, -1), (0, 1))
+        assert g.next_out_gap == (0, 0, -1)
         g = build_graph([("a", "a", -1), ("a", "b", 2**63), ("b", "a", 2**63)])
-        assert (g.next_out_gap, g.self_loops) == ((2**63 + 1, 0, -1), (0,))
+        assert g.next_out_gap == (0, 0, -1)
         # an edge into a node whose next send comes at its own time
         g = build_graph([("a", "b", 5), ("b", "c", 5), ("c", "c", 7)])
-        assert (g.next_out_gap, g.self_loops) == ((0, 2, -1), (2,))
+        assert g.next_out_gap == (0, 2, 0)
 
     def test_columns_only(self):
         g = build_graph([("a", "b", 1)])
