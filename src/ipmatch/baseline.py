@@ -1,19 +1,25 @@
 """Two-phase baseline and exhaustive correctness oracle.
 
-The two-phase strategy first enumerates structural matches of the
-pattern on the static projection (edge by edge, no temporal knowledge),
-then for every structural match expands the cartesian product of the
-parallel temporal edges behind each mapped static edge, keeping the
-assignments that respect the required time order and the window.  Only
-the window is allowed to prune inside the product; order violations are
-generated and filtered, which is what makes this approach blow up on
-graphs with many parallel edges.
+The two-phase strategy is a pipeline of three generator stages over
+immutable values.  First, ``_static_matches`` enumerates the injective
+node maps of the pattern on the static projection (the node pairs with
+at least one edge), edge by edge and with no temporal knowledge: each
+pattern edge extends the binding it is given into a new one, so nothing
+is ever undone.  Second, for each node map ``_window_product`` yields,
+in lexicographic order, every tuple of positions (one parallel temporal
+edge behind each mapped static edge) whose times fit the window.  Only
+the window prunes inside the product.  Third, ``two_phase_search``
+counts every tuple it receives as a temporal candidate and keeps those
+whose positions are distinct and whose edges respect the pattern's time
+order.  Order violations are generated and filtered, which is what makes
+this approach blow up on graphs with many parallel edges.
 
-``brute_force`` is the test oracle: it enumerates every injective node
-mapping outright, prunes each mapping's edge assignments only by
-distinct positions, consecutive time order and the window, and judges
-every complete one by the match definition (``verify_match``).  It
-shares no search machinery with the main matcher.
+``brute_force`` is the test oracle and is left as it is: it enumerates
+every injective node mapping outright, prunes each mapping's edge
+assignments only by distinct positions, consecutive time order and the
+window, and judges every complete one by the match definition
+(``verify_match``).  It shares no search machinery with the main
+matcher.
 
 Both functions are stateless over immutable inputs and safe to call
 concurrently.
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .matcher import Match, verify_match
 from .pattern import PatternGraph
@@ -62,52 +68,52 @@ def _static_matches(pairs: dict[tuple[int, int], list[int]],
     for a, b in edges:
         out_adj.setdefault(a, []).append(b)
         in_adj.setdefault(b, []).append(a)
+    yield from _extend(p, (pairs, edges, out_adj, in_adj), {}, 0)
 
-    f: dict[int, int] = {}
-    used: set[int] = set()
 
-    def assign(pnode: int, gnode: int) -> bool:
-        if pnode in f:
-            return False
-        f[pnode] = gnode
-        used.add(gnode)
-        return True
+def _extend(p: PatternGraph, projection: tuple, f: dict[int, int], i: int) -> Iterator[tuple]:
+    """The node maps that extend the binding ``f`` (pattern node to graph
+    node) over pattern edges ``i`` onward, in the order of their candidate
+    lists; ``projection`` is ``(pairs, edges, out_adj, in_adj)``."""
+    if i == len(p.edges):
+        yield tuple(f[k] for k in range(p.node_count))
+        return
+    pairs, edges, out_adj, in_adj = projection
+    u, v = p.edges[i].source, p.edges[i].target
+    fu, fv = f.get(u), f.get(v)
+    used = set(f.values())
+    if u == v and fu is not None:
+        cands = [(fu, fu)] if (fu, fu) in pairs else []
+    elif u == v:
+        cands = [(a, a) for a, b in edges if a == b and a not in used]
+    elif fu is not None and fv is not None:
+        cands = [(fu, fv)] if (fu, fv) in pairs else []
+    elif fu is not None:
+        cands = [(fu, w) for w in out_adj.get(fu, ()) if w not in used]
+    elif fv is not None:
+        cands = [(w, fv) for w in in_adj.get(fv, ()) if w not in used]
+    else:
+        cands = [(a, b) for a, b in edges if a != b and a not in used and b not in used]
+    for a, b in cands:
+        yield from _extend(p, projection, {**f, u: a, v: b}, i + 1)
 
-    def unassign(pnode: int, fresh: bool) -> None:
-        if fresh:
-            used.discard(f.pop(pnode))
 
-    def candidates(i: int) -> list[tuple[int, int]]:
-        pe = p.edges[i]
-        fu, fv = f.get(pe.source), f.get(pe.target)
-        if pe.source == pe.target:
-            if fu is not None:
-                return [(fu, fu)] if (fu, fu) in pairs else []
-            return [(a, a) for a, b in edges if a == b and a not in used]
-        if fu is not None and fv is not None:
-            return [(fu, fv)] if (fu, fv) in pairs else []
-        if fu is not None:
-            return [(fu, w) for w in out_adj.get(fu, ()) if w not in used]
-        if fv is not None:
-            return [(w, fv) for w in in_adj.get(fv, ()) if w not in used]
-        return [(a, b) for a, b in edges if a != b and a not in used and b not in used]
+def _window_product(cand: list[list[int]], times: Sequence[int], delta: int, chosen: tuple = (),
+                    lo: float = float("-inf"), hi: float = float("inf")) -> Iterator[tuple]:
+    """Every tuple of positions, one from each list of ``cand`` in turn,
+    whose times span at most ``delta``, in lexicographic order.  The
+    window is the only pruning.
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(p.edges):
-            yield tuple(f[k] for k in range(p.node_count))
-            return
-        pe = p.edges[i]
-        for a, b in candidates(i):
-            fresh_u = assign(pe.source, a)
-            fresh_v = assign(pe.target, b)
-            yield from rec(i + 1)
-            unassign(pe.target, fresh_v)
-            unassign(pe.source, fresh_u)
-
-    try:
-        yield from rec(0)
-    finally:  # ``rec`` refers to itself through its cell; clearing it breaks the cycle
-        del rec
+    A call extends the tuple ``chosen``, which stays in the window if the
+    time of its next position lies in ``[lo, hi]``."""
+    if len(chosen) == len(cand):
+        yield chosen
+        return
+    for pos in cand[len(chosen)]:
+        t = times[pos]
+        if lo <= t <= hi:  # window pruning only; order is filtered later
+            yield from _window_product(cand, times, delta, chosen + (pos,),
+                                       max(lo, t - delta + 1), min(hi, t + delta - 1))
 
 
 def two_phase_search(
@@ -132,38 +138,18 @@ def two_phase_search(
             pair_positions[(node_map[pe.source], node_map[pe.target])]
             for pe in p.edges
         ]
-        chosen: list[int] = []
-
-        def product(i: int, tmin: int, tmax: int) -> None:
-            if i == m:
-                stats.temporal_candidates += 1
-                if len(set(chosen)) != m:
-                    return
-                ok_order = all(
-                    (times[chosen[a]] < times[chosen[b]])
-                    if p.edges[a].time < p.edges[b].time
-                    else (times[chosen[a]] == times[chosen[b]])
-                    for a in range(m) for b in range(a + 1, m)
-                )
-                if not ok_order:
-                    return
+        for chosen in _window_product(cand, times, delta):
+            stats.temporal_candidates += 1
+            if len(set(chosen)) == m and all(
+                (times[chosen[a]] < times[chosen[b]])
+                if p.edges[a].time < p.edges[b].time
+                else (times[chosen[a]] == times[chosen[b]])
+                for a in range(m) for b in range(a + 1, m)
+            ):
                 start, end = min(times[c] for c in chosen), max(times[c] for c in chosen)
                 matches.append(
-                    Match(node_map, tuple(chosen), start, end, end - start + 1)
+                    Match(node_map, chosen, start, end, end - start + 1)
                 )
-                return
-            for pos in cand[i]:
-                t = times[pos]
-                lo = t if i == 0 else min(tmin, t)
-                hi = t if i == 0 else max(tmax, t)
-                if hi - lo + 1 > delta:
-                    continue  # window pruning only; order is filtered later
-                chosen.append(pos)
-                product(i + 1, lo, hi)
-                chosen.pop()
-
-        product(0, 0, 0)
-        del product  # as ``rec`` in _static_matches: no cycle is left behind
 
     stats.matches_found = len(matches)
     return matches, stats

@@ -73,7 +73,8 @@ def pattern_from_triples(triples: Sequence[tuple[int, int, int]],
     """The pattern of (source, target, time) int triples, sorted by time.
 
     The sort is stable, so input order among equal-time edges is
-    preserved.  ``node_count`` defaults to max endpoint id + 1.
+    preserved.  ``node_count`` defaults to max endpoint id + 1; a given
+    one below 1 raises ``ValueError``.
     """
     edges = tuple(sorted((PatternEdge(u, v, t) for u, v, t in triples),
                          key=lambda e: e.time))
@@ -81,6 +82,8 @@ def pattern_from_triples(triples: Sequence[tuple[int, int, int]],
         raise ValueError("a pattern needs at least one edge")
     if node_count is None:
         node_count = 1 + max(max(e.source, e.target) for e in edges)
+    elif node_count < 1:
+        raise ValueError(f"node count {node_count} is below 1")
     return PatternGraph(node_count, edges)
 
 
@@ -88,10 +91,11 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
     """Check that ``p`` is a usable pattern for window ``delta``.
 
     Verifies that ``p`` has between one and :data:`MAX_PATTERN_EDGES`
-    edges, the duration bound dur(P) <= delta, that node ids are dense
-    (every endpoint in [0, node_count) and every id used by some edge),
-    and that the sorted-order invariants hold.  The cost is linear in the
-    edge count, whatever ``node_count`` says.
+    edges, the duration bound dur(P) <= delta, that the node count and
+    every node id are exact ints (a bool or a float is refused), that node
+    ids are dense (every endpoint in [0, node_count) and every id used by
+    some edge), and that the sorted-order invariants hold.  The cost is
+    linear in the edge count, whatever ``node_count`` says.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
@@ -105,18 +109,27 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
             violations.append(f"dur(P)={dur} exceeds delta={delta}")
     if len(times) > MAX_PATTERN_EDGES:
         violations.append(f"pattern has {len(times)} edges, limit is {MAX_PATTERN_EDGES}")
+    count_ok = type(p.node_count) is int  # first, so that range() below never sees a float
+    if not count_ok:
+        violations.append(f"node count {p.node_count!r} is not an integer")
     seen: set[int] = set()
     outside: dict[int, None] = {}  # distinct out-of-range ids, in order of first use
+    non_int: dict[str, object] = {}  # distinct ids that are not ints, by repr, in first-use order
     for e in p.edges:
         for node in (e.source, e.target):
-            if node < 0 or node >= p.node_count:
+            if type(node) is not int:
+                non_int.setdefault(repr(node), node)
+            elif count_ok and (node < 0 or node >= p.node_count):
                 outside[node] = None
             else:
                 seen.add(node)
+    if non_int:
+        violations.append(f"node ids are not integers: "
+                          f"{_first_ten(non_int.values(), len(non_int))}")
     if outside:
         violations.append(f"node ids out of range 0..{p.node_count - 1}: "
                           f"{_first_ten(outside, len(outside))}")
-    unused = p.node_count - len(seen)
+    unused = p.node_count - len(seen) if count_ok and not non_int else 0
     if unused > 0:
         # the scan stops at the 10th unused id, having passed at most len(seen) others
         ids = (n for n in range(p.node_count) if n not in seen)

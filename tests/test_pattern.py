@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 
 import pytest
@@ -15,7 +16,7 @@ from ipmatch import (
 )
 from ipmatch.io_cli import STRATEGIES
 from ipmatch.matcher import _compile
-from ipmatch.pattern import MAX_PATTERN_EDGES
+from ipmatch.pattern import MAX_PATTERN_EDGES, PatternEdge, PatternGraph
 
 
 def equal_flags(p):
@@ -51,6 +52,11 @@ class TestOrderEdges:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pattern_from_triples([])
+
+    @pytest.mark.parametrize("node_count", [0, -5])
+    def test_node_count_below_one_rejected(self, node_count):
+        with pytest.raises(ValueError, match=f"^node count {node_count} is below 1$"):
+            pattern_from_triples([(0, 1, 1)], node_count=node_count)
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 6)),
                     min_size=1, max_size=10))
@@ -147,3 +153,38 @@ class TestEdgeBound:
         with pytest.raises(InvalidPatternError,
                            match=f"pattern has 65 edges, limit is {MAX_PATTERN_EDGES}"):
             stream_search(g, p, 1000, strategy)
+
+
+# patterns built directly, past pattern_from_triples and the file parser,
+# whose node ids or node count are not exact ints
+NOT_INT_PATTERNS = {
+    "bool-ids": (PatternGraph(2, (PatternEdge(True, False, 1),)),
+                 "node ids are not integers: [True, False]"),
+    "float-ids": (PatternGraph(2, (PatternEdge(0.0, 1.0, 1),)),
+                  "node ids are not integers: [0.0, 1.0]"),
+    "float-count": (PatternGraph(2.0, (PatternEdge(0, 1, 1),)),
+                    "node count 2.0 is not an integer"),
+    "bool-count": (PatternGraph(True, (PatternEdge(0, 0, 1),)),
+                   "node count True is not an integer"),
+}
+
+
+class TestNotIntegerNodes:
+    @pytest.mark.parametrize("name", list(NOT_INT_PATTERNS))
+    def test_reported_as_the_only_violation(self, name):
+        p, text = NOT_INT_PATTERNS[name]
+        assert validate_pattern(p, 5).violations == (text,)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("name", list(NOT_INT_PATTERNS))
+    def test_every_strategy_refuses(self, name, strategy):
+        p, text = NOT_INT_PATTERNS[name]
+        g = build_graph([("a", "b", 1), ("b", "c", 2)])
+        with pytest.raises(InvalidPatternError, match=re.escape(text)):
+            stream_search(g, p, 5, strategy)
+
+    def test_ids_listed_up_to_ten(self):
+        p = PatternGraph(12, tuple(PatternEdge(i + 0.5, i + 1, 1) for i in range(11)))
+        text = ("node ids are not integers: "
+                "[0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5] and 1 more")
+        assert text in validate_pattern(p, 5).violations

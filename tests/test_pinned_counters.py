@@ -39,6 +39,12 @@ negative ones to ones above 2^63.  Path-2, path-3, ping-pong, triangle
 and a pattern rooted at a self-loop are pinned on it for the full run,
 for ``limit=1`` and for a stream closed after its first match, recorded
 before the kernel skipped any root.
+
+The two-phase baseline is pinned too, on the bundled file and on
+``parallel_family(3)``: its three counters and a digest of its match
+list in the order it returns them, recorded from the baseline that
+bound and unbound its nodes by hand before it became a generator
+pipeline.
 """
 
 import hashlib
@@ -48,8 +54,10 @@ import pytest
 
 from ipmatch import (
     build_graph, generate_path_query, load_graph, pattern_from_triples, run_search,
-    stream_search,
+    stream_search, two_phase_search,
 )
+
+from _generators import full_span, parallel_family
 
 DATA = Path(__file__).parent / "data" / "synthetic_1000.txt"
 DAY = 86_400
@@ -340,3 +348,41 @@ def test_root_skip_counters_unchanged(case, strategy):
     g = build_graph(ROOT_SKIP_EDGES)
     p = pattern_from_triples(ROOT_SKIP_PATTERNS[name])
     assert_pinned(*run_to_end(g, p, end, strategy), digest, counters[strategy])
+
+
+# (pattern, delta) -> digest of the repr of two_phase_search's match list
+# and its (static_matches, temporal_candidates, matches_found), on the
+# bundled file
+BASELINE_PINNED = {
+    ("path-2", DAY): ("14d85bbfd06dbfee", (7536, 368, 195)),
+    ("path-2", 7 * DAY): ("3f4348431faef68f", (7536, 2299, 1184)),
+    ("path-3", DAY): ("61587a1efd32b0bd", (59056, 108, 22)),
+    ("path-3", 7 * DAY): ("b80cf7eadaed2167", (59056, 4033, 758)),
+    ("ping-pong", DAY): ("f814825088d47e58", (68, 4, 2)),
+    ("ping-pong", 7 * DAY): ("aa53930149228eaf", (68, 16, 8)),
+    ("triangle", DAY): ("4f53cda18c2baa0c", (426, 0, 0)),
+    ("triangle", 7 * DAY): ("92e08e3f4674dc1c", (426, 36, 6)),
+}
+
+BASELINE_COUNTERS = ("static_matches", "temporal_candidates", "matches_found")
+
+
+def assert_baseline_pinned(matches, stats, digest, counters):
+    assert stats.as_dict() == dict(zip(BASELINE_COUNTERS, counters))
+    assert len(matches) == stats.matches_found
+    assert hashlib.sha256(repr(matches).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("case", list(BASELINE_PINNED), ids=lambda c: "-".join(map(str, c)))
+def test_baseline_counters_unchanged(graphs, case):
+    name, delta = case
+    p = pattern_from_triples({**PATTERNS, **NEXT_OUT_PATTERNS}[name])
+    assert_baseline_pinned(*two_phase_search(graphs["seconds"], p, delta), *BASELINE_PINNED[case])
+
+
+def test_baseline_counters_unchanged_on_parallel_family():
+    # every static match's k^3 window-fitting tuples break the time order
+    g = parallel_family(3)
+    p = pattern_from_triples(PATTERNS["path-3"])
+    assert_baseline_pinned(*two_phase_search(g, p, full_span(g)),
+                           "4f53cda18c2baa0c", (1, 27, 0))
