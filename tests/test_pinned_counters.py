@@ -40,6 +40,14 @@ and a pattern rooted at a self-loop are pinned on it for the full run,
 for ``limit=1`` and for a stream closed after its first match, recorded
 before the kernel skipped any root.
 
+Five patterns whose steps run at one time (EQUAL runs) are pinned on the
+day-truncated file at delta 3: star3, relay-equal, a relay of three
+edges, a run that starts at depth 1, after a STRICT step, and a run
+rooted at a self-loop.  Each is pinned for the full run, for ``limit=1``
+and for a stream closed after its first match, recorded from the kernel
+that found every EQUAL step's start by a binary search of the time
+column.
+
 The two-phase baseline is pinned too, on the bundled file and on
 ``parallel_family(3)``: its three counters and a digest of its match
 list in the order it returns them, recorded from the baseline that
@@ -271,6 +279,50 @@ ROOT_SKIP_PINNED = {
         "simple": (8, 1, 2, 3, 1), "index": (8, 1, 2, 3, 1)}),
 }
 
+EQUAL_RUN_PATTERNS = {
+    "star3": [(0, 1, 1), (0, 2, 1), (0, 3, 1)],
+    "relay-equal": [(0, 1, 1), (1, 2, 1)],
+    "relay-3": [(0, 1, 1), (1, 2, 1), (2, 3, 1)],
+    "deeper-run": [(0, 1, 1), (1, 2, 2), (1, 3, 2)],
+    "loop-run": [(0, 0, 1), (0, 1, 1)],
+}
+
+# (pattern, how the run ends) -> the same, at delta 3 on the day-truncated
+# file, recorded from the kernel that bisected the time column at every
+# EQUAL step
+EQUAL_RUN_PINNED = {
+    ("star3", "all"): ("a8eafe2a25e8ad49", {
+        "simple": (29495, 72, 3, 1228, 1228), "index": (3558, 72, 3, 1228, 1228)}),
+    ("star3", "limit"): ("cd2f26fbbb850d83", {
+        "simple": (2146, 1, 3, 79, 76), "index": (239, 1, 3, 79, 76)}),
+    ("star3", "closed"): ("cd2f26fbbb850d83", {
+        "simple": (2146, 1, 3, 79, 76), "index": (239, 1, 3, 79, 76)}),
+    ("relay-equal", "all"): ("97d2a149be6c26fe", {
+        "simple": (25059, 172, 2, 1162, 1162), "index": (2039, 172, 2, 1162, 1162)}),
+    ("relay-equal", "limit"): ("b8b2202627f77cd8", {
+        "simple": (85, 1, 2, 9, 7), "index": (16, 1, 2, 9, 7)}),
+    ("relay-equal", "closed"): ("b8b2202627f77cd8", {
+        "simple": (85, 1, 2, 9, 7), "index": (16, 1, 2, 9, 7)}),
+    ("relay-3", "all"): ("7011042206b5eee3", {
+        "simple": (29437, 27, 3, 1189, 1189), "index": (2216, 27, 3, 1189, 1189)}),
+    ("relay-3", "limit"): ("09c76a96022cb82b", {
+        "simple": (1725, 1, 3, 71, 68), "index": (141, 1, 3, 71, 68)}),
+    ("relay-3", "closed"): ("09c76a96022cb82b", {
+        "simple": (1725, 1, 3, 71, 68), "index": (141, 1, 3, 71, 68)}),
+    ("deeper-run", "all"): ("0cdc2813299b1d8d", {
+        "simple": (64831, 44, 3, 1405, 1405), "index": (3052, 44, 3, 1405, 1405)}),
+    ("deeper-run", "limit"): ("b67cfa6230489d58", {
+        "simple": (2025, 1, 3, 37, 34), "index": (83, 1, 3, 37, 34)}),
+    ("deeper-run", "closed"): ("b67cfa6230489d58", {
+        "simple": (2025, 1, 3, 37, 34), "index": (83, 1, 3, 37, 34)}),
+    ("loop-run", "all"): ("acc96945fc39d00e", {
+        "simple": (1171, 1, 2, 8, 8), "index": (1010, 1, 2, 8, 8)}),
+    ("loop-run", "limit"): ("acc96945fc39d00e", {
+        "simple": (362, 1, 2, 4, 2), "index": (297, 1, 2, 4, 2)}),
+    ("loop-run", "closed"): ("acc96945fc39d00e", {
+        "simple": (362, 1, 2, 4, 2), "index": (297, 1, 2, 4, 2)}),
+}
+
 COUNTERS = ("candidates_examined", "matches_found", "max_depth_reached", "pushes", "pops")
 
 
@@ -281,14 +333,14 @@ def assert_pinned(matches, stats, digest, counters):
     assert hashlib.sha256(listing).hexdigest()[:16] == digest
 
 
-def run_to_end(g, p, end, strategy):
-    """The matches and stats at delta 10 of a run that ends as ``end`` says."""
+def run_to_end(g, p, end, strategy, delta=10):
+    """The matches and stats of a run that ends as ``end`` says."""
     if end == "closed":
-        stream, stats = stream_search(g, p, 10, strategy)
+        stream, stats = stream_search(g, p, delta, strategy)
         matches = [next(stream)]
         stream.close()
         return matches, stats
-    return run_search(g, p, 10, strategy, limit=1 if end == "limit" else None)
+    return run_search(g, p, delta, strategy, limit=1 if end == "limit" else None)
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +400,16 @@ def test_root_skip_counters_unchanged(case, strategy):
     g = build_graph(ROOT_SKIP_EDGES)
     p = pattern_from_triples(ROOT_SKIP_PATTERNS[name])
     assert_pinned(*run_to_end(g, p, end, strategy), digest, counters[strategy])
+
+
+@pytest.mark.parametrize("strategy", ["simple", "index"])
+@pytest.mark.parametrize("case", list(EQUAL_RUN_PINNED), ids=lambda c: "-".join(c))
+def test_equal_run_counters_unchanged(graphs, case, strategy):
+    name, end = case
+    digest, counters = EQUAL_RUN_PINNED[case]
+    p = pattern_from_triples(EQUAL_RUN_PATTERNS[name])
+    assert_pinned(*run_to_end(graphs["days"], p, end, strategy, delta=3), digest,
+                  counters[strategy])
 
 
 # (pattern, delta) -> digest of the repr of two_phase_search's match list
