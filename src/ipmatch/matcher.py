@@ -83,12 +83,28 @@ Candidate admissibility at depth d (pattern edge (u, v)):
   pattern nodes get a graph node no other pattern node uses, and the
   edge is not already part of the partial match.
 
+Below the root each depth tests them in this order: the time break (a
+candidate past the deadline, or on an EQUAL step later than the previous
+edge, ends the depth), then the bound endpoints its walked list does not
+fix, which reject most candidates, then a STRICT step's tie with the
+previous edge's time or an EQUAL step's edges of its own run, and last
+it binds its fresh endpoints and tests that their nodes are not taken.
+No test but the break counts anything, so the order changes no counter.
+
 For an EQUAL step the scan starts at the beginning of the previous
 edge's equal-time block, not after it: simultaneous graph edges sit at
 adjacent but ordered positions and a valid assignment may pick them in
-either position order.  Only an EQUAL step can meet an edge already in
-the partial match, and only one of its own equal-time run, so only it
-tests for one, by comparing positions with that run's.
+either position order.  The edges of one time are one contiguous block
+of the time-ordered list, so each run of EQUAL steps finds that start
+once.  When depth 1 is EQUAL the root loop keeps it as it visits the
+roots (``b0``, updated whenever the root's time changes); a run that
+starts deeper, at depth r, finds it by one binary search of the time
+column at its first EQUAL step (``b{r}``).  Every step of the run starts
+from it, and an ``index`` step that walks the same list as an earlier
+step of its run takes that step's list and start index as they are.
+Only an EQUAL step can meet an edge already in the partial match, and
+only one of its own equal-time run, so only it tests for one, by
+comparing positions with that run's.
 
 The search is a generator that yields each match as it completes it, so
 a caller can stream, count or stop early without holding every match.
@@ -356,6 +372,11 @@ def _later(steps: tuple[_Step, ...], x: int, y: int) -> bool:
     return x == y or x > y and not any(s.equal for s in steps[y + 1:x + 1])
 
 
+def _run_start(steps: tuple[_Step, ...], d: int) -> int:
+    """The first depth of depth d's equal-time run: the root or a STRICT step."""
+    return max(r for r in range(d + 1) if r == 0 or not steps[r].equal)
+
+
 def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = False) -> str:
     """Python source of the search over ``steps``: one nested ``for`` per
     depth, in generator functions ``_k0``, ``_k1``, ... of at most
@@ -373,9 +394,13 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     ``next_out_gap`` (see the module docstring) also counts the roots it
     visits as ``w0``; each skipped root up to ``p0`` adds one to ``e1``.
     The last edge's gap is -1, or 0 for a self-loop, so that loop, too,
-    ends at ``p0 == n - 1``.  A deeper scan binds its start as ``q{d}``
-    and adds ``p{d} - q{d}`` when its loop exits.  A walk adds one per
-    entry it steps to.  A stream closed at a yield leaves every scan of
+    ends at ``p0 == n - 1``.  When depth 1 is EQUAL, the root loop reads
+    ``t0`` before its tests and keeps ``b0``, the position where the
+    block of time ``tb`` starts; a deeper run's block start ``b{r}`` is
+    handed on to the next function with the other locals when the run
+    goes on there.  A deeper scan binds its start as ``q{d}`` and adds
+    ``p{d} - q{d}`` when its loop exits.  A walk adds one per entry it
+    steps to.  A stream closed at a yield leaves every scan of
     each function live, so each function settles them as
     ``GeneratorExit`` passes through it, before its ``finally`` runs.
 
@@ -400,6 +425,9 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     # next send is in the window or absent; see the chain entry below.
     skips = (use_index and m > 1 and not steps[1].equal
              and steps[1].source == steps[0].target != steps[0].source)
+    # When depth 1 is EQUAL, the root loop keeps the start of its edge's
+    # time block as ``b0``, for every step of the root's run to start from.
+    blocks = m > 1 and steps[1].equal
     bound: dict[int, int] = {}  # pattern node -> last depth above that touched it
     src: list[str] = []
 
@@ -410,11 +438,14 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
         b = min(a + _CHUNK, m)
         counters = [f"e{d}" for d in range(a, b)] + [f"c{d}" for d in range(a, b)]
         scans: list[int] = []  # this function's scans below the root, outermost first
+        starts: dict[tuple[str, str], int] = {}  # (walked list, start) -> its depth
         if a == 0:
             src += ["def _k0(COLUMNS, delta, stats):",
                     f"    n, held, p0 = len(times), {m}, -1"]
             if strict:
                 src.append("    span = delta - 1")
+            if blocks:
+                src.append("    tb = None")
         else:  # ``live``: what the previous function's last depth hands on
             src.append(f"def _k{a // _CHUNK}(COLUMNS, n, stats, {', '.join(live)}):")
         # the root's e0 and c0 are worked out from p0 and r0 in ``finally``
@@ -423,8 +454,8 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
         src += ["    " + " = ".join(zeroed) + " = 0", "    try:"]
         for d in range(a, b):
             s = steps[d]
-            # the earlier depths of this step's equal-time run (none if STRICT)
-            run = range(max(r for r in range(d + 1) if r == 0 or not steps[r].equal), d)
+            r = _run_start(steps, d)
+            run = range(r, d)  # the earlier depths of this step's run (none if STRICT)
             ind = "        " + "    " * (d - a)
             walked = None  # the column the walked position list fixes
             ls, lt = bound.get(s.source, -1), bound.get(s.target, -1)
@@ -434,8 +465,12 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
             if d == 0:
                 header = ("compress(range(n), map(ge, repeat(span), next_out_gap))" if skips
                           else "range(n)")
+            elif s.equal:  # the run's block starts at b{r}, found at its first EQUAL step
+                if d == r + 1 and r > 0:
+                    src.append(f"{ind}b{r} = bisect_left(times, t{r})")
+                lo = f"b{r} - 1"
             else:
-                lo = f"bisect_left(times, t{d - 1}) - 1" if s.equal else f"p{d - 1}"
+                lo = f"p{d - 1}"
             if walk:
                 # Walk a bound endpoint's position list: with both bound, the
                 # one whose latest matched edge is later (ties: source).  A
@@ -453,7 +488,9 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                         y != x and _later(steps, y, x) for y in deps)]
                     lo = ", ".join(f"p{x}" for x in top)
                     lo = lo if len(top) == 1 else f"max({lo})"
-                entry = [f"{ind}s{d} = {seq}", f"{ind}k{d} = bisect_right(s{d}, {lo})"]
+                e = starts.setdefault((seq, lo), d)  # e < d: e walked this list from here
+                entry = ([f"{ind}s{d}, k{d} = s{e}, k{e}"] if e < d else
+                         [f"{ind}s{d} = {seq}", f"{ind}k{d} = bisect_right(s{d}, {lo})"])
                 # Enter the walk only if its first entry is in time; one that is
                 # not is examined, as the loop's break would count it.  A walk
                 # of a list that holds an edge of this equal-time run starts at
@@ -495,28 +532,37 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                 src.append(f"{ind}e{d} += 1")
             elif d == 0 and skips:
                 src.append(f"{ind}w0 += 1")
-            if d:
-                src.append(f"{ind}t{d} = times[p{d}]")
-                if s.equal:
-                    same = " or ".join(f"p{d} == p{r}" for r in run)
-                    src += [f"{ind}if t{d} > t{d - 1}: break", f"{ind}if {same}: continue"]
-                else:
-                    src += [f"{ind}if t{d} > deadline: break",
-                            f"{ind}if t{d} == t{d - 1}: continue"]
+            elif d == 0 and blocks:  # the block start must see every root, even a rejected one
+                src += [f"{ind}t0 = times[p0]", f"{ind}if t0 != tb: tb, b0 = t0, p0"]
             # A bound endpoint must agree with its node, unless the walked
             # list fixes it; so must an unbound self-loop's target, whose node
             # its source binds.  A fresh endpoint is bound here, to a graph
-            # node no other pattern node holds.
-            agree, fresh = [], []
+            # node no other pattern node holds.  Below the root, the time
+            # break comes first, then the agree tests, which reject most
+            # candidates, then the time tie (STRICT) or the edges of this run
+            # (EQUAL), and the fresh binding and its tests last.  Nothing is
+            # bound at the root, so it has no agree tests.
+            agree, fresh, loop = [], [], []
             for col, node in (("sources", s.source), ("targets", s.target)):
-                if node in bound or col == "targets" and s.source == s.target:
+                if node in bound:
                     agree += [f"{col}[p{d}] != v{node}"] * (walked != col)
+                elif col == "targets" and s.source == s.target:
+                    loop.append(f"targets[p{d}] != v{node}")
                 else:
                     fresh.append((col, node))
+            if d:
+                src.append(f"{ind}t{d} = times[p{d}]")
+                if s.equal:
+                    src.append(f"{ind}if t{d} > t{d - 1}: break")
+                    agree += [f"p{d} == p{x}" for x in run]
+                else:
+                    src.append(f"{ind}if t{d} > deadline: break")
+                    agree.append(f"t{d} == t{d - 1}")
+                src.append(f"{ind}if {' or '.join(agree)}: continue")
             if fresh:
                 src.append(f"{ind}{', '.join(f'v{n}' for _, n in fresh)} = "
                            f"{', '.join(f'{c}[p{d}]' for c, _ in fresh)}")
-            tests = (agree + [f"v{s.source} == v{s.target}"] * (len(fresh) == 2)
+            tests = (loop + [f"v{s.source} == v{s.target}"] * (len(fresh) == 2)
                      + [t for _, n in fresh for t in taken(n)])
             if d == 0:  # the root admits every edge it does not reject here
                 src += [f"{ind}if {' or '.join(tests)}:", f"{ind}    r0 += 1",
@@ -527,7 +573,8 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                 src.append(f"{ind}c{d} += 1")
             bound[s.source] = bound[s.target] = d
             if d == 0:
-                src.append(f"{ind}t0 = times[p0]")
+                if not blocks:
+                    src.append(f"{ind}t0 = times[p0]")
                 if strict:
                     src.append(f"{ind}deadline = t0 + span")
             if d == m - 1:
@@ -550,8 +597,10 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
                     src.append(f"{ind}yield new(Match, (({node_map},), ({edges},), t0, t{d}, "
                                f"t{d} - t0 + 1))")
             elif d == b - 1:
+                rb = _run_start(steps, b)  # a run going on past here hands on its block start
                 live = ([f"v{i}" for i in sorted(bound)] + [f"p{k}" for k in range(b)]
-                        + ["t0"] + [f"t{d}"] * (d > 0) + ["deadline"] * strict)
+                        + ["t0"] + [f"t{d}"] * (d > 0) + ["deadline"] * strict
+                        + [f"b{rb}"] * (steps[b].equal and rb + 1 < b))
                 src.append(f"{ind}yield from _k{b // _CHUNK}(COLUMNS, n, stats, {', '.join(live)})")
         src += [f"{'    ' * (2 + d - a)}e{d} += p{d} - q{d}" for d in reversed(scans)]
         if a == 0:

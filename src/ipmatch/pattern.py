@@ -91,31 +91,24 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
     """Check that ``p`` is a usable pattern for window ``delta``.
 
     Verifies that ``p`` has between one and :data:`MAX_PATTERN_EDGES`
-    edges, the duration bound dur(P) <= delta, that the node count and
-    every node id are exact ints (a bool or a float is refused), that node
-    ids are dense (every endpoint in [0, node_count) and every id used by
-    some edge), and that the sorted-order invariants hold.  The cost is
-    linear in the edge count, whatever ``node_count`` says.
+    edges, the duration bound dur(P) <= delta, that the node count, every
+    node id and every edge time are exact ints (a bool, a float or a NaN
+    is refused), that node ids are dense (every endpoint in
+    [0, node_count) and every id used by some edge), and that the
+    sorted-order invariants hold.  A pattern with an edge time that is
+    not an int gets no duration or order check.  The cost is linear in
+    the edge count, whatever ``node_count`` says.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
-    violations: list[str] = []
-    times = p.times()
-    if not times:
-        violations.append("pattern has no edges")
-    else:
-        dur = max(times) - min(times) + 1
-        if dur > delta:
-            violations.append(f"dur(P)={dur} exceeds delta={delta}")
-    if len(times) > MAX_PATTERN_EDGES:
-        violations.append(f"pattern has {len(times)} edges, limit is {MAX_PATTERN_EDGES}")
     count_ok = type(p.node_count) is int  # first, so that range() below never sees a float
-    if not count_ok:
-        violations.append(f"node count {p.node_count!r} is not an integer")
     seen: set[int] = set()
     outside: dict[int, None] = {}  # distinct out-of-range ids, in order of first use
     non_int: dict[str, object] = {}  # distinct ids that are not ints, by repr, in first-use order
+    bad_times: dict[str, object] = {}  # the same, for edge times
     for e in p.edges:
+        if type(e.time) is not int:
+            bad_times.setdefault(repr(e.time), e.time)
         for node in (e.source, e.target):
             if type(node) is not int:
                 non_int.setdefault(repr(node), node)
@@ -123,6 +116,21 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
                 outside[node] = None
             else:
                 seen.add(node)
+    violations: list[str] = []
+    times = p.times()
+    if not times:
+        violations.append("pattern has no edges")
+    elif bad_times:
+        violations.append(f"edge times are not integers: "
+                          f"{_first_ten(bad_times.values(), len(bad_times))}")
+    else:
+        dur = max(times) - min(times) + 1
+        if dur > delta:
+            violations.append(f"dur(P)={dur} exceeds delta={delta}")
+    if len(times) > MAX_PATTERN_EDGES:
+        violations.append(f"pattern has {len(times)} edges, limit is {MAX_PATTERN_EDGES}")
+    if not count_ok:
+        violations.append(f"node count {p.node_count!r} is not an integer")
     if non_int:
         violations.append(f"node ids are not integers: "
                           f"{_first_ten(non_int.values(), len(non_int))}")
@@ -134,9 +142,10 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
         # the scan stops at the 10th unused id, having passed at most len(seen) others
         ids = (n for n in range(p.node_count) if n not in seen)
         violations.append(f"nodes without any edge: {_first_ten(ids, unused)}")
-    for i in range(1, len(p.edges)):
-        if p.edges[i - 1].time > p.edges[i].time:
-            violations.append(f"edges out of time order at position {i}")
+    if not bad_times:
+        for i in range(1, len(p.edges)):
+            if p.edges[i - 1].time > p.edges[i].time:
+                violations.append(f"edges out of time order at position {i}")
     return ValidationReport(tuple(violations))
 
 

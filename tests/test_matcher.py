@@ -557,41 +557,41 @@ class TestCompiledKernel:
             "a8e0ae473c9c07e59809a8affc460fd10c119e35ad25dd15b206d9c1878ee710",
             "a8e0ae473c9c07e59809a8affc460fd10c119e35ad25dd15b206d9c1878ee710"),
         2: (
-            "76e29e414291a796114f5270e5deed1497dccbde4a492fdb63812e1c8aec3e9c",
+            "d8988d44f01096cc7a42683a791aac7562023cb304f721313631326f930d60b5",
             "f189dfa5ecec87d6be1985d54c1f343ff70e5f443926c1b878f6d419f7ac4df8"),
         3: (
-            "fccd94f4cff45fba2cc580a06b698530806dd4c09680a6939902b0f548588f35",
+            "3893f431fb04fc955debd847216047ca3c9e450dc8780e17de7e63592e46ab2c",
             "7a690d4fe10194f5c053b295c5a0009d96f4ba9b1567da1def33330cbe118304"),
         4: (
-            "3405397102f5e0796ad81e29a35c6060b660557d95b0011dec1f4df7e47c811e",
+            "9444fe4d81c081e2c61b4c305224a4b84b2ff599415ec3e1794fc667e45eb683",
             "b289b65912509032d893056c1338aa8d1b367277a558fcc6955ecd7f7c29d692"),
         16: (
-            "dbb72139bb7f44cf0d3193963e4e1b56a1523914b2f1b2ba788523a7d4a57199",
+            "4de73a3116f88a4d4b5530c6378ae20f2bc6af1709655e0d050d6fe831db6c9b",
             "e7fd5310b793b8d6a3127f82f178f11e07f8334bd2b95c8553b9af462b35c914"),
         17: (
-            "239e17ce2577d60b6c9cfd9b54792125f22398575f5595ef12f960e1cf1f986f",
+            "ae1a6043321fea7322e67fcc1256d934e648a3e8d68c40815e17490340e1a208",
             "1498a1d1c4f4f5b7a8d409b6caa3895dd60c4bc4eea93afc0096c625c0f7bb2e"),
         25: (
-            "6b2075dc0a1d5958e14d48273516547b32daf1494dd6649e8208f2708990d5e8",
+            "f31183e74277ea54b410d3b044de66c020b9ff6c1e1a27d772943afc5dfe1007",
             "aed93faea23cd09499fe7b3710feef52e2e02ace62d8fa28681717ea6830b638"),
         "ping-pong": (
-            "5d19adc8c67f985a064be46448cbace2737a1f973ce1c8ecfa699022bb9b9e81",
-            "690a50bb4ecbde4adae5ea86d0edfbd8e5a8e316e6c676ebeaadc8de1c1414a7"),
+            "8ecf304eb661169fe411980bcfb3ed310390993db9dcb4cfd6a0f94b97958d0a",
+            "49d2d29727227d018c12894f908056be99d501b33c00238264ebf869dd06ba77"),
         "triangle": (
-            "12b6d85290a56050393487829bdcda2f8f700ef7db104611a770fff066204533",
-            "09c7ab26007f786a83689aad6df024b8f00e91d43f2f4f69e8d6461251238434"),
+            "20e486551dc24609543805b0f6dc4607702e3fd50d7c12e293836c87698ac084",
+            "f8ee7aee0ad6a4511df9548e3e35623397a5e7377235d45439220d146f500878"),
         "broadcast-reply": (
-            "ae9f662673b45a7a6826d9849cf00267d8395ece0f310b769918c658dee53a2b",
-            "253060816b9251e2f05acc0e3571af6ee34ca073361d41b74d574a6ac568ebe5"),
+            "e9b9408efe617e5862f380d7e3cdc7accdb532de21360e76fcdafd12f7bc0f99",
+            "1d0fe1f2e39abffbf83f6e2ac47d0315fe66dcb571dab1b888e04c2b5b653e5f"),
         "star3-simultaneous": (
-            "97c4fdcfe5d441046f8b16f13ce3391cfa94f21bdaac7a36f03c5aed5b787685",
-            "87d7011f5e3d101c8e22f803968c2355180caf9e1ce8308b915bad9485e455fb"),
+            "0ccd12af02ab6e2499153c81ba847887fb97349ee976676a29e636eec0d97433",
+            "e1adb55d2c9765d3e4376e04105cef561e60556f7a505069bceda0c352123ba3"),
         "relay-equal": (
-            "531a04f4075c3da1d6b48cea0e8fb74b6e15625674df026bfd12670129873726",
-            "2b728d9c49b28379acb71f08ff51b6ef0a386a4ceb8da4b64ecb52917550244e"),
+            "f89ac3eba8daa5974c29bdc4d893ec6eb12af64ade5e429fed4534e95bd8e0e8",
+            "8bdb916759fefabfeef8ee798f747e96ed6f333745a0f06fddb46f13b90df6b2"),
         "endpoint-cases": (
-            "7be41db5dec63fea9145d9e57c0ea46fe8f6aec7012b788b552f381a792755b5",
-            "9d277fad5e87d9eb63bba1f7a6d4b4c975677d031ef2281f06ec3a017d8447ad"),
+            "397ee62c141924fe6e7292581572c865eafe74287d75a9842ccdfa71f0c233c5",
+            "eaa1a36b44234b237e7e5729a3ade780bb5bd7481b34a0b55c182de8ecd05c78"),
     }
 
     def test_source_is_pinned(self):
@@ -608,41 +608,41 @@ class TestCompiledKernel:
             "2a30e373c5f0afd8563c0975511bc99eb1164e11e09c772a2567a355f4a2a60b",
             "2a30e373c5f0afd8563c0975511bc99eb1164e11e09c772a2567a355f4a2a60b"),
         2: (
-            "de8903caade4b1d8c7cad70a875521b18e6e6fab8d5255625baaaee522ab0014",
+            "7178badaf5494d8fcc9f62355e603a3e590f800b34fcb111fb5ccfb5d7f5556d",
             "5389e867e7be7bfb05a76b52a721212d4746a30c0648c4b019289d30893b3ab7"),
         3: (
-            "5f9df778f183e3d6e0db8f5d7bc1ff488005bac422bddd1628ad99e7b91f0c4e",
+            "90bc59274eeb2cfa1a20c811d5b6188e703d440565794f397082b978f26413fd",
             "597513bd6000a1be32cba8b4a4d68099e4823d71c0e2da5276f3e489acb40213"),
         4: (
-            "a06cccce597e1898d4ed3d7d2ba5678796324a7e1888dfb17f2f2eaf80a23a98",
+            "dd8e59a934aea535c2f9b5e26af898835eefab110f590d1d68082b2a20aa3076",
             "39908b876d14caa4f0cd31fd5a36eadbf5f027912e9c59c531efa795ac783839"),
         16: (
-            "b2b2befda8b51b068a69134a151bac250278aa30bf33fc8a6ae44db19463ba87",
+            "83e7d3d3f510e2dc7e4970c1fea320bcd2e1d7050dbc86283e79b0b4d0b0d7f5",
             "b9b9888848c187c0da1cfcd0a74869360b7151c9021ce8dfb7dd313ddfa6f74a"),
         17: (
-            "2db7ff23de673ca50eac1fe74f8bcb806bc349e24a790512fdc7884b0dff4330",
+            "f3b8c05ecdf3955bc8e9e8fe86870275200aafcaeb49c9975aa777007a565e4d",
             "a13657e036041c0ea48f563b57ade5b8ff9b0b24fbb415b99676ba6e84b0d232"),
         25: (
-            "3668ce89f318772e859f7a73c2d41caaceb003984a015491a7222b4394b17fac",
+            "e6df0c1e3eff5244aa717b3fce8de43d5aa4298ec54e51224385957811987586",
             "3712e82b4eed6375128f229e23955a648ce915ce4c90d9dff384577e06ced4ab"),
         "ping-pong": (
-            "aa25722a9d0641a237a9cddb348d6dd465c4b5bd1dbf3da2db9dd1c55b334955",
-            "d080627bf4896e7d229b56466366b64fea1e42f5ba6ddd161d3cc9c3231c2a64"),
+            "8feadc9a5cdde83e27cbc73906f5da9d4f7f823ac204f3eba09639025126362a",
+            "f15b4a67d075c2c66f3df277627a30426f12f817e35aa4329d6b47286910b9d9"),
         "triangle": (
-            "69fb808bd7664597ac33ac97c7e83eb5a65db0ab9ba9f8b093fe4a5ababce30f",
-            "a8898aa456233804708592dc2a46221bce7362a7598a1fa8fc89c2272daefd49"),
+            "5a41ee4f42638b688ca88d92f47e499594b0347b5fbd0301acec41c22f47b929",
+            "cf25613905f03f47d0318cafb43684a3bdeb0215edad1aab3ef47198cad50f71"),
         "broadcast-reply": (
-            "ab9227bddd79e21bd19fb10772bb670175fa1d270e2ec318b00e267c9c662780",
-            "8e751c8bfdfd72b0982fc6bff2f6adc68fba48aebcdc5b9210f6cc5fd1f39ce1"),
+            "50d9db58094924490ddf657084b3a45c7df5da0d36b50807f868c8fe2de736c7",
+            "55c66071f67d497cbe9274f713348678943c3b67181cf53bb6eb4731b1a9aab4"),
         "star3-simultaneous": (
-            "bc941dd9561d2d15b67ffc8568d8222cb74594a98c5070e4f7b2d0c3f4a4da9a",
-            "8a93256eaeb24b9fdf311c824b5f0d797098782bf2a3d255c669d9a3ee3f24e2"),
+            "9a3618ee3ce9def275ae394edbea08cbf5c80ecc4a430f436ff21cc9f369cbed",
+            "340dd9e9ff6c47c0cd16446067d1eb6026b68e765f619d0591e175bbfe8c11f5"),
         "relay-equal": (
-            "6b0369864b7eac1994c76e4d97f307757dfa3e359f7f4f4715c03156c8303fdc",
-            "b21e47048f17b4ed789dfefe4b125149aa2c7a58946c1f0c6ee7a9123abb9ca5"),
+            "5cb5c91f6fc69e7f9b05aa755fb9cf6b0149172daec77bd4fa77ff70e0305b03",
+            "6ef60b88f3d31de50bf28bf1681e3dce0b8b2485a705a13a393c4e04aa6e01d4"),
         "endpoint-cases": (
-            "1adee0cc9e8ec6b53c3e79071219d1b76d3a7c71cd4bca1764949c6959db4903",
-            "50f2dfda9c704bd2fcd6d8f712e8d27049024fb725ece45fb4121fb4b6302dbf"),
+            "5566367da3eec751871c9a196d4e03da919d05e1c9e0c828c1091f8fb2fc5f8e",
+            "db7bc8067aac78bee7c5cc5b2d9d525ab0c7f6fee7542ef849c2520799e4fbbc"),
     }
 
     def test_line_source_is_pinned(self):
@@ -713,6 +713,35 @@ class TestCompiledKernel:
             assert source.count("e1 += e0 - w0\n") == skips
             assert ("next_out_gap" in source) == bool(chained)
             assert not chained or use_index
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_each_equal_run_bisects_the_time_column_at_most_once(self, seed):
+        # The root loop keeps the start of its edge's time block, so a
+        # kernel whose depth 1 is EQUAL never searches the time column for
+        # it; a run that starts at depth r > 0 searches it once, at its
+        # first EQUAL step, for t{r}, and each later step of the run reuses
+        # that start.  Seeds 30 and up draw deep patterns whose runs cross
+        # a chunk boundary (16 depths).
+        rng = random.Random(seed)
+        if seed < 30:
+            p = random_pattern(rng, max_edges=6)
+        else:
+            t, triples = 0, []
+            for k in range(rng.randint(17, 34)):
+                t += rng.random() < 0.4
+                triples.append((k, k + 1, t))
+            p = pattern_from_triples(triples)
+        steps = _compile(p)
+        deeper = [r for r in range(1, len(steps) - 1)
+                  if not steps[r].equal and steps[r + 1].equal]
+        for use_index, lines in ((False, False), (True, False), (True, True)):
+            source = _kernel_source(steps, use_index, lines)
+            assert "bisect_left(times, t0)" not in source
+            assert source.count("bisect_left(") == len(deeper)
+            for r in deeper:
+                assert source.count(f"b{r} = bisect_left(times, t{r})\n") == 1
+            assert ("if t0 != tb: tb, b0 = t0, p0\n" in source) == (
+                len(steps) > 1 and steps[1].equal)
 
     def test_line_mode_changes_only_the_signatures_and_the_yield(self):
         # Line mode adds one "h0 = None" before the last depth and, for a

@@ -156,8 +156,19 @@ class TestEdgeBound:
 
 
 # patterns built directly, past pattern_from_triples and the file parser,
-# whose node ids or node count are not exact ints
+# whose node ids, node count or edge times are not exact ints; a time that
+# is not an int gets no duration or order check, so it is the only
+# violation even where those checks would fail or raise
 NOT_INT_PATTERNS = {
+    "str-time": (PatternGraph(2, (PatternEdge(0, 1, "x"), PatternEdge(1, 0, "y"))),
+                 "edge times are not integers: ['x', 'y']"),
+    "nan-times": (PatternGraph(3, (PatternEdge(0, 1, float("nan")),
+                                   PatternEdge(1, 2, float("nan")))),
+                  "edge times are not integers: [nan]"),
+    "bool-time": (PatternGraph(2, (PatternEdge(0, 1, True),)),
+                  "edge times are not integers: [True]"),
+    "float-time-out-of-order": (PatternGraph(3, (PatternEdge(0, 1, 9), PatternEdge(1, 2, 1.5))),
+                                "edge times are not integers: [1.5]"),
     "bool-ids": (PatternGraph(2, (PatternEdge(True, False, 1),)),
                  "node ids are not integers: [True, False]"),
     "float-ids": (PatternGraph(2, (PatternEdge(0.0, 1.0, 1),)),
