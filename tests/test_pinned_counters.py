@@ -53,19 +53,28 @@ The two-phase baseline is pinned too, on the bundled file and on
 list in the order it returns them, recorded from the baseline that
 bound and unbound its nodes by hand before it became a generator
 pipeline.
+
+The exhaustive oracle ``brute_force`` is pinned by the sha256 of the
+``repr`` of its sorted match set: over 300 seeded random instances at
+every window of 1, 2, 3, 5 and the full span that their pattern fits,
+and for path-5 and a time-ordered star4 on a seeded graph of 14 nodes,
+its size limit.  They were recorded from the oracle that built each
+mapping's assignments in a closure over one shared list, before it
+became a generator over immutable tuples.
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
 from ipmatch import (
-    build_graph, generate_path_query, load_graph, pattern_from_triples, run_search,
-    stream_search, two_phase_search,
+    brute_force, build_graph, generate_path_query, load_graph, pattern_from_triples,
+    run_search, stream_search, two_phase_search, validate_pattern,
 )
 
-from _generators import full_span, parallel_family
+from _generators import full_span, parallel_family, random_graph, random_pattern
 
 DATA = Path(__file__).parent / "data" / "synthetic_1000.txt"
 DAY = 86_400
@@ -448,3 +457,49 @@ def test_baseline_counters_unchanged_on_parallel_family():
     p = pattern_from_triples(PATTERNS["path-3"])
     assert_baseline_pinned(*two_phase_search(g, p, full_span(g)),
                            "4f53cda18c2baa0c", (1, 27, 0))
+
+
+ORACLE_SEED = 2029
+
+# (instances searched, matches found, digest) over the 300 random instances
+ORACLE_RANDOM_PINNED = (1158, 8216, "e87b215763b435a9")
+
+ORACLE_BOUND_PATTERNS = {
+    "path-5": [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 5, 5)],
+    "star4": [(0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 4)],
+}
+
+# pattern -> (matches found, digest) at delta 10 on the 14-node graph
+ORACLE_BOUND_PINNED = {
+    "path-5": (26, "ec4ce5589e7a6483"),
+    "star4": (30, "ec99456d76223de6"),
+}
+
+
+def oracle_digest(found) -> str:
+    return hashlib.sha256(repr(sorted(found)).encode()).hexdigest()[:16]
+
+
+def test_oracle_unchanged_on_random_instances():
+    rng = random.Random(ORACLE_SEED)
+    searched, matches, digests = 0, 0, []
+    for _ in range(300):
+        g, p = random_graph(rng), random_pattern(rng)
+        for delta in sorted({1, 2, 3, 5, full_span(g)}):
+            if validate_pattern(p, delta).ok:
+                found = brute_force(g, p, delta)
+                searched += 1
+                matches += len(found)
+                digests.append(oracle_digest(found))
+    digest = hashlib.sha256(" ".join(digests).encode()).hexdigest()[:16]
+    assert (searched, matches, digest) == ORACLE_RANDOM_PINNED
+
+
+@pytest.mark.parametrize("name", list(ORACLE_BOUND_PINNED))
+def test_oracle_unchanged_at_its_size_limit(name):
+    rng = random.Random(ORACLE_SEED)
+    g = build_graph([(f"n{rng.randrange(14)}", f"n{rng.randrange(14)}", rng.randint(1, 30))
+                     for _ in range(120)])
+    assert g.node_count == 14
+    found = brute_force(g, pattern_from_triples(ORACLE_BOUND_PATTERNS[name]), 10)
+    assert (len(found), oracle_digest(found)) == ORACLE_BOUND_PINNED[name]
