@@ -14,12 +14,14 @@ whose positions are distinct and whose edges respect the pattern's time
 order.  Order violations are generated and filtered, which is what makes
 this approach blow up on graphs with many parallel edges.
 
-``brute_force`` is the test oracle and is left as it is: it enumerates
-every injective node mapping outright, prunes each mapping's edge
-assignments only by distinct positions, consecutive time order and the
-window, and judges every complete one by the match definition
-(``verify_match``).  It shares no search machinery with the main
-matcher.
+``brute_force`` is the test oracle.  It enumerates every injective node
+mapping outright and drops one at its first pattern edge without a
+graph edge.  For each other mapping one recursive generator,
+``_assignments``, extends a tuple of positions edge by edge, as
+``_window_product`` does, and prunes only by distinct positions, the
+time order of consecutive pattern edges and the window; every complete
+tuple is judged by the match definition (``verify_match``).  It shares
+no search machinery with the main matcher.
 
 Both functions are stateless over immutable inputs and safe to call
 concurrently.
@@ -155,60 +157,54 @@ def two_phase_search(
     return matches, stats
 
 
+def _assignments(cand: list[list[int]], times: Sequence[int], equal: list[bool], delta: int,
+                 chosen: tuple = ()) -> Iterator[tuple]:
+    """Every tuple of distinct positions, one from each list of ``cand`` in
+    turn, whose consecutive times keep the pattern's order (the same time
+    where ``equal`` is true, a later one elsewhere) and stay within
+    ``delta`` of the first.  A call extends the tuple ``chosen``."""
+    d = len(chosen)
+    if d == len(cand):
+        yield chosen
+        return
+    for pos in cand[d]:
+        if pos in chosen:
+            continue
+        if d:
+            t, prev = times[pos], times[chosen[-1]]
+            if (t != prev if equal[d] else t <= prev) or t - times[chosen[0]] >= delta:
+                continue
+        yield from _assignments(cand, times, equal, delta, chosen + (pos,))
+
+
 def brute_force(g: TemporalGraph, p: PatternGraph, delta: int) -> set[Match]:
     """Exhaustive oracle: all injective node mappings, then all assignments.
 
-    The assignments of a mapping are built edge by edge, and a partial one
-    is dropped as soon as it reuses a position, breaks the time order of
-    two consecutive pattern edges or outgrows the window; every complete
-    one is still judged by :func:`~ipmatch.matcher.verify_match`.
-    Guarded against explosion; refuses graphs over 14 nodes or patterns
-    over 5 edges.  It checks nothing else: ``io_cli.stream_search``
-    validates the query first.
+    A mapping is dropped at its first pattern edge whose node pair has no
+    graph edge.  The assignments of the others come from
+    :func:`_assignments`, and every one is still judged by
+    :func:`~ipmatch.matcher.verify_match`.  Guarded against explosion;
+    refuses graphs over 14 nodes or patterns over 5 edges.  It checks
+    nothing else: ``io_cli.stream_search`` validates the query first.
     """
     if g.node_count > 14:
         raise OracleSizeLimitError(f"graph has {g.node_count} nodes, limit is 14")
     if len(p.edges) > 5:
         raise OracleSizeLimitError(f"pattern has {len(p.edges)} edges, limit is 5")
-    results: set[Match] = set()
-    if p.node_count > g.node_count:
-        return results
     times = g.times
     pair_positions = _pair_positions(g)
     equal = [d > 0 and pe.time == p.edges[d - 1].time for d, pe in enumerate(p.edges)]
-
-    def assignments(cand: list[list[int]], chosen: list[int]) -> Iterator[tuple[int, ...]]:
-        d = len(chosen)
-        if d == len(cand):
-            yield tuple(chosen)
-            return
-        for pos in cand[d]:
-            if pos in chosen:
-                continue
-            if d:
-                t, prev = times[pos], times[chosen[-1]]
-                if (t != prev if equal[d] else t <= prev) or t - times[chosen[0]] >= delta:
-                    continue
-            chosen.append(pos)
-            yield from assignments(cand, chosen)
-            chosen.pop()
-
+    results: set[Match] = set()
     for perm in itertools.permutations(range(g.node_count), p.node_count):
-        cand = []
-        feasible = True
         for pe in p.edges:
-            positions = pair_positions.get((perm[pe.source], perm[pe.target]))
-            if not positions:
-                feasible = False
+            if (perm[pe.source], perm[pe.target]) not in pair_positions:
                 break
-            cand.append(positions)
-        if not feasible:
-            continue
-        for combo in assignments(cand, []):
-            ts = [times[c] for c in combo]
-            start, end = min(ts), max(ts)
-            m = Match(tuple(perm), combo, start, end, end - start + 1)
-            if verify_match(g, p, delta, m).ok:
-                results.add(m)
-    del assignments  # as ``rec`` in _static_matches: no cycle is left behind
+        else:
+            cand = [pair_positions[perm[pe.source], perm[pe.target]] for pe in p.edges]
+            for combo in _assignments(cand, times, equal, delta):
+                ts = [times[c] for c in combo]
+                start, end = min(ts), max(ts)
+                m = Match(perm, combo, start, end, end - start + 1)
+                if verify_match(g, p, delta, m).ok:
+                    results.add(m)
     return results

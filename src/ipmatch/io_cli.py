@@ -258,13 +258,18 @@ def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
     ``index`` run a kernel that formats the line itself, ``baseline`` and
     ``oracle`` encode their sorted matches.  ``stats`` (``SearchStats``,
     ``BaselineStats`` or None) is complete once the stream ends or is
-    closed, and is the same in both modes.  An invalid pattern, a negative
-    ``limit`` or an unknown strategy raises here."""
+    closed, and is the same in both modes.  An invalid pattern, a
+    ``delta`` or ``limit`` that is not an exact int (a bool, a float or a
+    str is refused), a delta below 1, a negative ``limit`` or an unknown
+    strategy raises here."""
     report = validate_pattern(p, delta)
     if not report.ok:
         raise InvalidPatternError(report)
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+    if limit is not None:
+        if type(limit) is not int:
+            raise ValueError(f"limit must be an integer, got {limit!r}")
+        if limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
     if strategy in ("simple", "index"):
         matches, stats = search(g, p, delta, strategy == "index", lines)
     else:

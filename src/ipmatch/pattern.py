@@ -98,7 +98,12 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
     sorted-order invariants hold.  A pattern with an edge time that is
     not an int gets no duration or order check.  The cost is linear in
     the edge count, whatever ``node_count`` says.
+
+    A ``delta`` that is not an exact int (a bool, a float, a NaN or a str
+    is refused) or is below 1 raises ``ValueError`` instead.
     """
+    if type(delta) is not int:
+        raise ValueError(f"delta must be an integer, got {delta!r}")
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
     count_ok = type(p.node_count) is int  # first, so that range() below never sees a float

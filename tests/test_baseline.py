@@ -1,9 +1,11 @@
 import gc
+import itertools
 import random
 
 import pytest
 
 from ipmatch import (
+    Match,
     OracleSizeLimitError,
     brute_force,
     build_graph,
@@ -11,6 +13,7 @@ from ipmatch import (
     run_search,
     two_phase_search,
     validate_pattern,
+    verify_match,
 )
 from ipmatch.baseline import _pair_positions, _static_matches
 
@@ -112,6 +115,34 @@ class TestBruteForce:
         g = build_graph([("a", "b", 1), ("b", "c", 2), ("c", "a", 3)])
         assert len(brute_force(g, pattern_from_triples([(0, 1, 1), (1, 2, 2)]), 10)) == 2
         assert gc.collect() == 0
+
+    def test_equals_the_definition_on_small_random_instances(self):
+        # the oracle prunes by distinct positions, time order and window
+        # before it calls verify_match; a search that filters only with
+        # verify_match must find the same set at every window
+        rng = random.Random(7)
+        pairs = 0
+        found = 0
+        for _ in range(300):
+            g = random_graph(rng, max_nodes=6, max_edges=10)
+            p = random_pattern(rng, max_edges=3)
+            positions = _pair_positions(g)
+            for delta in range(1, full_span(g) + 1):
+                if not validate_pattern(p, delta).ok:
+                    continue
+                by_definition = set()
+                for perm in itertools.permutations(range(g.node_count), p.node_count):
+                    lists = [positions.get((perm[pe.source], perm[pe.target]), [])
+                             for pe in p.edges]
+                    for combo in itertools.product(*lists):
+                        ts = [g.times[c] for c in combo]
+                        m = Match(perm, combo, min(ts), max(ts), max(ts) - min(ts) + 1)
+                        if verify_match(g, p, delta, m).ok:
+                            by_definition.add(m)
+                assert brute_force(g, p, delta) == by_definition
+                pairs += 1
+                found += len(by_definition)
+        assert pairs > 1000 and found > 1000
 
     def test_size_guard(self):
         g = build_graph([(f"n{i}", f"n{i+1}", i) for i in range(15)])

@@ -964,7 +964,7 @@ class TestQueryCommand:
         with pytest.raises(ValueError, match="limit"):
             run_search(g, p, 10, strategy, limit=-1)
         # every fault raises on the call itself, before the stream is advanced
-        with pytest.raises(ValueError, match="limit"):
+        with pytest.raises(ValueError, match="^limit must be >= 0, got -1$"):
             stream_search(g, p, 10, strategy, limit=-1)
         with pytest.raises(InvalidPatternError):
             stream_search(g, generate_path_query(3), 2, strategy, limit=-1)
@@ -978,6 +978,16 @@ class TestQueryCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "limit" in captured.err
+
+    @pytest.mark.parametrize("strategy", ["simple", "index", "baseline", "oracle"])
+    @pytest.mark.parametrize("limit", [True, 1.5, math.nan, "1"],
+                             ids=["bool", "float", "nan", "str"])
+    def test_limit_that_is_not_an_int_rejected(self, strategy, limit):
+        g = build_graph([("u", "v", 1), ("u", "v", 2), ("u", "v", 3)])
+        text = f"^limit must be an integer, got {re.escape(repr(limit))}$"
+        for lines in (False, True):
+            with pytest.raises(ValueError, match=text):
+                stream_search(g, generate_path_query(1), 10, strategy, limit, lines)
 
     @pytest.mark.parametrize("strategy", ["simple", "index", "baseline", "oracle"])
     @pytest.mark.parametrize("limit", [[], ["--limit", "-1"]])

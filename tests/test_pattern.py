@@ -114,8 +114,21 @@ class TestValidatePattern:
 
     def test_delta_below_one_rejected(self):
         p = pattern_from_triples([(0, 1, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^delta must be >= 1, got 0$"):
             validate_pattern(p, 0)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("delta", [float("nan"), 2.5, "3", True],
+                             ids=["nan", "float", "str", "bool"])
+    def test_delta_that_is_not_an_int_refused(self, strategy, delta):
+        # path-2 has two matches here at any int delta of 2 or more
+        g = build_graph([("a", "b", 1), ("b", "c", 2), ("b", "c", 3)])
+        p = generate_path_query(2)
+        text = f"^delta must be an integer, got {re.escape(repr(delta))}$"
+        with pytest.raises(ValueError, match=text):
+            validate_pattern(p, delta)
+        with pytest.raises(ValueError, match=text):
+            stream_search(g, p, delta, strategy)
 
     @pytest.mark.parametrize("node_count, text", [
         (12, "nodes without any edge: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"),
