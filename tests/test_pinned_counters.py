@@ -61,6 +61,13 @@ and for path-5 and a time-ordered star4 on a seeded graph of 14 nodes,
 its size limit.  They were recorded from the oracle that built each
 mapping's assignments in a closure over one shared list, before it
 became a generator over immutable tuples.
+
+``validate_pattern`` is pinned by the sha256 of its reports on 500
+seeded patterns that a pattern file can hold, each at five windows:
+headers from 1 up, int ids that may be negative, past the header or
+leave ids unused, int times and 1 to 70 edges.  They were recorded from
+the validation that also checked node ids, node counts and edge times
+for type and the edges for time order.
 """
 
 import hashlib
@@ -503,3 +510,30 @@ def test_oracle_unchanged_at_its_size_limit(name):
     assert g.node_count == 14
     found = brute_force(g, pattern_from_triples(ORACLE_BOUND_PATTERNS[name]), 10)
     assert (len(found), oracle_digest(found)) == ORACLE_BOUND_PINNED[name]
+
+
+VALIDATION_SEED = 2030
+
+# (reports that are ok, digest of every report) over 500 random patterns at 5 deltas
+VALIDATION_PINNED = (547, "7ce613a7a5f4d259")
+
+
+def test_validation_reports_unchanged():
+    # patterns a pattern file can hold: a header from 1 up, int ids (some
+    # negative, some past the header, some headers leaving ids unused), int
+    # times and 1 to 70 edges
+    rng = random.Random(VALIDATION_SEED)
+    reports = []
+    for _ in range(500):
+        edges = rng.choice([1, 2, 3, 5, 8, 64, 65, 70])
+        top = rng.randint(0, min(edges, 15))
+        low = rng.choice([-2, 0, 0, 0])
+        first = rng.randint(-5, 40)
+        last = first + rng.choice([0, 1, 2, 5, 19, 45])
+        triples = [(rng.randint(low, top), rng.randint(low, top), rng.randint(first, last))
+                   for _ in range(edges)]
+        header = rng.choice([top + 1, top + 1, rng.randint(1, 20), 10**6])
+        p = pattern_from_triples(triples, header)
+        reports += [validate_pattern(p, delta) for delta in (1, 3, 20, 46, 100)]
+    digest = hashlib.sha256("\n".join(map(str, reports)).encode()).hexdigest()[:16]
+    assert (sum(r.ok for r in reports), digest) == VALIDATION_PINNED
