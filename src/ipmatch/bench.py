@@ -52,6 +52,12 @@ class BenchPlan:
     def __post_init__(self):
         if self.family not in ("path", "random"):
             raise ValueError(f"unknown query family {self.family!r}")
+        # a bool or a float is refused: True would run as 1 and 1.5 fail mid-sweep
+        for name, values in (("count", [self.count]), ("seed", [self.seed]),
+                             ("size", self.sizes), ("delta", self.deltas)):
+            for value in values:
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         for name in ("sizes", "deltas", "strategies"):
@@ -81,7 +87,13 @@ class BenchRow:
 
 
 def generate_path_query(length: int) -> PatternGraph:
-    """Path of ``length`` edges with consecutive timestamps, all steps strict."""
+    """Path of ``length`` edges with consecutive timestamps, all steps strict.
+
+    A ``length`` that is not an exact int (a bool or a float) or is below 1
+    raises ``ValueError``.
+    """
+    if type(length) is not int:
+        raise ValueError(f"path length must be an integer, got {length!r}")
     if length < 1:
         raise ValueError(f"path length must be >= 1, got {length}")
     return pattern_from_triples(
@@ -97,8 +109,12 @@ def generate_random_query(g: TemporalGraph, n: int, seed: int) -> PatternGraph:
     target is new adds that target, its edge and the target's own pairs.
     Nodes are renamed to dense ids in draw order and edge times are the
     ranks 1..n-1 of the draws, which is a topological order of the tree.
-    Deterministic for a given (graph, n, seed).
+    Deterministic for a given (graph, n, seed).  An ``n`` that is not an
+    exact int (a bool or a float) or is below 2 raises ``ValueError``
+    before anything is drawn.
     """
+    if type(n) is not int:
+        raise ValueError(f"random query size must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"random query size must be >= 2, got {n}")
     if n > g.node_count:

@@ -7,8 +7,12 @@ input, which makes the pattern's duration equal to the number of
 distinct ranks.
 
 Patterns are frozen dataclasses, built by :func:`pattern_from_triples`
-and freely shareable; :func:`validate_pattern` accepts at most
-:data:`MAX_PATTERN_EDGES` edges.
+and freely shareable.  A pattern is well-formed by construction: its
+ids, node count and times are exact ints, its node count is at least 1
+and its edges are at least one and sorted by time.  What a pattern file
+can still get wrong, :func:`validate_pattern` reports: a duration above
+the window, more than :data:`MAX_PATTERN_EDGES` edges and node ids that
+are not dense.
 """
 
 from __future__ import annotations
@@ -28,12 +32,20 @@ MAX_PATTERN_EDGES = 64
 class PatternEdge:
     """Directed pattern edge over dense pattern node ids.
 
-    Self-loops are permitted and match graph self-loops.
+    Self-loops are permitted and match graph self-loops.  An endpoint or
+    time that is not an exact int (a bool or a float is refused) raises
+    ``ValueError``.
     """
 
     source: int
     target: int
     time: int
+
+    def __post_init__(self) -> None:
+        for name in ("source", "target", "time"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"pattern edge {name} {value!r} is not an integer")
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -41,17 +53,27 @@ class PatternGraph:
     """Pattern with its edges sorted by time.
 
     Edge ``i`` is simultaneous with edge ``i-1`` when their times are
-    equal and strictly after it otherwise.
+    equal and strictly after it otherwise.  No edges, a node count that
+    is not an exact int or is below 1, and edges out of time order raise
+    ``ValueError``.
     """
 
     node_count: int
     edges: tuple[PatternEdge, ...]
 
+    def __post_init__(self) -> None:
+        if not self.edges:
+            raise ValueError("a pattern needs at least one edge")
+        if type(self.node_count) is not int:
+            raise ValueError(f"node count {self.node_count!r} is not an integer")
+        if self.node_count < 1:
+            raise ValueError(f"node count {self.node_count} is below 1")
+        for i in range(1, len(self.edges)):
+            if self.edges[i - 1].time > self.edges[i].time:
+                raise ValueError(f"edges out of time order at position {i}")
+
     def __repr__(self) -> str:
         return f"PatternGraph(nodes={self.node_count}, edges={len(self.edges)})"
-
-    def times(self) -> tuple[int, ...]:
-        return tuple(e.time for e in self.edges)
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,31 +95,26 @@ def pattern_from_triples(triples: Sequence[tuple[int, int, int]],
     """The pattern of (source, target, time) int triples, sorted by time.
 
     The sort is stable, so input order among equal-time edges is
-    preserved.  ``node_count`` defaults to max endpoint id + 1; a given
-    one below 1 raises ``ValueError``.
+    preserved.  ``node_count`` defaults to max endpoint id + 1.  The
+    constructors raise ``ValueError`` for no triples, a value that is not
+    an exact int and a node count below 1, the default one included.
     """
     edges = tuple(sorted((PatternEdge(u, v, t) for u, v, t in triples),
                          key=lambda e: e.time))
-    if not edges:
-        raise ValueError("a pattern needs at least one edge")
     if node_count is None:
-        node_count = 1 + max(max(e.source, e.target) for e in edges)
-    elif node_count < 1:
-        raise ValueError(f"node count {node_count} is below 1")
+        node_count = 1 + max((max(e.source, e.target) for e in edges), default=0)
     return PatternGraph(node_count, edges)
 
 
 def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
     """Check that ``p`` is a usable pattern for window ``delta``.
 
-    Verifies that ``p`` has between one and :data:`MAX_PATTERN_EDGES`
-    edges, the duration bound dur(P) <= delta, that the node count, every
-    node id and every edge time are exact ints (a bool, a float or a NaN
-    is refused), that node ids are dense (every endpoint in
-    [0, node_count) and every id used by some edge), and that the
-    sorted-order invariants hold.  A pattern with an edge time that is
-    not an int gets no duration or order check.  The cost is linear in
-    the edge count, whatever ``node_count`` says.
+    Reports, in this order, what a pattern file can get wrong: a duration
+    dur(P) above ``delta``, more than :data:`MAX_PATTERN_EDGES` edges, and
+    node ids that are not dense (an endpoint outside [0, node_count), or
+    an id in that range that no edge uses).  Types and time order are the
+    constructors' to check.  The cost is linear in the edge count,
+    whatever ``node_count`` says.
 
     A ``delta`` that is not an exact int (a bool, a float, a NaN or a str
     is refused) or is below 1 raises ``ValueError`` instead.
@@ -106,51 +123,24 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
         raise ValueError(f"delta must be an integer, got {delta!r}")
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
-    count_ok = type(p.node_count) is int  # first, so that range() below never sees a float
-    seen: set[int] = set()
-    outside: dict[int, None] = {}  # distinct out-of-range ids, in order of first use
-    non_int: dict[str, object] = {}  # distinct ids that are not ints, by repr, in first-use order
-    bad_times: dict[str, object] = {}  # the same, for edge times
-    for e in p.edges:
-        if type(e.time) is not int:
-            bad_times.setdefault(repr(e.time), e.time)
-        for node in (e.source, e.target):
-            if type(node) is not int:
-                non_int.setdefault(repr(node), node)
-            elif count_ok and (node < 0 or node >= p.node_count):
-                outside[node] = None
-            else:
-                seen.add(node)
+    ids = [node for e in p.edges for node in (e.source, e.target)]
+    seen = {node for node in ids if 0 <= node < p.node_count}
+    # distinct out-of-range ids, in order of first use
+    outside = dict.fromkeys(node for node in ids if not 0 <= node < p.node_count)
     violations: list[str] = []
-    times = p.times()
-    if not times:
-        violations.append("pattern has no edges")
-    elif bad_times:
-        violations.append(f"edge times are not integers: "
-                          f"{_first_ten(bad_times.values(), len(bad_times))}")
-    else:
-        dur = max(times) - min(times) + 1
-        if dur > delta:
-            violations.append(f"dur(P)={dur} exceeds delta={delta}")
-    if len(times) > MAX_PATTERN_EDGES:
-        violations.append(f"pattern has {len(times)} edges, limit is {MAX_PATTERN_EDGES}")
-    if not count_ok:
-        violations.append(f"node count {p.node_count!r} is not an integer")
-    if non_int:
-        violations.append(f"node ids are not integers: "
-                          f"{_first_ten(non_int.values(), len(non_int))}")
+    dur = p.edges[-1].time - p.edges[0].time + 1
+    if dur > delta:
+        violations.append(f"dur(P)={dur} exceeds delta={delta}")
+    if len(p.edges) > MAX_PATTERN_EDGES:
+        violations.append(f"pattern has {len(p.edges)} edges, limit is {MAX_PATTERN_EDGES}")
     if outside:
         violations.append(f"node ids out of range 0..{p.node_count - 1}: "
                           f"{_first_ten(outside, len(outside))}")
-    unused = p.node_count - len(seen) if count_ok and not non_int else 0
-    if unused > 0:
+    unused = p.node_count - len(seen)
+    if unused:
         # the scan stops at the 10th unused id, having passed at most len(seen) others
-        ids = (n for n in range(p.node_count) if n not in seen)
-        violations.append(f"nodes without any edge: {_first_ten(ids, unused)}")
-    if not bad_times:
-        for i in range(1, len(p.edges)):
-            if p.edges[i - 1].time > p.edges[i].time:
-                violations.append(f"edges out of time order at position {i}")
+        free = (n for n in range(p.node_count) if n not in seen)
+        violations.append(f"nodes without any edge: {_first_ten(free, unused)}")
     return ValidationReport(tuple(violations))
 
 

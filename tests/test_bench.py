@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -54,7 +55,7 @@ class TestPathQueries:
         p = generate_path_query(6)
         assert len(p.edges) == 6
         assert validate_pattern(p, 6).ok
-        assert p.times() == (1, 2, 3, 4, 5, 6)
+        assert [e.time for e in p.edges] == [1, 2, 3, 4, 5, 6]
 
     def test_any_length_valid_at_delta_length(self):
         for length in (1, 3, 5, 9):
@@ -65,6 +66,11 @@ class TestPathQueries:
     def test_length_below_one_rejected(self):
         with pytest.raises(ValueError):
             generate_path_query(0)
+
+    @pytest.mark.parametrize("length", [True, 1.5, 2.0, "2"], ids=repr)
+    def test_length_that_is_not_an_int_rejected(self, length):
+        with pytest.raises(ValueError, match=f"^path length must be an integer, got {length!r}$"):
+            generate_path_query(length)
 
 
 class TestRandomQueries:
@@ -78,7 +84,7 @@ class TestRandomQueries:
         g = build_graph([("a", "b", 1), ("a", "c", 2)])
         p = generate_random_query(g, 3, seed=7)
         assert p.node_count == 3
-        assert p.times() == (1, 2)
+        assert [e.time for e in p.edges] == [1, 2]
         # both tree edges leave the dense id of the start node
         assert [e.source for e in p.edges] == [0, 0]
 
@@ -176,6 +182,12 @@ class TestRandomQueries:
     def test_size_below_two_rejected(self, synthetic_graph):
         with pytest.raises(ValueError, match="random query size must be >= 2, got 1"):
             generate_random_query(synthetic_graph, 1, 0)
+
+    @pytest.mark.parametrize("size", [True, 2.5, 3.0], ids=repr)
+    def test_size_that_is_not_an_int_rejected(self, synthetic_graph, size):
+        with pytest.raises(ValueError,
+                           match=f"^random query size must be an integer, got {size!r}$"):
+            generate_random_query(synthetic_graph, size, 0)
 
     def test_size_past_node_count_errors(self, synthetic_graph):
         with pytest.raises(QueryGenerationError) as info:
@@ -318,6 +330,24 @@ class TestBenchPlan:
                     deltas=[100], strategies=["simple", "index"])
         with pytest.raises(ValueError, match=message):
             BenchPlan(**{**plan, field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("count", 1.5, "count must be an integer, got 1.5"),
+        ("count", True, "count must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", False, "seed must be an integer, got False"),
+        ("sizes", [2, 1.5], "size must be an integer, got 1.5"),
+        ("sizes", [True], "size must be an integer, got True"),
+        ("deltas", ["5"], "delta must be an integer, got '5'"),
+        ("deltas", [10, True], "delta must be an integer, got True"),
+    ], ids=["float-count", "bool-count", "float-seed", "bool-seed", "float-size",
+            "bool-size", "str-delta", "bool-delta"])
+    def test_not_an_int_rejected_before_the_graph_is_read(self, tmp_path, field, value,
+                                                          message):
+        plan = dict(graph_path=str(tmp_path / "missing.txt"), family="random", sizes=[2],
+                    deltas=[100], strategies=["simple", "index"])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_bench(BenchPlan(**{**plan, field: value}))
 
     def test_frozen(self, toy_graph_path):
         plan = BenchPlan(graph_path=toy_graph_path, family="path", sizes=[2],

@@ -447,7 +447,7 @@ class TestLoadPattern:
     def test_header_and_edges(self, path2_pattern_file):
         p = load_pattern(path2_pattern_file)
         assert p.node_count == 3
-        assert p.times() == (1, 2)
+        assert [e.time for e in p.edges] == [1, 2]
 
     def test_missing_header(self, tmp_path):
         path = write(tmp_path / "p.txt", "0 1 1\n")
@@ -482,7 +482,7 @@ class TestLoadPattern:
         path = tmp_path / "p.txt"
         save_pattern(p, str(path))
         p2 = load_pattern(str(path))
-        assert p2.times() == p.times()
+        assert [e.time for e in p2.edges] == [e.time for e in p.edges]
         assert [(e.source, e.target) for e in p2.edges] == \
             [(e.source, e.target) for e in p.edges]
 

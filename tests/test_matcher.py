@@ -95,12 +95,11 @@ class TestInteractionSearch:
             run_search(g, p, 2, "index")
 
     def test_pattern_without_edges_is_reported(self):
-        p = PatternGraph(1, ())
-        assert "pattern has no edges" in validate_pattern(p, 5).violations
+        # refused when built, so no strategy ever sees it
         g = build_graph([("a", "b", 1)])
         for strategy in STRATEGIES:
-            with pytest.raises(InvalidPatternError, match="pattern has no edges"):
-                run_search(g, p, 5, strategy)
+            with pytest.raises(ValueError, match="^a pattern needs at least one edge$"):
+                run_search(g, PatternGraph(1, ()), 5, strategy)
 
     def test_self_loop_pattern_matches_graph_self_loops(self):
         g = build_graph([("a", "a", 1), ("a", "b", 2), ("b", "b", 3)])
@@ -392,12 +391,11 @@ class TestVerifyMatch:
             verify_match(self.g, self.p, 3, match)
 
     def test_hand_built_pattern_out_of_time_order(self):
-        # pattern_from_triples sorts its edges, so only a hand-built pattern is unsorted
-        p = PatternGraph(3, (PatternEdge(0, 1, 2), PatternEdge(1, 2, 1)))
-        assert str(validate_pattern(p, 5)) == "edges out of time order at position 1"
+        # pattern_from_triples sorts its edges; a hand-built unsorted pattern is refused
         m = Match((0, 1, 2), (0, 1), 1, 3, 3)
-        assert str(verify_match(self.g, p, 3, m)) == \
-            "condition 2: edges 0,1 must be strictly ordered"
+        with pytest.raises(ValueError, match="^edges out of time order at position 1$"):
+            verify_match(self.g, PatternGraph(3, (PatternEdge(0, 1, 2), PatternEdge(1, 2, 1))),
+                         3, m)
 
 
 class TestSearchProperties:
@@ -408,7 +406,7 @@ class TestSearchProperties:
         g, p = random_graph(rng), random_pattern(rng)
         delta = rng.choice([1, 2, 5, full_span(g)])
         if not validate_pattern(p, delta).ok:
-            delta = max(full_span(g), p.times()[-1] - p.times()[0] + 1)
+            delta = max(full_span(g), p.edges[-1].time - p.edges[0].time + 1)
         simple, s_stats, index, i_stats = both_strategies(g, p, delta)
         assert simple == index
         assert set(simple) == brute_force(g, p, delta)

@@ -27,7 +27,7 @@ def equal_flags(p):
 class TestOrderEdges:
     def test_two_edges_reordered(self):
         p = pattern_from_triples([(0, 1, 2), (1, 2, 1)])
-        assert p.times() == (1, 2)
+        assert [e.time for e in p.edges] == [1, 2]
         assert equal_flags(p) == [False, False]
 
     def test_equal_times_tagged_equal(self):
@@ -50,13 +50,18 @@ class TestOrderEdges:
         assert [(e.source, e.target) for e in p.edges] == [(0, 1), (2, 0), (1, 2)]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a pattern needs at least one edge$"):
             pattern_from_triples([])
 
     @pytest.mark.parametrize("node_count", [0, -5])
     def test_node_count_below_one_rejected(self, node_count):
         with pytest.raises(ValueError, match=f"^node count {node_count} is below 1$"):
             pattern_from_triples([(0, 1, 1)], node_count=node_count)
+
+    def test_default_node_count_below_one_rejected(self):
+        # max endpoint id + 1 is 0 when every id is negative
+        with pytest.raises(ValueError, match="^node count 0 is below 1$"):
+            pattern_from_triples([(-1, -2, 1)])
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 6)),
                     min_size=1, max_size=10))
@@ -66,7 +71,7 @@ class TestOrderEdges:
         again = pattern_from_triples([(e.source, e.target, e.time) for e in p.edges],
                                      node_count=5)
         assert again.edges == p.edges
-        times = p.times()
+        times = [e.time for e in p.edges]
         assert list(times) == sorted(times)
         assert equal_flags(p) == [i > 0 and times[i - 1] == times[i]
                                   for i in range(len(times))]
@@ -169,46 +174,71 @@ class TestEdgeBound:
 
 
 # patterns built directly, past pattern_from_triples and the file parser,
-# whose node ids, node count or edge times are not exact ints; a time that
-# is not an int gets no duration or order check, so it is the only
-# violation even where those checks would fail or raise
+# whose node ids, node count or edge times are not exact ints: each is
+# refused when it is built, by the first constructor to see the value, so
+# that none reaches validate_pattern or a strategy
 NOT_INT_PATTERNS = {
-    "str-time": (PatternGraph(2, (PatternEdge(0, 1, "x"), PatternEdge(1, 0, "y"))),
-                 "edge times are not integers: ['x', 'y']"),
-    "nan-times": (PatternGraph(3, (PatternEdge(0, 1, float("nan")),
-                                   PatternEdge(1, 2, float("nan")))),
-                  "edge times are not integers: [nan]"),
-    "bool-time": (PatternGraph(2, (PatternEdge(0, 1, True),)),
-                  "edge times are not integers: [True]"),
-    "float-time-out-of-order": (PatternGraph(3, (PatternEdge(0, 1, 9), PatternEdge(1, 2, 1.5))),
-                                "edge times are not integers: [1.5]"),
-    "bool-ids": (PatternGraph(2, (PatternEdge(True, False, 1),)),
-                 "node ids are not integers: [True, False]"),
-    "float-ids": (PatternGraph(2, (PatternEdge(0.0, 1.0, 1),)),
-                  "node ids are not integers: [0.0, 1.0]"),
-    "float-count": (PatternGraph(2.0, (PatternEdge(0, 1, 1),)),
+    "str-time": (lambda: PatternGraph(2, (PatternEdge(0, 1, "x"), PatternEdge(1, 0, "y"))),
+                 "pattern edge time 'x' is not an integer"),
+    "nan-times": (lambda: PatternGraph(3, (PatternEdge(0, 1, float("nan")),
+                                           PatternEdge(1, 2, float("nan")))),
+                  "pattern edge time nan is not an integer"),
+    "bool-time": (lambda: PatternGraph(2, (PatternEdge(0, 1, True),)),
+                  "pattern edge time True is not an integer"),
+    "float-time-out-of-order": (lambda: PatternGraph(3, (PatternEdge(0, 1, 9),
+                                                         PatternEdge(1, 2, 1.5))),
+                                "pattern edge time 1.5 is not an integer"),
+    "bool-ids": (lambda: PatternGraph(2, (PatternEdge(True, False, 1),)),
+                 "pattern edge source True is not an integer"),
+    "float-ids": (lambda: PatternGraph(2, (PatternEdge(0.0, 1.0, 1),)),
+                  "pattern edge source 0.0 is not an integer"),
+    "float-target": (lambda: PatternGraph(2, (PatternEdge(0, 1.0, 1),)),
+                     "pattern edge target 1.0 is not an integer"),
+    "float-count": (lambda: PatternGraph(2.0, (PatternEdge(0, 1, 1),)),
                     "node count 2.0 is not an integer"),
-    "bool-count": (PatternGraph(True, (PatternEdge(0, 0, 1),)),
+    "bool-count": (lambda: PatternGraph(True, (PatternEdge(0, 0, 1),)),
                    "node count True is not an integer"),
+    "str-count": (lambda: PatternGraph("2", (PatternEdge(0, 1, 1),)),
+                  "node count '2' is not an integer"),
 }
 
 
 class TestNotIntegerNodes:
     @pytest.mark.parametrize("name", list(NOT_INT_PATTERNS))
     def test_reported_as_the_only_violation(self, name):
-        p, text = NOT_INT_PATTERNS[name]
-        assert validate_pattern(p, 5).violations == (text,)
+        build, text = NOT_INT_PATTERNS[name]
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            build()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("name", list(NOT_INT_PATTERNS))
     def test_every_strategy_refuses(self, name, strategy):
-        p, text = NOT_INT_PATTERNS[name]
+        build, text = NOT_INT_PATTERNS[name]
         g = build_graph([("a", "b", 1), ("b", "c", 2)])
-        with pytest.raises(InvalidPatternError, match=re.escape(text)):
-            stream_search(g, p, 5, strategy)
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            stream_search(g, build(), 5, strategy)
 
-    def test_ids_listed_up_to_ten(self):
-        p = PatternGraph(12, tuple(PatternEdge(i + 0.5, i + 1, 1) for i in range(11)))
-        text = ("node ids are not integers: "
-                "[0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5] and 1 more")
-        assert text in validate_pattern(p, 5).violations
+    def test_first_non_int_id_named(self):
+        with pytest.raises(ValueError, match="^pattern edge source 0.5 is not an integer$"):
+            PatternGraph(12, tuple(PatternEdge(i + 0.5, i + 1, 1) for i in range(11)))
+
+    def test_pattern_from_triples_refuses_the_same(self):
+        with pytest.raises(ValueError, match="^pattern edge target 1.5 is not an integer$"):
+            pattern_from_triples([(0, 1, 1), (1, 1.5, 2)])
+
+
+class TestPatternGraphRefusals:
+    @pytest.mark.parametrize("node_count", [0, -5])
+    def test_node_count_below_one(self, node_count):
+        with pytest.raises(ValueError, match=f"^node count {node_count} is below 1$"):
+            PatternGraph(node_count, (PatternEdge(0, 1, 1),))
+
+    def test_no_edges(self):
+        with pytest.raises(ValueError, match="^a pattern needs at least one edge$"):
+            PatternGraph(1, ())
+
+    @pytest.mark.parametrize("times, position", [((2, 1), 1), ((1, 1, 3, 2), 3)])
+    def test_edges_out_of_time_order(self, times, position):
+        edges = tuple(PatternEdge(i, i + 1, t) for i, t in enumerate(times))
+        with pytest.raises(ValueError, match=f"^edges out of time order at position {position}$"):
+            PatternGraph(len(times) + 1, edges)
