@@ -14,15 +14,6 @@ from .baseline import (
     brute_force,
     two_phase_search,
 )
-from .bench import (
-    BenchPlan,
-    BenchRow,
-    QueryGenerationError,
-    StrategyMismatchError,
-    generate_path_query,
-    generate_random_query,
-    run_bench,
-)
 from .io_cli import (
     GraphSummary,
     ParseError,
@@ -58,6 +49,20 @@ from .temporal_graph import (
 )
 
 __version__ = "0.1.0"
+
+# The query generators and the sweep load with their first use, so that a
+# process that only queries (``ipmatch query``) never imports them.
+_BENCH_NAMES = frozenset({
+    "BenchPlan", "BenchRow", "QueryGenerationError", "StrategyMismatchError",
+    "generate_path_query", "generate_random_query", "run_bench",
+})
+
+
+def __getattr__(name: str):
+    if name in _BENCH_NAMES:
+        from . import bench
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BaselineStats", "BenchPlan", "BenchRow", "EmptyGraphError",

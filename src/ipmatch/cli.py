@@ -2,6 +2,8 @@
 
 Each subcommand reads its parsed arguments and raises on failure;
 :func:`main` alone maps an exception to a message and an exit status.
+Only ``gen`` and ``bench`` import :mod:`ipmatch.bench`, so ``query`` and
+``validate`` start without it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import sys
 import time as _time
 from typing import Optional, Sequence
 
-from . import bench as bench_mod
 from . import io_cli
 from .matcher import InvalidPatternError
 from .pattern import MAX_PATTERN_EDGES, validate_pattern
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_query(args) -> int:
-    """Write each match's JSON line as :func:`io_cli.stream_search` yields it."""
+    """Write each output line as :func:`io_cli.stream_search` yields it."""
     delta = io_cli.effective_delta(args.delta, args.delta_unit)
     g = io_cli.load_graph(args.graph)
     p = io_cli.load_pattern(args.pattern)
@@ -83,7 +84,7 @@ def _cmd_query(args) -> int:
     write = sys.stdout.write
     count = 0
     for count, line in enumerate(lines, 1):
-        write(line + "\n")
+        write(line)
     if args.stats:
         millis = (_time.perf_counter() - t0) * 1000.0
         summary = {"millis": round(millis, 3), "matches": count}
@@ -117,6 +118,7 @@ def _cmd_gen(args) -> int:
     edges = args.length if args.generator == "path" else args.nodes - 1
     if edges > MAX_PATTERN_EDGES:
         raise ValueError(f"pattern would have {edges} edges, limit is {MAX_PATTERN_EDGES}")
+    from . import bench as bench_mod
     if args.generator == "path":
         pattern = bench_mod.generate_path_query(args.length)
     else:
@@ -128,6 +130,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod
     plan = bench_mod.BenchPlan(
         graph_path=args.graph,
         family=args.family,
@@ -155,6 +158,14 @@ def _drop_unwritten_output() -> None:
         os.close(devnull)
 
 
+def _bench_errors() -> tuple[type[Exception], ...]:
+    """The errors of ``gen`` and ``bench`` besides ``ValueError``.  Only
+    :mod:`ipmatch.bench` raises them, so while it is not imported there
+    are none; reading them never imports it."""
+    bench = sys.modules.get(f"{__package__}.bench")
+    return (bench.QueryGenerationError, bench.StrategyMismatchError) if bench else ()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; returns the exit status: 0 success, a closed
     pipe included; 1 parse or validation failure; 2 I/O failure."""
@@ -179,8 +190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidPatternError as exc:  # its text reads "invalid pattern: ..."
         print(exc, file=sys.stderr)
         return 1
-    except (ValueError, bench_mod.QueryGenerationError,
-            bench_mod.StrategyMismatchError) as exc:
+    except (ValueError, *_bench_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -254,8 +254,9 @@ def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
     emitted order (by assigned edge positions); ``baseline`` and
     ``oracle`` search and sort every match in this call, so ``limit``
     bounds their output, not their work.  With ``lines`` it yields
-    each match as its :func:`match_json_line` instead: ``simple`` and
-    ``index`` run a kernel that formats the line itself, ``baseline`` and
+    each match as its output line instead, its :func:`match_json_line`
+    ended by ``"\\n"``, ready to write: ``simple`` and ``index`` run a
+    kernel that formats the whole line itself, ``baseline`` and
     ``oracle`` encode their sorted matches.  ``stats`` (``SearchStats``,
     ``BaselineStats`` or None) is complete once the stream ends or is
     closed, and is the same in both modes.  An invalid pattern, a
@@ -280,7 +281,8 @@ def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         found = sorted(found, key=lambda m: m.edge_assignment)
-        matches = (match_json_line(m, g) for m in found) if lines else (m for m in found)
+        matches = ((match_json_line(m, g) + "\n" for m in found) if lines
+                   else (m for m in found))
     if limit is not None:
         matches = _limited(matches, limit)
     return matches, stats

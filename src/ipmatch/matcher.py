@@ -113,16 +113,18 @@ number of concurrent searches.
 
 The kernel is compiled in one of two emit modes, which do the same work
 and count the same.  By default its last depth yields a :class:`Match`.
-In line mode it yields the match's JSON line instead, laid out by
-:func:`_line_layout` (the layout :func:`match_json_line` fills from a
-``Match``): the line is one f-string written into the kernel, whose
-text is the layout's literals and whose fields are the labels' JSON and
-the times it holds as locals, so the compiled query produces its output
-itself, as Neumann's compiled plans do, and no match is built and read
-back.  Most of a line does not change with the last edge: the kernel
+In line mode it yields the match's output line instead, its JSON line
+ended by a newline, laid out by :func:`_line_layout` (the layout
+:func:`match_json_line` fills from a ``Match``): the line is one
+f-string written into the kernel, whose text is the layout's literals
+and whose fields are the labels' JSON and the times it holds as locals,
+so the compiled query produces its output itself, as Neumann's compiled
+plans do, and no match is built and read back.  Most of a line does not change with the last edge: the kernel
 formats those parts once per binding of the depth above, at its first
 match, and each match fills in only what its last depth set
-(loop-invariant code motion, done as the kernel is written).
+(loop-invariant code motion, done as the kernel is written).  The
+newline is part of the closing text, so on a chain it is formatted with
+the rest of its run, and a writer takes each line as it comes.
 """
 
 from __future__ import annotations
@@ -211,8 +213,8 @@ def search(g: TemporalGraph, p: PatternGraph, delta: int, use_index: bool,
     """A generator of the matches of ``p`` in ``g`` within ``delta``, run by
     the kernel compiled for ``p``'s shape (built by the first call for that
     shape, then cached), and the :class:`SearchStats` it fills.  With
-    ``lines`` it yields each match as its :func:`match_json_line` instead
-    of a :class:`Match`, with the same counters.
+    ``lines`` it yields each match as its :func:`match_json_line` and a
+    newline instead of a :class:`Match`, with the same counters.
 
     Depth-first discovery order is lexicographic in the edge assignment
     positions; ``use_index`` (position lists instead of the linear scan)
@@ -304,7 +306,9 @@ def _line_split(steps: tuple[_Step, ...]) -> tuple[tuple[_LineItem, ...],
     """The line kernel's layout: the items of its yield's f-string, and
     its runs.
 
-    The last depth sets ``dur``, ``end``, its own edge's time and the
+    The layout is :func:`_line_layout`'s with a newline after its closing
+    brace, so each item the kernel yields is a whole output line.  The
+    last depth sets ``dur``, ``end``, its own edge's time and the
     labels of the nodes it binds first; every other field is known once
     the depth above has bound its edge.  Each stretch of the layout
     between two last-depth fields that holds such an earlier field is one
@@ -314,7 +318,8 @@ def _line_split(steps: tuple[_Step, ...]) -> tuple[tuple[_LineItem, ...],
     is an f-string of the whole layout.
     """
     m = len(steps)
-    items = _line_layout(_node_count(steps), m)
+    *items, close = _line_layout(_node_count(steps), m)
+    items = (*items, close + "\n")
     if m == 1:
         return items, ()
     earlier = {s.source for s in steps[:-1]} | {s.target for s in steps[:-1]}
@@ -405,7 +410,8 @@ def _kernel_source(steps: tuple[_Step, ...], use_index: bool, lines: bool = Fals
     ``GeneratorExit`` passes through it, before its ``finally`` runs.
 
     The last depth yields a :class:`Match`, or with ``lines`` the match's
-    JSON line, filled from the locals and one more column, ``label_json``.
+    JSON line and its newline, filled from the locals and one more column,
+    ``label_json``.
     For a pattern of two or more edges the line is split by
     :func:`_line_split`: the code writes ``h0 = None`` just before the last
     depth, and that depth's first match under a binding of the depth above
@@ -660,6 +666,7 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Val
             violations.append(f"condition 1: edge {i} endpoints disagree with the node mapping")
 
     times = [g.times[pos] for pos in m.edge_assignment]
+    # a pattern's edges are in time order, so i < j has ti <= tj
     for i in range(len(p.edges)):
         for j in range(i + 1, len(p.edges)):
             ti, tj = p.edges[i].time, p.edges[j].time
@@ -668,8 +675,6 @@ def verify_match(g: TemporalGraph, p: PatternGraph, delta: int, m: Match) -> Val
                 violations.append(f"condition 2: edges {i},{j} must be strictly ordered")
             elif ti == tj and gi != gj:
                 violations.append(f"condition 2: edges {i},{j} must be simultaneous")
-            elif ti > tj and not gi > gj:
-                violations.append(f"condition 2: edges {i},{j} must be strictly ordered")
 
     start, end = min(times), max(times)
     dur = end - start + 1

@@ -8,11 +8,11 @@ distinct ranks.
 
 Patterns are frozen dataclasses, built by :func:`pattern_from_triples`
 and freely shareable.  A pattern is well-formed by construction: its
-ids, node count and times are exact ints, its node count is at least 1
-and its edges are at least one and sorted by time.  What a pattern file
-can still get wrong, :func:`validate_pattern` reports: a duration above
-the window, more than :data:`MAX_PATTERN_EDGES` edges and node ids that
-are not dense.
+edges are a tuple of :class:`PatternEdge`, at least one and sorted by
+time, and its ids, node count and times are exact ints, its node count
+at least 1.  What a pattern file can still get wrong,
+:func:`validate_pattern` reports: a duration above the window, more
+than :data:`MAX_PATTERN_EDGES` edges and node ids that are not dense.
 """
 
 from __future__ import annotations
@@ -53,23 +53,27 @@ class PatternGraph:
     """Pattern with its edges sorted by time.
 
     Edge ``i`` is simultaneous with edge ``i-1`` when their times are
-    equal and strictly after it otherwise.  No edges, a node count that
-    is not an exact int or is below 1, and edges out of time order raise
-    ``ValueError``.
+    equal and strictly after it otherwise.  Edges that are not a tuple
+    of :class:`PatternEdge`, no edges, a node count that is not an exact
+    int or is below 1, and edges out of time order raise ``ValueError``.
     """
 
     node_count: int
     edges: tuple[PatternEdge, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.edges, tuple):
+            raise ValueError(f"pattern edges must be a tuple, got {type(self.edges).__name__}")
         if not self.edges:
             raise ValueError("a pattern needs at least one edge")
         if type(self.node_count) is not int:
             raise ValueError(f"node count {self.node_count!r} is not an integer")
         if self.node_count < 1:
             raise ValueError(f"node count {self.node_count} is below 1")
-        for i in range(1, len(self.edges)):
-            if self.edges[i - 1].time > self.edges[i].time:
+        for i, e in enumerate(self.edges):
+            if not isinstance(e, PatternEdge):
+                raise ValueError(f"pattern edge {i} is a {type(e).__name__}, not a PatternEdge")
+            if i and self.edges[i - 1].time > e.time:
                 raise ValueError(f"edges out of time order at position {i}")
 
     def __repr__(self) -> str:

@@ -270,9 +270,10 @@ class TestRunBench:
         assert strip(first) == strip(second)
 
     def test_disagreement_aborts_and_saves_replay(self, toy_graph_path, tmp_path,
-                                                  monkeypatch):
+                                                  capsys, monkeypatch):
         import ipmatch.bench as bench_mod
         from ipmatch import StrategyMismatchError
+        from ipmatch.cli import main
 
         real = bench_mod.stream_search
         calls = []
@@ -290,11 +291,16 @@ class TestRunBench:
             graph_path=toy_graph_path, family="path", sizes=[2, 3],
             deltas=[100], strategies=["simple", "index"], output=str(out),
         )
-        with pytest.raises(StrategyMismatchError, match="len2"):
+        with pytest.raises(StrategyMismatchError, match="len2") as info:
             run_bench(plan)
         assert len(calls) == len(plan.strategies)  # the second query never ran
         saved = list(tmp_path.glob("*.mismatch-*.pattern"))
         assert len(saved) == 1
+        assert not out.exists()
+        # the bench command reports it as an error, with exit status 1
+        assert main(["bench", "--graph", toy_graph_path, "--family", "path", "--sizes", "2,3",
+                     "--deltas", "100", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
         assert not out.exists()
 
     def test_unwritable_output_fails_before_any_cell(self, toy_graph_path, tmp_path,

@@ -688,7 +688,8 @@ _FORMAT_LABELS = st.lists(
 
 class TestLinesOfFormatLabels:
     """Every strategy's line equals the ``json.dumps`` spec on labels that
-    the compiled f-strings must never read as code or as a format."""
+    the compiled f-strings must never read as code or as a format; a line
+    item is that line ended by its newline."""
 
     @given(st.lists(_FORMAT_LABELS, min_size=4, max_size=6, unique=True),
            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 8)),
@@ -701,18 +702,18 @@ class TestLinesOfFormatLabels:
         g, p = build_graph(triples), generate_path_query(edges)
         matches, _ = run_search(g, p, 10**6, "index")
         assert matches
-        expected = [spec_line(m, g) for m in matches]
-        assert [match_json_line(m, g) for m in matches] == expected
+        expected = [spec_line(m, g) + "\n" for m in matches]
+        assert [match_json_line(m, g) + "\n" for m in matches] == expected
         for strategy in io_cli.STRATEGIES:
             lines, _ = stream_search(g, p, 10**6, strategy, lines=True)
             assert list(lines) == expected, strategy
 
     @pytest.mark.parametrize("edges, expected", [
-        (1, ['{"dur":1,"edges":[["a","b",2]],"end":2,"nodes":{"0":"a","1":"b"},"start":2}',
-             '{"dur":1,"edges":[["b","c",3]],"end":3,"nodes":{"0":"b","1":"c"},"start":3}',
-             '{"dur":1,"edges":[["c","a",9]],"end":9,"nodes":{"0":"c","1":"a"},"start":9}']),
+        (1, ['{"dur":1,"edges":[["a","b",2]],"end":2,"nodes":{"0":"a","1":"b"},"start":2}\n',
+             '{"dur":1,"edges":[["b","c",3]],"end":3,"nodes":{"0":"b","1":"c"},"start":3}\n',
+             '{"dur":1,"edges":[["c","a",9]],"end":9,"nodes":{"0":"c","1":"a"},"start":9}\n']),
         (2, ['{"dur":2,"edges":[["a","b",2],["b","c",3]],"end":3,'
-             '"nodes":{"0":"a","1":"b","2":"c"},"start":2}']),
+             '"nodes":{"0":"a","1":"b","2":"c"},"start":2}\n']),
     ])
     def test_int_subclass_times_print_as_digits(self, edges, expected):
         # An f-string formats a field with format(), which an int subclass
@@ -733,31 +734,31 @@ class TestLinesOfFormatLabels:
             lines, _ = stream_search(g, p, 5, strategy, lines=True)
             assert list(lines) == expected, strategy
             matches, _ = run_search(g, p, 5, strategy)
-            assert [match_json_line(m, g) for m in matches] == expected, strategy
+            assert [match_json_line(m, g) + "\n" for m in matches] == expected, strategy
 
 
 def assert_line_stream_equals_match_stream(g, p, delta, k):
     """For ``simple`` and ``index``: the line stream is ``match_json_line``
-    over the match stream, with equal counters, at the limits None, 0, 1
-    and ``k``; and a line stream closed after ``k`` lines reports the
-    counters of a ``limit=k`` run."""
+    and a newline over the match stream, with equal counters, at the
+    limits None, 0, 1 and ``k``; and a line stream closed after ``k``
+    lines reports the counters of a ``limit=k`` run."""
     for strategy in ("simple", "index"):
         for limit in (None, 0, 1, k):
             matches, stats = stream_search(g, p, delta, strategy, limit)
             lines, line_stats = stream_search(g, p, delta, strategy, limit, lines=True)
-            assert list(lines) == [match_json_line(m, g) for m in matches]
+            assert list(lines) == [match_json_line(m, g) + "\n" for m in matches]
             assert line_stats == stats
         lines, closed = stream_search(g, p, delta, strategy, lines=True)
         with closing(lines):
             prefix = list(itertools.islice(lines, k))
         cut, cut_stats = run_search(g, p, delta, strategy, k)
-        assert prefix == [match_json_line(m, g) for m in cut]
+        assert prefix == [match_json_line(m, g) + "\n" for m in cut]
         assert closed == cut_stats
 
 
 class TestLineStream:
     """``stream_search(..., lines=True)`` under ``simple`` and ``index`` runs
-    a kernel that formats each line itself."""
+    a kernel that formats each output line, newline included, itself."""
 
     @given(st.integers(0, 10_000), st.integers(2, 40))
     @settings(max_examples=80, deadline=None)
@@ -805,7 +806,7 @@ class TestLineStream:
             matches, _ = run_search(g, p, 10**6, strategy)
             lines, _ = stream_search(g, p, 10**6, strategy, lines=True)
             assert len(matches) >= 2
-            assert list(lines) == [spec_line(m, g) for m in matches]
+            assert list(lines) == [spec_line(m, g) + "\n" for m in matches]
             assert [match_json_line(m, g) for m in matches] == [spec_line(m, g) for m in matches]
 
     @pytest.mark.parametrize("edges", [2, 3])
@@ -820,14 +821,15 @@ class TestLineStream:
         assert len(matches) == 3
         assert len({m.edge_assignment[-1] for m in matches}) == 1
         assert len({m.edge_assignment[-2] for m in matches}) == 3
+        expected = [spec_line(m, g) + "\n" for m in matches]
         for strategy in ("simple", "index"):
             lines, _ = stream_search(g, p, 100, strategy, lines=True)
-            assert list(lines) == [spec_line(m, g) for m in matches]
+            assert list(lines) == expected
             for k in range(1, 4):
                 lines, _ = stream_search(g, p, 100, strategy, lines=True)
                 with closing(lines):
                     prefix = list(itertools.islice(lines, k))
-                assert prefix == [spec_line(m, g) for m in matches[:k]]
+                assert prefix == expected[:k]
 
 
 class _FailingSink(io.StringIO):
@@ -1182,11 +1184,16 @@ class TestGenCommand:
                      "--delta", str(MAX_PATTERN_EDGES)]) == 0
         assert capsys.readouterr().out.count("\n") == 1
 
-    def test_gen_random_unreachable_exit_1(self, tmp_path, capsys):
+    def test_gen_random_unreachable_exit_1(self, tmp_path):
+        # in a fresh process, where gen itself imports the module that raises
         gpath = write(tmp_path / "g.txt", "a b 1\n")
-        code = main(["gen", "random", "--graph", gpath, "--nodes", "5",
-                     "--seed", "0", "--output", str(tmp_path / "p.txt")])
-        assert code == 1
+        result = subprocess.run(
+            [sys.executable, "-m", "ipmatch.cli", "gen", "random", "--graph", gpath,
+             "--nodes", "5", "--seed", "0", "--output", str(tmp_path / "p.txt")],
+            capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: cannot grow a 5-node query in a graph of 2 nodes\n"
+        assert not (tmp_path / "p.txt").exists()
 
 
 class TestCliEntryPoint:
@@ -1200,6 +1207,22 @@ class TestCliEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.count("\n") == 1
+
+    def test_query_and_validate_import_neither_bench_nor_csv(
+            self, toy_graph_file, path2_pattern_file):
+        # a query, a query that fails and a validation, in a fresh process;
+        # random is not checked, since an interpreter's site may import it
+        code = ("import sys\n"
+                "from ipmatch.cli import main\n"
+                "args = ['--graph', sys.argv[1], '--pattern', sys.argv[2], '--delta', '10']\n"
+                "codes = [main(['query', *args]), main(['query', *args, '--limit', '-1']),\n"
+                "         main(['validate', *args])]\n"
+                "print(codes, sorted({'ipmatch.bench', 'csv'} & set(sys.modules)))\n")
+        result = subprocess.run([sys.executable, "-c", code, toy_graph_file,
+                                 path2_pattern_file], capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[0, 1, 0] []"
+        assert result.stderr == "error: limit must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize("limit", [None, 3])

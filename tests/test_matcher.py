@@ -603,44 +603,44 @@ class TestCompiledKernel:
     # the same shapes' kernels in line mode, which yield each match's JSON line
     PINNED_LINE_SOURCE = {
         1: (
-            "2a30e373c5f0afd8563c0975511bc99eb1164e11e09c772a2567a355f4a2a60b",
-            "2a30e373c5f0afd8563c0975511bc99eb1164e11e09c772a2567a355f4a2a60b"),
+            "ec404269f7a7da53ef5d3ace793a93aee1e5c3949094aeea09c3ea00e85c417d",
+            "ec404269f7a7da53ef5d3ace793a93aee1e5c3949094aeea09c3ea00e85c417d"),
         2: (
-            "7178badaf5494d8fcc9f62355e603a3e590f800b34fcb111fb5ccfb5d7f5556d",
-            "5389e867e7be7bfb05a76b52a721212d4746a30c0648c4b019289d30893b3ab7"),
+            "eef9f43d6411f14a29e4fa7838ea597cc830e8de2025eb1dae32a41d4c7a0a17",
+            "95d1885f2e92a6c7615fc660ff3443f664a26bde47a66b9d7db61fbb14abcf30"),
         3: (
-            "90bc59274eeb2cfa1a20c811d5b6188e703d440565794f397082b978f26413fd",
-            "597513bd6000a1be32cba8b4a4d68099e4823d71c0e2da5276f3e489acb40213"),
+            "0ebd6eb7d0cf14faf30d3dcd74ac6ca0605e84c41a8c392df2b9e63cb7c088b0",
+            "b70aa9ae3078dcbd0d56531d2382b4b77908d24332ee1062585efa75d3ed4a9c"),
         4: (
-            "dd8e59a934aea535c2f9b5e26af898835eefab110f590d1d68082b2a20aa3076",
-            "39908b876d14caa4f0cd31fd5a36eadbf5f027912e9c59c531efa795ac783839"),
+            "18a84290cc0d864f2703b1b4ba538259ba0db26667b95c6460fdd6f06efa3c76",
+            "b34a09a80ceb392df517aa06594e9e48ce86517640d57afe5d8d3fd3a25b3b25"),
         16: (
-            "83e7d3d3f510e2dc7e4970c1fea320bcd2e1d7050dbc86283e79b0b4d0b0d7f5",
-            "b9b9888848c187c0da1cfcd0a74869360b7151c9021ce8dfb7dd313ddfa6f74a"),
+            "39fc1fab31fa8fb574dda6aa4947ec4b5f26b4bf0bafa915c1868a1a923dd15a",
+            "f6599e596ae59fa4a366e98c1992110122a15b4089b0cca944db49f2979c3162"),
         17: (
-            "f3b8c05ecdf3955bc8e9e8fe86870275200aafcaeb49c9975aa777007a565e4d",
-            "a13657e036041c0ea48f563b57ade5b8ff9b0b24fbb415b99676ba6e84b0d232"),
+            "21458d134ee10f4de71b1a50a3803fb6a97c7a2ee36ed7df94dcc1f041836bb2",
+            "7d55a4d156b3627545821023e6108811b46a28787c2f3f8c2f580d890b18557f"),
         25: (
-            "e6df0c1e3eff5244aa717b3fce8de43d5aa4298ec54e51224385957811987586",
-            "3712e82b4eed6375128f229e23955a648ce915ce4c90d9dff384577e06ced4ab"),
+            "538e79260081794b4e6101cbe8f75328e09a8cdfa62f706b06139bd3d5041ab7",
+            "cec9e10e7598b30d5d71cb7e3be498b35b57f124c4903b7c68376209d167c4a1"),
         "ping-pong": (
-            "8feadc9a5cdde83e27cbc73906f5da9d4f7f823ac204f3eba09639025126362a",
-            "f15b4a67d075c2c66f3df277627a30426f12f817e35aa4329d6b47286910b9d9"),
+            "d605fb8c7abc120f3fbfe6c4934659f20b728765590461020f55b47c47d1e570",
+            "a1a0d972f0a2b0713abdb831a4b0744ec718c8091c904f84594332ec875c7a1c"),
         "triangle": (
-            "5a41ee4f42638b688ca88d92f47e499594b0347b5fbd0301acec41c22f47b929",
-            "cf25613905f03f47d0318cafb43684a3bdeb0215edad1aab3ef47198cad50f71"),
+            "b1380a777e1353486ad19e8796d3634ffe3ee367bd552c1959581b74efa9d673",
+            "45f23131f59778abdf462c9065eb4def9f9918fb4632c63dc5935e356fb466a1"),
         "broadcast-reply": (
-            "50d9db58094924490ddf657084b3a45c7df5da0d36b50807f868c8fe2de736c7",
-            "55c66071f67d497cbe9274f713348678943c3b67181cf53bb6eb4731b1a9aab4"),
+            "b78cb42e79471add85dcc9d9d85fc5e77712039b1378c0a2f08eca1e4b6c7e47",
+            "db905805b8a9d76f6cb335000c8bb4062d5ad42dc7cd630209b72dd4176d486a"),
         "star3-simultaneous": (
-            "9a3618ee3ce9def275ae394edbea08cbf5c80ecc4a430f436ff21cc9f369cbed",
-            "340dd9e9ff6c47c0cd16446067d1eb6026b68e765f619d0591e175bbfe8c11f5"),
+            "e39f65068b9dbd49e9c70a11c2fba63de11b1968f1f6530bcd3e14963ffa5e21",
+            "bb48d3fddf51f36904c1d2793a0277e46a39f304452f5a80397b8810847040ca"),
         "relay-equal": (
-            "5cb5c91f6fc69e7f9b05aa755fb9cf6b0149172daec77bd4fa77ff70e0305b03",
-            "6ef60b88f3d31de50bf28bf1681e3dce0b8b2485a705a13a393c4e04aa6e01d4"),
+            "a2c441dc35b3053e7b1026d5f8eff1447dda6c0fa205386b2a6c3cff369abfa5",
+            "e40e0aacb294cd96f52f392abd7e802193cf54dbaa717811c045965c5480414c"),
         "endpoint-cases": (
-            "5566367da3eec751871c9a196d4e03da919d05e1c9e0c828c1091f8fb2fc5f8e",
-            "db7bc8067aac78bee7c5cc5b2d9d525ab0c7f6fee7542ef849c2520799e4fbbc"),
+            "7fa39d39beedb849448741daa2f79c48d1874a4a15bb02606dcf6d26cf5a3b75",
+            "6602b233e9484be72fc0767da7c2041b0bc52305992039c6b9439de9b7d0e649"),
     }
 
     def test_line_source_is_pinned(self):

@@ -179,9 +179,10 @@ class TestEdgeBound:
 
 
 # patterns built directly, past pattern_from_triples and the file parser,
-# whose node ids, node count or edge times are not exact ints: each is
-# refused when it is built, by the first constructor to see the value, so
-# that none reaches validate_pattern or a strategy
+# whose node ids, node count or edge times are not exact ints, or whose
+# edges are not a tuple of PatternEdge: each is refused when it is built,
+# by the first constructor to see the value, so that none reaches
+# validate_pattern or a strategy
 NOT_INT_PATTERNS = {
     "str-time": (lambda: PatternGraph(2, (PatternEdge(0, 1, "x"), PatternEdge(1, 0, "y"))),
                  "pattern edge time 'x' is not an integer"),
@@ -205,6 +206,10 @@ NOT_INT_PATTERNS = {
                    "node count True is not an integer"),
     "str-count": (lambda: PatternGraph("2", (PatternEdge(0, 1, 1),)),
                   "node count '2' is not an integer"),
+    "tuple-edge": (lambda: PatternGraph(2, ((0, 1, 1),)),
+                   "pattern edge 0 is a tuple, not a PatternEdge"),
+    "list-edges": (lambda: PatternGraph(2, [PatternEdge(0, 1, 1)]),
+                   "pattern edges must be a tuple, got list"),
 }
 
 
