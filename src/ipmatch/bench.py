@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .io_cli import effective_delta, load_graph, save_pattern, stream_search
-from .pattern import MAX_PATTERN_EDGES, PatternGraph, pattern_from_triples, validate_pattern
+from .pattern import (MAX_PATTERN_EDGES, PatternGraph, exact_int, pattern_from_triples,
+                      validate_pattern)
 from .temporal_graph import TemporalGraph
 
 CSV_HEADER = ["family", "size", "delta", "strategy", "query_id", "millis", "matches", "candidates"]
@@ -56,8 +57,7 @@ class BenchPlan:
         for name, values in (("count", [self.count]), ("seed", [self.seed]),
                              ("size", self.sizes), ("delta", self.deltas)):
             for value in values:
-                if type(value) is not int:
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                exact_int(value, f"{name} must be an integer, got {{!r}}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         for name in ("sizes", "deltas", "strategies"):
@@ -92,8 +92,7 @@ def generate_path_query(length: int) -> PatternGraph:
     A ``length`` that is not an exact int (a bool or a float) or is below 1
     raises ``ValueError``.
     """
-    if type(length) is not int:
-        raise ValueError(f"path length must be an integer, got {length!r}")
+    exact_int(length, "path length must be an integer, got {!r}")
     if length < 1:
         raise ValueError(f"path length must be >= 1, got {length}")
     return pattern_from_triples(
@@ -113,8 +112,7 @@ def generate_random_query(g: TemporalGraph, n: int, seed: int) -> PatternGraph:
     exact int (a bool or a float) or is below 2 raises ``ValueError``
     before anything is drawn.
     """
-    if type(n) is not int:
-        raise ValueError(f"random query size must be an integer, got {n!r}")
+    exact_int(n, "random query size must be an integer, got {!r}")
     if n < 2:
         raise ValueError(f"random query size must be >= 2, got {n}")
     if n > g.node_count:

@@ -23,7 +23,7 @@ from typing import Optional, TextIO
 
 from .baseline import brute_force, two_phase_search
 from .matcher import InvalidPatternError, Match, match_json_line, search
-from .pattern import PatternGraph, pattern_from_triples, validate_pattern
+from .pattern import PatternGraph, exact_int, pattern_from_triples, validate_pattern
 from .temporal_graph import (GraphBuildError, TemporalGraph, _build_columns, _first_fault,
                              static_projection)
 
@@ -86,43 +86,31 @@ def _parse_int(token: str, path: str, line_no: int, what: str) -> int:
         ) from None
 
 
+# Every byte that ``str.split()`` does not take for whitespace
+_NOT_SPACE = bytes(b for b in range(256) if not chr(b).isspace())
+
+
 def load_graph(path: str) -> TemporalGraph:
     """Read a SNAP-style temporal edge list.
 
     Timestamps must be integers; decimal values are rejected so that
     simultaneity stays exact.  An error names the first bad line; within
     a line, the bytes are checked first (ASCII), then the field count,
-    then the labels, then the timestamp.  The parse appends each edge's
-    fields to three columns (source labels, target labels, times), and
-    the builder behind :func:`build_graph` makes the graph from them; no
-    tuple is made per edge.  That builder pauses the cyclic garbage
-    collector; the parse runs under the caller's setting.
+    then the labels, then the timestamp.  The file is read once as bytes,
+    and one of the plain layout that :func:`save_graph` writes (``u v t``
+    lines, one space between fields, ``\\n`` endings, no ``#``) is split
+    into its three columns (source labels, target labels, times) in one
+    pass.  Any other file, or a plain one with a timestamp ``int()``
+    refuses, is parsed again line by line, which appends each edge's
+    fields to the three columns and finds the errors; both passes give
+    the same columns.  The builder behind :func:`build_graph` makes the
+    graph from them; no tuple is made per edge.  That builder pauses the
+    cyclic garbage collector; the parse runs under the caller's setting.
     """
-    us: list[str] = []
-    vs: list[str] = []
-    ts: list[int] = []
     try:
-        with _open_ascii(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.isascii():
-                    _first_fault(us, vs, ParseError(path, line_no, "non-ASCII byte"))
-                fields = line.split()
-                if not fields or fields[0][0] == "#":
-                    continue
-                if len(fields) != 3:
-                    _first_fault(us, vs, GraphBuildError(
-                        len(ts), f"expected 3 fields, got {len(fields)}"))
-                u, v, raw_t = fields
-                us.append(u)
-                vs.append(v)
-                try:
-                    ts.append(int(raw_t))
-                except ValueError:
-                    _first_fault(us, vs, GraphBuildError(
-                        len(ts), f"timestamp {raw_t!r} is not an integer"))
-        if not ts:
-            raise ParseError(path, 0, "no edges in file")
-        return _build_columns(us, vs, ts)
+        with open(path, "rb") as fh:
+            columns = _plain_columns(fh.read())
+        return _build_columns(*(columns or _parsed_columns(path)))
     except GraphBuildError as exc:
         # only now find the bad entry's line, so a valid file costs nothing extra
         with _open_ascii(path) as fh:
@@ -130,6 +118,57 @@ def load_graph(path: str) -> TemporalGraph:
                           if line.lstrip()[:1] not in ("", "#"))
             line_no = next(itertools.islice(edge_lines, exc.entry, None), 0)
         raise ParseError(path, line_no, exc.reason) from None
+
+
+def _plain_columns(data: bytes) -> Optional[tuple[list, list, list]]:
+    """The columns of a graph file's bytes ``data`` in the plain layout,
+    split at once; None for any other file, or for a timestamp that
+    ``int()`` refuses.  The layout holds no ``#``, and its whitespace is
+    two spaces per line and a ``\\n`` after every line but perhaps the
+    last; so no line is a comment or blank, and the ASCII text splits
+    into three fields per line exactly when no space leads, trails or
+    follows another."""
+    lines = data.count(b"\n")
+    rows = lines + (not data.endswith(b"\n"))  # the last line may lack its newline
+    skeleton = b"  \n" * lines + b"  " * (rows - lines)
+    if b"#" in data or data.translate(None, _NOT_SPACE) != skeleton or not data.isascii():
+        return None
+    tokens = data.decode("ascii").split()
+    if len(tokens) != 3 * rows:
+        return None
+    try:
+        ts = list(map(int, tokens[2::3]))
+    except ValueError:
+        return None
+    return tokens[0::3], tokens[1::3], ts
+
+
+def _parsed_columns(path: str) -> tuple[list, list, list]:
+    """The columns of the graph file at ``path``, parsed line by line."""
+    us: list[str] = []
+    vs: list[str] = []
+    ts: list[int] = []
+    with _open_ascii(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                _first_fault(us, vs, ParseError(path, line_no, "non-ASCII byte"))
+            fields = line.split()
+            if not fields or fields[0][0] == "#":
+                continue
+            if len(fields) != 3:
+                _first_fault(us, vs, GraphBuildError(
+                    len(ts), f"expected 3 fields, got {len(fields)}"))
+            u, v, raw_t = fields
+            us.append(u)
+            vs.append(v)
+            try:
+                ts.append(int(raw_t))
+            except ValueError:
+                _first_fault(us, vs, GraphBuildError(
+                    len(ts), f"timestamp {raw_t!r} is not an integer"))
+    if not ts:
+        raise ParseError(path, 0, "no edges in file")
+    return us, vs, ts
 
 
 def save_graph(g: TemporalGraph, path: str) -> None:
@@ -202,8 +241,7 @@ def match_from_dict(obj: dict, g: TemporalGraph, p: PatternGraph) -> Match:
     if absent:
         raise ValueError(f"match has no {absent[0]!r}: {obj}")
     for key in ("start", "end", "dur"):
-        if type(obj[key]) is not int:
-            raise ValueError(f"{key} {obj[key]!r} is not an integer")
+        exact_int(obj[key], f"{key} {{!r}} is not an integer")
     nodes, edges = obj["nodes"], obj["edges"]
     if not isinstance(nodes, dict):
         raise ValueError(f"nodes {nodes!r} is not an object")
@@ -267,8 +305,7 @@ def stream_search(g: TemporalGraph, p: PatternGraph, delta: int, strategy: str,
     if not report.ok:
         raise InvalidPatternError(report)
     if limit is not None:
-        if type(limit) is not int:
-            raise ValueError(f"limit must be an integer, got {limit!r}")
+        exact_int(limit, "limit must be an integer, got {!r}")
         if limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
     if strategy in ("simple", "index"):

@@ -28,6 +28,14 @@ from typing import Iterable, Optional, Sequence
 MAX_PATTERN_EDGES = 64
 
 
+def exact_int(value, message: str) -> None:
+    """Raise ``ValueError(message)``, ``value``'s repr put in for its
+    ``{!r}``, unless ``value`` is an exact int: a bool, a float, a str and
+    an int subclass are refused."""
+    if type(value) is not int:
+        raise ValueError(message.format(value))
+
+
 @dataclass(frozen=True, slots=True)
 class PatternEdge:
     """Directed pattern edge over dense pattern node ids.
@@ -43,9 +51,7 @@ class PatternEdge:
 
     def __post_init__(self) -> None:
         for name in ("source", "target", "time"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"pattern edge {name} {value!r} is not an integer")
+            exact_int(getattr(self, name), f"pattern edge {name} {{!r}} is not an integer")
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -66,8 +72,7 @@ class PatternGraph:
             raise ValueError(f"pattern edges must be a tuple, got {type(self.edges).__name__}")
         if not self.edges:
             raise ValueError("a pattern needs at least one edge")
-        if type(self.node_count) is not int:
-            raise ValueError(f"node count {self.node_count!r} is not an integer")
+        exact_int(self.node_count, "node count {!r} is not an integer")
         if self.node_count < 1:
             raise ValueError(f"node count {self.node_count} is below 1")
         for i, e in enumerate(self.edges):
@@ -123,8 +128,7 @@ def validate_pattern(p: PatternGraph, delta: int) -> ValidationReport:
     A ``delta`` that is not an exact int (a bool, a float, a NaN or a str
     is refused) or is below 1 raises ``ValueError`` instead.
     """
-    if type(delta) is not int:
-        raise ValueError(f"delta must be an integer, got {delta!r}")
+    exact_int(delta, "delta must be an integer, got {!r}")
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
     ids = [node for e in p.edges for node in (e.source, e.target)]

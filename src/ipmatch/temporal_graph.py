@@ -44,6 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, count
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -231,10 +232,10 @@ def _build_columns(us: list, vs: list, ts: list) -> TemporalGraph:
     # assignment; the sort is stable, so exact duplicates keep their
     # input order.
     keyed = sorted(zip(ts, us, vs))
-    times, source_labels, target_labels = zip(*keyed)
+    times = tuple(map(itemgetter(0), keyed))
+    sources = tuple(map(label_index.__getitem__, map(itemgetter(1), keyed)))
+    targets = tuple(map(label_index.__getitem__, map(itemgetter(2), keyed)))
     del keyed  # the columns hold all it held, so free it before the lists grow
-    sources = tuple(map(label_index.__getitem__, source_labels))
-    targets = tuple(map(label_index.__getitem__, target_labels))
 
     out_positions: list[list[int]] = [[] for _ in labels]
     in_positions: list[list[int]] = [[] for _ in labels]

@@ -16,6 +16,7 @@ import threading
 import time
 from contextlib import closing
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +302,119 @@ class TestOneBuilder:
         with pytest.raises(ParseError) as exc:
             load_graph(str(path))
         assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+
+# Labels of a plain-layout file: as _FILE_LABELS, with no "#" anywhere,
+# and often digits, as SNAP's node ids are, so that a field taken for
+# another still reads as a time.
+_PLAIN_LABELS = st.one_of(
+    st.integers(0, 20).map(str),
+    st.text(st.characters(max_codepoint=127).filter(lambda ch: not ch.isspace() and ch != "#"),
+            min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _plain_graph_files(draw):
+    """The bytes of a graph file in the plain layout that ``load_graph``
+    splits in one pass: ``u v t`` lines, one space between fields, ``\\n``
+    endings, the last one perhaps missing.  Times are written as ``5``,
+    ``1_000`` or ``+5``, and in one file of five one time is ``1.5``."""
+    edges = draw(st.lists(
+        st.tuples(_PLAIN_LABELS, _PLAIN_LABELS, st.integers(-10**7, 10**7)),
+        min_size=1, max_size=20))
+    lines = [f"{u} {v} {draw(st.sampled_from([str(t), f'{t:_}', f'{t:+}']))}"
+             for u, v, t in edges]
+    if draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k].rpartition(" ")[0] + " 1.5"
+    return ("\n".join(lines) + draw(st.sampled_from(["\n", ""]))).encode("ascii")
+
+
+# What one edit puts into a plain file: whitespace that str.split() takes
+# for a separator but the layout refuses, a "#", a non-ASCII letter, or a
+# space or a newline, which keep the layout's bytes but may move a field.
+_EDIT_BYTES = st.sampled_from([b"\t", b"\r", b"\x0b", b"\x1c", b"#", "é".encode(),
+                               b" ", b"\n"])
+
+
+@st.composite
+def _edited_plain_files(draw):
+    """A file from :func:`_plain_graph_files` as it is, or with one byte
+    inserted, deleted or replaced, or its final newline dropped.  Half the
+    edits are at the start of a field, where a line turns into a comment
+    or a field into two."""
+    data = draw(_plain_graph_files())
+    edit = draw(st.sampled_from(["none", "insert", "delete", "replace", "unterminate"]))
+    if edit == "unterminate":
+        return data.removesuffix(b"\n")
+    if edit == "none":
+        return data
+    end = len(data) - (edit != "insert")
+    starts = [0] + [i + 1 for i, byte in enumerate(data[:end]) if byte in b" \n"]
+    at = draw(st.one_of(st.integers(0, end), st.sampled_from(starts)))
+    new = b"" if edit == "delete" else draw(_EDIT_BYTES)
+    return data[:at] + new + data[at + (edit != "insert"):]
+
+
+def _outcome(path: str):
+    """``load_graph``'s graph fields on ``path``, or its ParseError text."""
+    try:
+        return graph_fields(load_graph(path))
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestBulkPass:
+    """A plain-layout file is split in one pass; every file, plain or not,
+    gives the graph or the error the per-line parse gives."""
+
+    @given(_edited_plain_files())
+    @settings(max_examples=300, deadline=None)
+    def test_same_graph_or_error_as_the_per_line_parse(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            bulk = _outcome(path)
+            with mock.patch.object(io_cli, "_plain_columns", lambda data: None):
+                assert _outcome(path) == bulk
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        # the last line has no separators and no newline
+        (b"a b 1\nb y \n50", 2, "expected 3 fields, got 2"),
+        # a vertical tab separates fields for str.split()
+        (b"a\x0bb 5 1\n d 7\n", 1, "expected 3 fields, got 4"),
+    ], ids=["unterminated-last-line", "vertical-tab"])
+    def test_two_space_lines_that_are_not_plain(self, tmp_path, text, line_no, message):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as exc:
+            load_graph(str(path))
+        assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+    @pytest.mark.parametrize("layout, bulk", [
+        (lambda data: data, True),
+        (lambda data: data.replace(b"\n", b"\r\n"), False),
+        (lambda data: data.replace(b" ", b"\t"), False),
+    ], ids=["saved", "crlf", "tab"])
+    def test_saved_file_takes_the_bulk_pass(self, tmp_path, monkeypatch, layout, bulk):
+        parses = []
+        parse = io_cli._parsed_columns
+
+        def spy(path):
+            parses.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(io_cli, "_parsed_columns", spy)
+        # in time order, so the file interns the labels in the order given
+        g = build_graph([("c", "a", -2), ("b", "c", 1), ("a", "b", 3), ("a", "b", 3)])
+        saved = tmp_path / "saved.txt"
+        save_graph(g, str(saved))
+        path = tmp_path / "g.txt"
+        path.write_bytes(layout(saved.read_bytes()))
+        assert graph_fields(load_graph(str(path))) == graph_fields(g)
+        assert parses == ([] if bulk else [str(path)])
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
